@@ -272,7 +272,10 @@ def cmd_gaussian(args) -> int:
         _emit({"check": "corestriction", **report.to_dict()}, args.out)
         return 0 if report.max_gap_routes < args.tol else 1
     if args.check == "goodness":
-        report = gaussian_goodness_probe(form)
+        try:
+            report = gaussian_goodness_probe(form)
+        except ArithmeticError as exc:  # lattice sum out of reach for this form
+            raise InputError(f"goodness probe failed for form {args.form!r}: {exc}")
         _emit({"check": "goodness", **report.to_dict()}, args.out)
         return 0 if report.all_checks_pass else 1
     raise InputError(f"unknown gaussian check {args.check!r}")

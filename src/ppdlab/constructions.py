@@ -129,10 +129,10 @@ def coset_average(f: GroupFunction, H: Subgroup) -> GroupFunction:
 
 
 def _coset_sum(f: GroupFunction, H: Subgroup, rep: int):
-    G = f.group
+    row = f.group.index_tables[0][rep]
     total = Fraction(0) if f.is_exact else 0.0
     for h in H.elements:
-        total = total + f.values[G.add_index(rep, h)]
+        total = total + f.values[row[h]]
     return total
 
 

@@ -30,15 +30,13 @@ from .groups import (
     FiniteAbelianGroup,
     Homomorphism,
     dual_group,
-    hom_apply,
+    hom_index_map,
     hom_validate,
     pairing_exponent,
 )
 
 # Global float-mode equality tolerance (relative where a scale is available).
 FLOAT_TOL = 1e-10
-
-ORDER_BOUND = 64
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +59,7 @@ def _complex_roots(E: int) -> tuple[complex, ...]:
 class GroupFunction:
     """Complex-valued function on a finite abelian group, dense by element index."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "is_exact")
 
     def __init__(self, group: FiniteAbelianGroup, values: Sequence):
         values = tuple(values)
@@ -71,10 +69,7 @@ class GroupFunction:
             )
         self.group = group
         self.values = values
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction, Cyc)) for v in self.values)
+        self.is_exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
 
     def __call__(self, x) -> object:
         if isinstance(x, int):
@@ -265,13 +260,13 @@ def convolve(mu: ScaledMeasure, nu: ScaledMeasure) -> ScaledMeasure:
     zero = Fraction(0) if (mu.is_exact and nu.is_exact) else 0.0
     out = [zero] * G.order
     dv, ev = mu.density.values, nu.density.values
-    for i in range(G.order):
-        if dv[i] == 0:
+    for a, row in zip(dv, G.index_tables[0]):
+        if a == 0:
             continue
-        for j in range(G.order):
-            if ev[j] == 0:
+        for j, b in enumerate(ev):
+            if b == 0:
                 continue
-            out[G.add_index(i, j)] += dv[i] * ev[j]
+            out[row[j]] += a * b
     scale = mu.haar.scale * nu.haar.scale
     return ScaledMeasure(G, GroupFunction(G, out), HaarScale(G, scale))
 
@@ -281,11 +276,8 @@ def pullback(phi: Homomorphism, f: GroupFunction) -> GroupFunction:
     hom_validate(phi)
     if f.group != phi.target:
         raise ValueError("pullback needs a function on the homomorphism target")
-    vals = []
-    for i in range(phi.source.order):
-        x = phi.source.element(i)
-        vals.append(f.values[phi.target.index(hom_apply(phi, x))])
-    return GroupFunction(phi.source, vals)
+    vals = f.values
+    return GroupFunction(phi.source, [vals[t] for t in hom_index_map(phi)])
 
 
 def pushforward(phi: Homomorphism, mu: ScaledMeasure) -> ScaledMeasure:
@@ -296,11 +288,10 @@ def pushforward(phi: Homomorphism, mu: ScaledMeasure) -> ScaledMeasure:
     B = phi.target
     zero = Fraction(0) if mu.is_exact else 0.0
     out = [zero] * B.order
-    for i in range(mu.group.order):
+    for i, t in enumerate(hom_index_map(phi)):
         v = mu.mass_at(i)
         if v != 0:
-            x = mu.group.element(i)
-            out[B.index(hom_apply(phi, x))] += v
+            out[t] += v
     one = Fraction(1) if mu.is_exact else 1.0
     return ScaledMeasure(B, GroupFunction(B, out), HaarScale(B, one))
 

@@ -6,6 +6,13 @@ equal exactly when their moduli lists are equal (no invariant-factor
 canonicalization).  Subgroups are stored extensionally; subgroup and quotient
 realizations as abstract groups are produced by Smith normal form, which
 keeps every construction deterministic.
+
+Hot loops never do tuple arithmetic.  They work on element indices through
+the index kernel: per moduli, an add table add[i][j] = i + j and a neg table
+neg[i] = -i, built once on first use (|G|^2 ints, 4096 at order 64) and held
+on each group instance; and, per homomorphism, the index map hom_index_map(phi)
+sending each source index to the index of its image.  Index 0 is always the
+identity.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ Element = tuple[int, ...]
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups Z_{n1} + ... + Z_{nk}."""
 
-    __slots__ = ("moduli", "order", "_weights")
+    __slots__ = ("moduli", "order", "_weights", "_tables")
 
     def __init__(self, moduli: Sequence[int]):
         moduli = tuple(int(n) for n in moduli)
@@ -41,6 +48,7 @@ class FiniteAbelianGroup:
             w.append(acc)
             acc *= n
         self._weights = tuple(w)
+        self._tables = None
 
     # -- identity ------------------------------------------------------------
 
@@ -104,14 +112,35 @@ class FiniteAbelianGroup:
     def sub(self, x: Element, y: Element) -> Element:
         return tuple((a - b) % n for a, b, n in zip(x, y, self.moduli))
 
+    @property
+    def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(add, neg): add[i][j] is the index of element(i) + element(j) and
+        neg[i] the index of -element(i)."""
+        if self._tables is None:
+            self._tables = _index_tables(self.moduli)
+        return self._tables
+
     def add_index(self, i: int, j: int) -> int:
-        return self.index(self.add(self.element(i), self.element(j)))
+        if not (0 <= i < self.order and 0 <= j < self.order):
+            raise IndexError(f"element index {(i, j)} out of range for {self}")
+        return self.index_tables[0][i][j]
 
     def neg_index(self, i: int) -> int:
-        return self.index(self.neg(self.element(i)))
+        if not 0 <= i < self.order:
+            raise IndexError(f"element index {i} out of range for {self}")
+        return self.index_tables[1][i]
 
     def exponent(self) -> int:
         return math.lcm(*self.moduli)
+
+
+@lru_cache(maxsize=None)
+def _index_tables(moduli: tuple[int, ...]):
+    G = FiniteAbelianGroup(moduli)
+    elems = list(G.elements())
+    add = tuple(tuple(G.index(G.add(x, y)) for y in elems) for x in elems)
+    neg = tuple(G.index(G.neg(x)) for x in elems)
+    return add, neg
 
 
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:
@@ -205,21 +234,24 @@ class Subgroup:
                                      tuple(self.generators))
 
 
+def _adjoin(add, span, g: int) -> set[int]:
+    """The subgroup generated by the subgroup `span` and the element g: the
+    union of the cosets span + k*g, which repeat once one lands in span."""
+    members = set(span)
+    row = add[g]
+    coset = [row[h] for h in span]
+    while coset[0] not in members:
+        members.update(coset)
+        coset = [row[h] for h in coset]
+    return members
+
+
 def _close_under_addition(G: FiniteAbelianGroup, seeds: set[int]) -> frozenset[int]:
-    zero = G.index(G.zero)
-    members = {zero}
-    frontier = list(seeds - members)
-    members |= seeds
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(members):
-                s = G.add_index(i, j)
-                if s not in members:
-                    members.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    # closure under addition of a finite set containing 0 is already a group
+    add = G.index_tables[0]
+    members = {0}
+    for g in seeds:
+        if g not in members:
+            members = _adjoin(add, members, g)
     return frozenset(members)
 
 
@@ -230,9 +262,7 @@ def subgroup_from_generators(G: FiniteAbelianGroup,
     for g in gens:
         if not G.contains(G.reduce(g)) or len(g) != G.rank:
             raise ValueError(f"generator {g} out of range for {G}")
-        g = G.reduce(g)
         gen_idx.add(G.index(g))
-        gen_idx.add(G.index(G.neg(g)))
     elements = _close_under_addition(G, gen_idx)
     return Subgroup(G, elements, tuple(G.reduce(g) for g in gens))
 
@@ -241,27 +271,30 @@ def subgroup_from_elements(G: FiniteAbelianGroup,
                            elements: Sequence[int]) -> Subgroup:
     """Wrap an element-index set as a subgroup, validating closure."""
     members = frozenset(elements)
-    if G.index(G.zero) not in members:
+    if 0 not in members:
         raise ValueError("subgroup must contain 0")
     for i in members:
         if not 0 <= i < G.order:
             raise ValueError(f"element index {i} out of range")
-        if G.neg_index(i) not in members:
+    add, neg = G.index_tables
+    for i in members:
+        if neg[i] not in members:
             raise ValueError("element set not closed under negation")
-        for j in members:
-            if G.add_index(i, j) not in members:
-                raise ValueError("element set not closed under addition")
+        row = add[i]
+        if any(row[j] not in members for j in members):
+            raise ValueError("element set not closed under addition")
     gens = _greedy_generators(G, members)
     return Subgroup(G, members, gens)
 
 
 def _greedy_generators(G: FiniteAbelianGroup, members: frozenset[int]) -> tuple:
+    add = G.index_tables[0]
     gens: list[Element] = []
-    span: frozenset[int] = _close_under_addition(G, set())
+    span = {0}
     for i in sorted(members):
         if i not in span:
             gens.append(G.element(i))
-            span = _close_under_addition(G, set(span) | {i})
+            span = _adjoin(add, span, i)
         if len(span) == len(members):
             break
     return tuple(gens)
@@ -292,19 +325,23 @@ def all_subgroups(G: FiniteAbelianGroup,
 @lru_cache(maxsize=None)
 def _all_subgroups_cached(moduli: tuple[int, ...]) -> tuple[Subgroup, ...]:
     G = FiniteAbelianGroup(moduli)
-    seen: dict[frozenset[int], set[int]] = {}
-    trivial = _close_under_addition(G, set())
-    seen[trivial] = set()
+    add = G.index_tables[0]
+    trivial = frozenset({0})
+    seen = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
+            # every element of the coset H + i adjoins to the same subgroup
+            tried = set(H)
             for i in range(G.order):
-                if i in H:
+                if i in tried:
                     continue
-                closure = _close_under_addition(G, set(H) | {i})
+                row = add[i]
+                tried.update(row[h] for h in H)
+                closure = frozenset(_adjoin(add, H, i))
                 if closure not in seen:
-                    seen[closure] = set(seen[H]) | {i}
+                    seen.add(closure)
                     nxt.append(closure)
         frontier = nxt
     subs = []
@@ -353,6 +390,13 @@ def hom_apply(phi: Homomorphism, x: Element) -> Element:
         sum(phi.matrix[i][j] * x[j] for j in range(phi.source.rank)) % mi
         for i, mi in enumerate(phi.target.moduli)
     )
+
+
+@lru_cache(maxsize=None)
+def hom_index_map(phi: Homomorphism) -> tuple[int, ...]:
+    """map[i] is the index of phi(element(i)) in the target, for every source index."""
+    A, B = phi.source, phi.target
+    return tuple(B.index(hom_apply(phi, A.element(i))) for i in range(A.order))
 
 
 def identity_hom(G: FiniteAbelianGroup) -> Homomorphism:
@@ -462,16 +506,14 @@ def _quotient_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
     pi = Homomorphism(G, Q, proj_matrix)
     hom_validate(pi)
 
-    projection = []
+    projection = hom_index_map(pi)
     reps: dict[int, int] = {}
-    for i in range(G.order):
-        c = Q.index(hom_apply(pi, G.element(i)))
-        projection.append(c)
+    for i, c in enumerate(projection):
         reps.setdefault(c, i)
     if len(reps) * len(h_elements) != G.order:
         raise AssertionError("coset count mismatch in quotient construction")
     coset_reps = tuple(reps[c] for c in range(Q.order))
-    return QuotientGroup(G, H, Q, pi, coset_reps, tuple(projection))
+    return QuotientGroup(G, H, Q, pi, coset_reps, projection)
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +563,7 @@ def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
     incl = Homomorphism(H_abs, G, incl_matrix)
     hom_validate(incl)
     # sanity: the embedding must be injective onto the stored element set
-    image = {G.index(hom_apply(incl, x)) for x in H_abs.elements()}
+    image = set(hom_index_map(incl))
     if image != set(h_elements) or len(image) != H_abs.order:
         raise AssertionError("subgroup realization failed to match element set")
     return H_abs, incl

@@ -190,21 +190,20 @@ def bochner_oracle(f: GroupFunction) -> bool:
     rational values and field-exact elimination otherwise; float mode uses a
     symmetric eigensolver with tolerance 1e-9 * ||M||.
     """
-    G = f.group
-    n = G.order
+    add, neg = f.group.index_tables
+    diff = [[row[j] for j in neg] for row in add]  # diff[x][y] = x - y
+    vals = f.values
     if f.is_exact:
-        if not all(is_real_scalar(v) for v in f.values):
+        if not all(is_real_scalar(v) for v in vals):
             raise ValueError("matrix oracle needs a real-valued function")
-        diff = [[G.add_index(x, G.neg_index(y)) for y in range(n)] for x in range(n)]
-        if all(is_rational(v) for v in f.values):
-            M = [[Fraction(f.values[diff[x][y]]) for y in range(n)] for x in range(n)]
-            return _psd_exact_rational(M)
-        M = [[f.values[diff[x][y]] for y in range(n)] for x in range(n)]
-        return _psd_exact_field(M)
-    for v in f.values:
+        if all(is_rational(v) for v in vals):
+            vals = [Fraction(v) for v in vals]
+            return _psd_exact_rational([[vals[i] for i in row] for row in diff])
+        return _psd_exact_field([[vals[i] for i in row] for row in diff])
+    for v in vals:
         if abs(complex(v).imag) > FLOAT_TOL * max(1.0, abs(complex(v))):
             raise ValueError("matrix oracle needs a real-valued function")
-    return _psd_float(f, n)
+    return _psd_float(vals, diff)
 
 
 def _is_exact_zero(v) -> bool:
@@ -239,12 +238,8 @@ def _psd_exact_field(M) -> bool:
     return True
 
 
-def _psd_float(f: GroupFunction, n: int) -> bool:
-    G = f.group
-    M = np.empty((n, n))
-    for x in range(n):
-        for y in range(n):
-            M[x, y] = to_complex(f.values[G.add_index(x, G.neg_index(y))]).real
+def _psd_float(vals, diff) -> bool:
+    M = np.array([to_complex(v).real for v in vals])[np.array(diff)]
     norm = np.linalg.norm(M, 2) or 1.0
     eigs = np.linalg.eigvalsh(M)
     return bool(eigs.min() >= -PSD_EIG_TOL * norm)
@@ -462,7 +457,6 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
         verdict = evaluate_function(f)
         if not verdict.is_ppd:
             raise ValueError("stabilizer is defined for PPD functions")
-    G = f.group
     exact = f.is_exact
     v0 = f.values[0]
     scale = max([1.0] + [abs(to_complex(v)) for v in f.values])
@@ -473,17 +467,28 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
                 members.append(i)
         elif abs(to_complex(v) - to_complex(v0)) <= FLOAT_TOL * scale:
             members.append(i)
-    H = subgroup_from_elements(G, members)
-    for h in H.elements:
-        for x in range(G.order):
-            lhs = f.values[G.add_index(x, h)]
-            if exact:
-                ok = scalar_eq(lhs, f.values[x])
-            else:
-                ok = abs(to_complex(lhs) - to_complex(f.values[x])) <= FLOAT_TOL * scale
-            if not ok:
-                raise AssertionError("level set at f(0) is not a stabilizer")
+    H = subgroup_from_elements(f.group, members)
+    if not _translation_invariant(f, H, scale):
+        raise AssertionError("level set at f(0) is not a stabilizer")
     return H
+
+
+def _translation_invariant(f: GroupFunction, H: Subgroup, scale: float) -> bool:
+    """f(x + h) = f(x) for every x in G and h in H (float mode: up to FLOAT_TOL * scale)."""
+    vals = f.values
+    exact = f.is_exact
+    add = f.group.index_tables[0]
+    for h in H.elements:
+        row = add[h]
+        for x, v in enumerate(vals):
+            lhs = vals[row[x]]
+            if exact:
+                ok = scalar_eq(lhs, v)
+            else:
+                ok = abs(to_complex(lhs) - to_complex(v)) <= FLOAT_TOL * scale
+            if not ok:
+                return False
+    return True
 
 
 def descend_to_quotient(f: GroupFunction, H: Subgroup,
@@ -492,18 +497,8 @@ def descend_to_quotient(f: GroupFunction, H: Subgroup,
     G = f.group
     exact = f.is_exact
     scale = max([1.0] + [abs(to_complex(v)) for v in f.values])
-    for h in H.elements:
-        for x in range(G.order):
-            lhs = f.values[G.add_index(x, h)]
-            ok = (
-                scalar_eq(lhs, f.values[x])
-                if exact
-                else abs(to_complex(lhs) - to_complex(f.values[x])) <= FLOAT_TOL * scale
-            )
-            if not ok:
-                raise ValueError(
-                    "subgroup is not contained in the stabilizer of the function"
-                )
+    if not _translation_invariant(f, H, scale):
+        raise ValueError("subgroup is not contained in the stabilizer of the function")
     Q = quotient(G, H)
     g = GroupFunction(Q.group, [f.values[r] for r in Q.coset_reps])
     back = pullback(Q.projection_hom, g)

@@ -9,7 +9,6 @@ and returns a plain dict that serializes to a deterministic JSON report
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .cone import (
@@ -41,7 +40,7 @@ from .groups import (
     annihilator,
     dual_hom,
     format_group,
-    hom_apply,
+    hom_index_map,
     make_group,
     quotient,
     subgroup_from_generators,
@@ -80,7 +79,6 @@ def random_even_function(G, rng, lo: int = -9, hi: int = 9) -> GroupFunction:
 def bochner_agreement_sweep(max_order: int = 12, samples: int = 1000,
                             seed: int = 0) -> dict:
     """Matrix-factorization route vs spectral route on random even functions."""
-    t0 = time.perf_counter()
     disagreements = []
     groups = abelian_group_catalog(max_order)
     cases = 0
@@ -101,14 +99,12 @@ def bochner_agreement_sweep(max_order: int = 12, samples: int = 1000,
         "groups": len(groups),
         "cases": cases,
         "disagreements": disagreements,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
 def structure_sweep(max_order: int = 16, samples: int = 1000,
                     seed: int = 0) -> dict:
     """Max-at-identity, stabilizer closure, and exact quotient descent."""
-    t0 = time.perf_counter()
     failures = []
     groups = abelian_group_catalog(max_order)
     cases = 0
@@ -143,14 +139,12 @@ def structure_sweep(max_order: int = 16, samples: int = 1000,
         "groups": len(groups),
         "cases": cases,
         "failures": failures,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
 def corestriction_sweep(max_order: int = 12, samples: int = 100,
                         seed: int = 0) -> dict:
     """Fourier route vs coset-average route over every (group, subgroup) pair."""
-    t0 = time.perf_counter()
     failures = []
     pairs = 0
     cases = 0
@@ -184,7 +178,6 @@ def corestriction_sweep(max_order: int = 12, samples: int = 100,
         "cases": cases,
         "max_gap": worst,
         "failures": failures,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -195,7 +188,6 @@ _PRODUCT_GROUPS = ([2], [3], [4], [2, 2], [5], [6], [3, 2], [8], [4, 2], [2, 2, 
 def product_closure_sweep(cases: int = 1000, seed: int = 0,
                           external_max_order: int = 16) -> dict:
     """Pointwise and external products keep PPD/good/normalized status."""
-    t0 = time.perf_counter()
     failures = []
     diag_checked = 0
     for j in range(cases):
@@ -242,14 +234,12 @@ def product_closure_sweep(cases: int = 1000, seed: int = 0,
         "cases": cases,
         "diagonal_checked": diag_checked,
         "failures": failures,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
 def mixed_product_sweep(cases: int = 100, seed: int = 0) -> dict:
     """Strictly positive normalized PPD times good stays good; plus the
     documented boundary case where the first factor has zeros."""
-    t0 = time.perf_counter()
     failures = []
     for j in range(cases):
         rng = _case_rng(seed, "mixed", j)
@@ -285,7 +275,6 @@ def mixed_product_sweep(cases: int = 100, seed: int = 0) -> dict:
         "failures": failures,
         "strict_positive_zero_failures": not failures,
         "discrepancy_case": discrepancy,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -293,7 +282,6 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
                      square_max_order: int = 8) -> dict:
     """Double normalized dual, the restriction/corestriction duality square,
     and the dual Haar involution."""
-    t0 = time.perf_counter()
     failures = []
     cases = 0
     for G in abelian_group_catalog(max_order):
@@ -332,7 +320,6 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
         "sweep": "duality-involutions",
         "cases": cases,
         "failures": failures,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -348,20 +335,16 @@ def _duality_square_commutes(f, G, H) -> bool:
     rhs = corestrict(fd, perp)
     Qp = quotient(Ghat, perp)
     H_abs, incl = H.as_group()
-    restr = dual_hom(incl)
-    for i in range(Ghat.order):
-        chi = Ghat.element(i)
-        lhs_idx = restr.target.index(hom_apply(restr, chi))
-        rhs_idx = Qp.projection[i]
-        if not scalar_eq(lhs.values[lhs_idx], rhs.values[rhs_idx]):
-            return False
-    return True
+    restr = hom_index_map(dual_hom(incl))
+    return all(
+        scalar_eq(lhs.values[restr[i]], rhs.values[Qp.projection[i]])
+        for i in range(Ghat.order)
+    )
 
 
 def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
                           seed: int = 0) -> dict:
     """Strict H-rep membership against the goodness predicate, exactly."""
-    t0 = time.perf_counter()
     disagreements = []
     cases = 0
     for G in abelian_group_catalog(max_order):
@@ -385,14 +368,12 @@ def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
         "max_order": max_order,
         "cases": cases,
         "disagreements": disagreements,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 
 def cone_atlas(max_order: int = 8, with_rays: bool = True,
                hrep_bound: int = 16, dim_bound: int = 10) -> dict:
     """Per-group cone data: inequalities, rays, self-duality, field report."""
-    t0 = time.perf_counter()
     entries = []
     for G in abelian_group_catalog(max_order):
         cone = ppd_cone_hrep(G, bound=hrep_bound)
@@ -444,7 +425,6 @@ def cone_atlas(max_order: int = 8, with_rays: bool = True,
         "sweep": "cone-atlas",
         "max_order": max_order,
         "groups": entries,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 
 

@@ -15,6 +15,7 @@ from ppdlab.groups import (
     factorizations,
     format_group,
     hom_apply,
+    hom_index_map,
     hom_validate,
     identity_hom,
     make_group,
@@ -104,6 +105,36 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(make_group([1]))) == 1
     # Z_p has 2, Z_{p^2} has 3, Z6 has 4
     assert len(all_subgroups(make_group([6]))) == 4
+    # Z2^r: sum of Gaussian binomials; Zn x Zn: sum of gcd(a, b) over divisors of n
+    assert len(all_subgroups(make_group([2, 2, 2]))) == 16
+    assert len(all_subgroups(make_group([2, 2, 2, 2]))) == 67
+    assert len(all_subgroups(make_group([4, 4]))) == 15
+    assert len(all_subgroups(make_group([8, 8]))) == 37
+
+
+def test_index_tables_match_tuple_arithmetic():
+    for G in abelian_group_catalog(16) + [make_group([8, 8])]:
+        for i in range(G.order):
+            x = G.element(i)
+            assert G.neg_index(i) == G.index(G.neg(x))
+            for j in range(G.order):
+                assert G.add_index(i, j) == G.index(G.add(x, G.element(j)))
+    with pytest.raises(IndexError):
+        make_group([4]).add_index(-1, 0)
+
+
+def test_hom_index_map_matches_hom_apply():
+    for moduli in ([4, 2], [2, 2, 2]):
+        G = make_group(moduli)
+        homs = []
+        for H in all_subgroups(G):
+            homs.append(quotient(G, H).projection_hom)
+            homs.append(H.as_group()[1])
+        for phi in homs:
+            A, B = phi.source, phi.target
+            assert hom_index_map(phi) == tuple(
+                B.index(hom_apply(phi, A.element(i))) for i in range(A.order)
+            )
 
 
 def test_all_subgroups_matches_bruteforce():
