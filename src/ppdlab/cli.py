@@ -16,7 +16,13 @@ import sys
 
 import numpy as np
 
-from .cone import extremal_rays, field_of_definition_check, ppd_cone_hrep, self_duality_check
+from .cone import (
+    extremal_rays,
+    field_of_definition_check,
+    ppd_cone_hrep,
+    report_rows,
+    self_duality_check,
+)
 from .constructions import (
     PreconditionError,
     corestrict,
@@ -24,7 +30,6 @@ from .constructions import (
     pointwise_product,
     restrict,
 )
-from .cyclotomic import expand_in_cos_basis, cos_basis_string
 from .fourier import convolve
 from .gaussian import (
     GridQuadrature,
@@ -144,50 +149,27 @@ def cmd_cone(args) -> int:
     if G.order > _order_or(args, 16):
         raise InputError(f"group order {G.order} exceeds the configured bound")
     cone = ppd_cone_hrep(G)
-    e = G.exponent()
-    payload = {
-        "group": args.group,
-        "dimension": cone.basis.dim,
-        "inequalities": [
-            {
-                "kind": q.kind,
-                "orbit_rep": q.orbit_rep,
-                "coeffs": [_coeff_str(c, e) for c in q.coeffs],
-            }
-            for q in cone.inequalities
-        ],
-    }
+    payload = {"group": args.group, "dimension": cone.basis.dim}
     if args.rays:
         cone = extremal_rays(cone)
-        payload["rays"] = [
-            {"coords": [_coeff_str(c, e) for c in ray], "tight": sorted(t)}
-            for ray, t in zip(cone.rays, cone.ray_tight)
-        ]
         payload["self_duality"] = self_duality_check(cone).to_dict()
         payload["field_report"] = field_of_definition_check(cone).to_dict()
-        if args.csv:
-            _write_ray_csv(args.csv, cone, e)
+    payload.update(report_rows(cone))
+    if args.rays and args.csv:
+        _write_ray_csv(args.csv, payload["rays"], cone.basis.dim)
     _emit(payload, args.out)
     return 0
 
 
-def _coeff_str(value, e: int) -> str:
-    exp = expand_in_cos_basis(value, e)
-    return cos_basis_string(exp, e) if exp is not None else repr(value)
-
-
-def _write_ray_csv(path: str, cone, e: int) -> None:
+def _write_ray_csv(path: str, rays, dim: int) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        dim = cone.basis.dim
         writer.writerow(
             ["ray"] + [f"coord_{j}" for j in range(dim)] + ["tight_inequalities"]
         )
-        for i, (ray, tight) in enumerate(zip(cone.rays, cone.ray_tight)):
+        for i, ray in enumerate(rays):
             writer.writerow(
-                [i]
-                + [_coeff_str(c, e) for c in ray]
-                + [";".join(str(q) for q in sorted(tight))]
+                [i] + ray["coords"] + [";".join(str(q) for q in ray["tight"])]
             )
 
 

@@ -4,16 +4,15 @@ Real PPD functions are even, so the cone lives in coordinates indexed by the
 orbits {x, -x}.  Its H-representation has one inequality per element orbit
 (pointwise nonnegativity) and one per dual orbit (transform nonnegativity);
 the good functions are exactly the strict interior.  Extremal rays come from
-an incremental double-description pass with exact cyclotomic arithmetic:
-sign decisions are certified, insertion order is fixed, and every output ray
-is re-verified by the tightness-rank test, so the atlas is reproducible
-bit for bit.
-
-Canonical ray scaling: coordinates are cleared to a primitive integer vector
-over the {1, 2cos(2pi j/e)} basis of Z[2cos(2pi/e)] (e the group exponent),
-with the first nonzero coordinate positive.  For rational rays this is the
-usual primitive-integer normalization; for the rest it also hands the
-algebraicity certificate its integrality for free.
+an incremental double-description pass in integer coordinates over the basis
+{1, 2cos(2pi j/e)} of Z[2cos(2pi/e)] (e the group exponent), where every
+coefficient and ray coordinate lives: each new ray is divided by its integer
+content, tight sets are bitmasks, signs are certified, insertion order is
+fixed, and every output ray passes a fraction-free tightness-rank test.
+Canonical rays are primitive with the first nonzero coordinate a positive
+integer.  Cyc values are built only for the report, each ray coordinate at
+the conductor that Cyc arithmetic along the same path gives it (the lcm of
+the operands', 1 for a rational result), which fixes how it prints.
 """
 
 from __future__ import annotations
@@ -24,7 +23,10 @@ from math import gcd, lcm
 from typing import Optional
 
 from .cyclotomic import (
+    CosRing,
     cos_basis_string,
+    cos_ring,
+    exact_str,
     expand_in_cos_basis,
     is_rational,
     real_sign,
@@ -33,7 +35,7 @@ from .cyclotomic import (
     to_complex,
     unit_root,
 )
-from .fourier import FLOAT_TOL, GroupFunction, counting_haar, exponent_table, fourier_transform
+from .fourier import FLOAT_TOL, GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
 from .ppd import STRICT_TIE_TOL
 
@@ -105,6 +107,7 @@ class PolyhedralCone:
     inequalities: tuple[Inequality, ...]
     rays: Optional[tuple[tuple, ...]] = None
     ray_tight: Optional[tuple[frozenset, ...]] = None
+    ray_coords: Optional[tuple[tuple, ...]] = None  # canonical ring coordinates
 
 
 def ppd_cone_hrep(G: FiniteAbelianGroup,
@@ -168,46 +171,81 @@ def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
     )
 
 
+# -- integer ring coordinates ------------------------------------------------------
+
+
+def _conductor(x) -> int:
+    return 1 if is_rational(x) else x.field.E
+
+
+def _ring_rows(cone: PolyhedralCone, e: int):
+    """Every inequality's coefficients in ring coordinates, and their conductors."""
+    exps = [[expand_in_cos_basis(c, e) for c in q.coeffs] for q in cone.inequalities]
+    if any(x is None or any(c.denominator != 1 for c in x) for row in exps for x in row):
+        raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{e})]")
+    rows = tuple(tuple(tuple(int(c) for c in x) for x in row) for row in exps)
+    conds = tuple(tuple(_conductor(c) for c in q.coeffs) for q in cone.inequalities)
+    return rows, conds
+
+
+def _dot(ring: CosRing, row, vec, conds=None):
+    """<row, vec> summed term by term, and with conds (the conductors of the
+    entries of row and of vec) the conductor a Cyc sum in that order is stored
+    at: the lcm of the operands', reset to 1 whenever a partial sum is rational."""
+    total, cond = ring.zero, 1
+    for j, (c, v) in enumerate(zip(row, vec)):
+        if any(c) and any(v):
+            term = ring.mul(c, v)
+            total = ring.add(total, term)
+            if conds:
+                tc = lcm(conds[0][j], conds[1][j]) if any(term[1:]) else 1
+                cond = lcm(cond, tc) if any(total[1:]) else 1
+    return total, cond
+
+
 # -- canonical ray form ------------------------------------------------------------
+
+
+def _primitive_form(ring: CosRing, vec) -> tuple:
+    """The primitive integer ray through vec, leading coordinate a positive integer.
+
+    A non-rational leading coordinate a is made rational without inversion:
+    multiplying by the product of its nontrivial conjugates turns it into its norm.
+    """
+    lead = next((i for i, v in enumerate(vec) if any(v)), None)
+    if lead is None:
+        raise ValueError("zero vector is not a ray")
+    if any(vec[lead][1:]):
+        cof = ring.norm_cofactor(vec[lead])
+        vec = [ring.mul(v, cof) for v in vec]
+    g = gcd(*(c for v in vec for c in v))
+    if vec[lead][0] < 0:
+        g = -g
+    return tuple(tuple(c // g for c in v) for v in vec)
+
+
+def _ray_values(ring: CosRing, coords, conds) -> tuple:
+    """Exact scalars of a canonical ray; coordinate j is stored at
+    lcm(conds[j], conds[lead]), the conductor the division by the leading
+    coordinate leaves it at."""
+    lead = conds[next(i for i, v in enumerate(coords) if any(v))]
+    return tuple(ring.scalar(v, lcm(c, lead)) for v, c in zip(coords, conds))
 
 
 def canonical_ray(vec, e: int):
     """Primitive integral form over the real-subfield basis, leading coord positive.
 
-    First scale so the leading coordinate is 1 (this quotients out arbitrary
-    positive scalings inside the field), then clear denominators to a
-    primitive integer coordinate vector over the cos basis.
+    Returns the ray scaled to that form and its integer coordinates: one
+    tuple over {1, 2cos(2pi j/e)} per ray coordinate.
     """
-    first = next((v for v in vec if not (is_rational(v) and v == 0)), None)
-    if first is None:
-        raise ValueError("zero vector is not a ray")
-    inv = scalar_inv(first)
-    vec = tuple(v * inv for v in vec)
-    expansions = []
-    for v in vec:
-        exp = expand_in_cos_basis(v, e)
-        if exp is None:
-            raise AssertionError(
-                f"ray coordinate {v!r} left the real subfield of conductor {e}"
-            )
-        expansions.append(exp)
-    denom = 1
-    for exp in expansions:
-        for c in exp:
-            denom = lcm(denom, c.denominator)
-    ints = [[int(c * denom) for c in exp] for exp in expansions]
-    g = 0
-    for row in ints:
-        for c in row:
-            g = gcd(g, c)
-    scale = Fraction(denom, g)
-    out = tuple(v * scale for v in vec)
-    int_coords = tuple(tuple(c // g for c in row) for row in ints)
-    return out, int_coords
-
-
-def _ray_key(int_coords) -> tuple:
-    return int_coords
+    exps = [expand_in_cos_basis(v, e) for v in vec]
+    if None in exps:
+        raise AssertionError(f"ray coordinate {vec[exps.index(None)]!r} left the "
+                             f"real subfield of conductor {e}")
+    ring = cos_ring(e)
+    den = lcm(*(c.denominator for exp in exps for c in exp))
+    coords = _primitive_form(ring, [tuple(int(c * den) for c in exp) for exp in exps])
+    return _ray_values(ring, coords, [_conductor(v) for v in vec]), coords
 
 
 # -- double description --------------------------------------------------------------
@@ -220,112 +258,99 @@ def extremal_rays(cone: PolyhedralCone,
     Starts from the nonnegative orthant cut out by the point inequalities
     (its rays are the coordinate axes) and inserts the dual inequalities in
     listed order, keeping only adjacent pairs when generating new rays.
+    Rays are primitive integer vectors in ring coordinates, each coordinate
+    carrying the conductor its Cyc value is reported at; tight sets are
+    bitmasks over the inequality list.
     """
     basis = cone.basis
     d = basis.dim
     if d > dim_bound:
         raise ValueError(f"cone dimension {d} exceeds ray bound {dim_bound}")
     e = basis.group.exponent()
+    ring = cos_ring(e)
+    rows, row_conds = _ring_rows(cone, e)
     point_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "point"]
     dual_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "dual"]
     if len(point_idx) != d:
         raise AssertionError("expected one point inequality per orbit")
 
-    def tight_set(vec, processed):
-        out = set()
-        for q in processed:
-            if _value_sign(cone.inequalities[q], vec, True, 1.0) == 0:
-                out.add(q)
-        return frozenset(out)
-
-    rays: list[tuple] = []
-    tights: list[frozenset] = []
-    for j in range(d):
-        vec = tuple(Fraction(1) if t == j else Fraction(0) for t in range(d))
-        rays.append(vec)
-        tights.append(frozenset(q for q in point_idx if q != point_idx[j]))
-
-    processed = list(point_idx)
+    point_mask = sum(1 << q for q in point_idx)
+    rays = [tuple(ring.one if t == j else ring.zero for t in range(d)) for j in range(d)]
+    conds = [(1,) * d] * d
+    tights = [point_mask & ~(1 << point_idx[j]) for j in range(d)]
     for q in dual_idx:
-        ineq = cone.inequalities[q]
-        processed.append(q)
-        signs = [real_sign(ineq.evaluate(r)) for r in rays]
-        keep_r, keep_t = [], []
-        plus = [i for i, s in enumerate(signs) if s > 0]
+        bit = 1 << q
+        vals = [_dot(ring, rows[q], r, (row_conds[q], c)) for r, c in zip(rays, conds)]
+        signs = [ring.sign(v) for v, _ in vals]
+        keep = [(rays[i], conds[i], tights[i] | (0 if s else bit))
+                for i, s in enumerate(signs) if s >= 0]
         minus = [i for i, s in enumerate(signs) if s < 0]
-        for i, s in enumerate(signs):
-            if s > 0:
-                keep_r.append(rays[i])
-                keep_t.append(tights[i])
-            elif s == 0:
-                keep_r.append(rays[i])
-                keep_t.append(tights[i] | {q})
-        for ip in plus:
+        for ip in (i for i, s in enumerate(signs) if s > 0):
             for im in minus:
                 common = tights[ip] & tights[im]
-                adjacent = not any(
-                    k != ip and k != im and common <= tights[k]
-                    for k in range(len(rays))
-                )
-                if not adjacent:
+                if any(k != ip and k != im and t & common == common
+                       for k, t in enumerate(tights)):
                     continue
-                vp = ineq.evaluate(rays[ip])
-                vm = ineq.evaluate(rays[im])
-                new = tuple(
-                    vp * b - vm * a for a, b in zip(rays[ip], rays[im])
-                )
-                keep_r.append(new)
-                keep_t.append(tight_set(new, processed))
-        rays, tights = keep_r, keep_t
+                (vp, cp), (vm, cm) = vals[ip], vals[im]
+                new, new_conds = [], []
+                for a, ac, b, bc in zip(rays[ip], conds[ip], rays[im], conds[im]):
+                    x, y = ring.mul(vp, b), ring.mul(vm, a)
+                    z = ring.sub(x, y)
+                    xc = lcm(cp, bc) if any(x[1:]) else 1
+                    yc = lcm(cm, ac) if any(y[1:]) else 1
+                    new.append(z)
+                    new_conds.append(lcm(xc, yc) if any(z[1:]) else 1)
+                g = gcd(*(c for z in new for c in z))
+                new = tuple(tuple(c // g for c in z) for z in new)
+                keep.append((new, tuple(new_conds), common | bit))
+        rays, conds, tights = (list(col) for col in zip(*keep))
 
     canon: dict[tuple, tuple] = {}
-    canon_tight: dict[tuple, frozenset] = {}
-    for vec, t in zip(rays, tights):
-        cvec, icoords = canonical_ray(vec, e)
-        key = _ray_key(icoords)
-        canon[key] = cvec
-        canon_tight[key] = tight_set(cvec, range(len(cone.inequalities)))
-    order = sorted(canon)
-    out_rays = tuple(canon[k] for k in order)
-    out_tight = tuple(canon_tight[k] for k in order)
+    for r, c, t in zip(rays, conds, tights):
+        canon[_primitive_form(ring, r)] = (c, t)  # a later duplicate wins
+    coords = tuple(sorted(canon))
+    for key in coords:
+        _verify_extremal(ring, rows, key, canon[key][1], d)
+    n = len(rows)
+    return replace(
+        cone,
+        rays=tuple(_ray_values(ring, k, canon[k][0]) for k in coords),
+        ray_tight=tuple(
+            frozenset(i for i in range(n) if canon[k][1] >> i & 1) for k in coords
+        ),
+        ray_coords=coords,
+    )
 
-    for vec, t in zip(out_rays, out_tight):
-        _verify_extremal(cone, vec, t)
-    return replace(cone, rays=out_rays, ray_tight=out_tight)
 
-
-def _verify_extremal(cone: PolyhedralCone, vec, tight: frozenset) -> None:
-    for i, ineq in enumerate(cone.inequalities):
-        s = real_sign(ineq.evaluate(vec))
+def _verify_extremal(ring: CosRing, rows, vec, tight: int, d: int) -> None:
+    for i, row in enumerate(rows):
+        s = ring.sign(_dot(ring, row, vec)[0])
         if s < 0:
             raise AssertionError("ray violates an inequality")
-        if (s == 0) != (i in tight):
+        if (s == 0) != bool(tight >> i & 1):
             raise AssertionError("tight set inconsistent with ray values")
-    rows = [cone.inequalities[i].coeffs for i in sorted(tight)]
-    if _rank(rows, cone.basis.dim) != cone.basis.dim - 1:
+    tight_rows = [row for i, row in enumerate(rows) if tight >> i & 1]
+    if _ring_rank(ring, tight_rows, d) != d - 1:
         raise AssertionError("ray fails the tightness-rank extremality test")
 
 
-def _rank(rows, width: int) -> int:
+def _ring_rank(ring: CosRing, rows, width: int) -> int:
+    """Rank by fraction-free elimination over the ring; rows kept primitive."""
     mat = [list(r) for r in rows]
     r = 0
     for c in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            v = mat[i][c]
-            if not (is_rational(v) and v == 0):
-                piv = i
-                break
+        piv = next((i for i in range(r, len(mat)) if any(mat[i][c])), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = scalar_inv(mat[r][c])
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][c]
-                if not (is_rational(f) and f == 0):
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        p = mat[r][c]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            if any(f):
+                row = [ring.sub(ring.mul(p, x), ring.mul(f, y))
+                       for x, y in zip(mat[i], mat[r])]
+                g = gcd(*(v for x in row for v in x))
+                mat[i] = [tuple(v // g for v in x) for x in row] if g > 1 else row
         r += 1
     return r
 
@@ -345,7 +370,7 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
         vec = (Fraction(1),)
         if all(real_sign(q.evaluate(vec)) >= 0 for q in cone.inequalities):
             cvec, icoords = canonical_ray(vec, e)
-            found[_ray_key(icoords)] = cvec
+            found[icoords] = cvec
         return tuple(found[k] for k in sorted(found))
     for subset in itertools.combinations(range(len(cone.inequalities)), d - 1):
         rows = [cone.inequalities[i].coeffs for i in subset]
@@ -356,7 +381,7 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
         for candidate in (vec, tuple(-v for v in vec)):
             if all(real_sign(q.evaluate(candidate)) >= 0 for q in cone.inequalities):
                 cvec, icoords = canonical_ray(candidate, e)
-                found[_ray_key(icoords)] = cvec
+                found[icoords] = cvec
                 break
     return tuple(found[k] for k in sorted(found))
 
@@ -396,6 +421,22 @@ def _nullspace(rows, width: int):
 
 
 # -- reports --------------------------------------------------------------------------
+
+
+def report_rows(cone: PolyhedralCone) -> dict:
+    """The printed inequalities and, once computed, the rays with their tight sets."""
+    e = cone.basis.group.exponent()
+    rows = {"inequalities": [
+        {"kind": q.kind, "orbit_rep": q.orbit_rep,
+         "coeffs": [exact_str(c, e) for c in q.coeffs]}
+        for q in cone.inequalities
+    ]}
+    if cone.rays is not None:
+        rows["rays"] = [
+            {"coords": [exact_str(c, e) for c in ray], "tight": sorted(t)}
+            for ray, t in zip(cone.rays, cone.ray_tight)
+        ]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -448,7 +489,7 @@ def field_of_definition_check(cone: PolyhedralCone) -> FieldReport:
             entries.append(FieldEntry(location, repr(value), "<not in field>", False))
             return
         integral = all(c.denominator == 1 for c in exp)
-        rebuilt = _from_cos_basis(exp, e)
+        rebuilt = cos_ring(e).scalar(exp, e)
         if not scalar_eq(rebuilt, value + Fraction(0)):
             raise AssertionError(f"expansion failed to reproduce {location}")
         entries.append(
@@ -464,14 +505,6 @@ def field_of_definition_check(cone: PolyhedralCone) -> FieldReport:
     return FieldReport(e, tuple(entries))
 
 
-def _from_cos_basis(coeffs, e: int):
-    total = coeffs[0] + Fraction(0)
-    for j, c in enumerate(coeffs[1:], start=1):
-        if c:
-            total = total + c * (unit_root(e, j) + unit_root(e, -j))
-    return total
-
-
 @dataclass(frozen=True)
 class SelfDualityReport:
     pairing: tuple[int, ...]  # ray index -> ray index of its transform direction
@@ -484,23 +517,29 @@ class SelfDualityReport:
         return {"pairing": list(self.pairing), "involution": self.is_involution}
 
 
+def _transform_coords(cone: PolyhedralCone) -> tuple[tuple, ...]:
+    """Per ray, its transform under counting measure at the orbit representatives,
+    in ring coordinates: the dual inequality rows evaluated on the ray."""
+    if cone.ray_coords is None:
+        raise ValueError("V-representation not computed yet")
+    e = cone.basis.group.exponent()
+    ring = cos_ring(e)
+    rows, _ = _ring_rows(cone, e)
+    dual = {q.orbit_rep: row for q, row in zip(cone.inequalities, rows) if q.kind == "dual"}
+    return tuple(
+        tuple(_dot(ring, dual[a], ray)[0] for a in cone.basis.orbit_reps)
+        for ray in cone.ray_coords
+    )
+
+
 def self_duality_check(cone: PolyhedralCone) -> SelfDualityReport:
     """Match each ray's transform direction against the (self-dual) ray list."""
-    if cone.rays is None:
-        raise ValueError("V-representation not computed yet")
-    basis = cone.basis
-    e = basis.group.exponent()
-    keys = {}
-    for i, ray in enumerate(cone.rays):
-        _, icoords = canonical_ray(ray, e)
-        keys[_ray_key(icoords)] = i
+    transforms = _transform_coords(cone)
+    ring = cos_ring(cone.basis.group.exponent())
+    keys = {k: i for i, k in enumerate(cone.ray_coords)}
     pairing = []
-    for ray in cone.rays:
-        f = basis.function_from_vector(ray)
-        fhat = fourier_transform(f, counting_haar(basis.group))
-        vec = tuple(fhat.values[r] for r in basis.orbit_reps)
-        _, icoords = canonical_ray(vec, e)
-        j = keys.get(_ray_key(icoords))
+    for vec in transforms:
+        j = keys.get(_primitive_form(ring, vec))
         if j is None:
             raise AssertionError("transform of an extremal ray is not a listed ray")
         pairing.append(j)

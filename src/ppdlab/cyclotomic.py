@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Union
 
 import mpmath
@@ -432,6 +432,36 @@ def cos_basis_size(e: int) -> int:
     return euler_phi(e) // 2
 
 
+def _left_inverse(cols) -> tuple[list[list[int]], int]:
+    """(N, den) with N @ B = den * I, for integer B of full column rank given by
+    its columns."""
+    n = len(cols)
+    rows = [
+        _solve_rational([list(c) for c in cols], [Fraction(i == j) for j in range(n)])
+        for i in range(n)
+    ]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[int(c * den) for c in row] for row in rows], den
+
+
+def _mat_vec(mat, vec) -> list[int]:
+    return [sum(a * x for a, x in zip(row, vec) if a) for row in mat]
+
+
+@lru_cache(maxsize=None)
+def _cos_frame(L: int, e: int):
+    """The cos basis of Z[2cos(2pi/e)], e | L, as the integer matrix B of its
+    power-basis coordinates in Q(zeta_L); and (N, den) with N @ B = den * I."""
+    pv = field(L).pow_vec
+    s = L // e
+    cols = [pv[0]] + [
+        tuple(a + b for a, b in zip(pv[j * s], pv[(e - j) * s]))
+        for j in range(1, cos_basis_size(e))
+    ]
+    inv, den = _left_inverse(cols)
+    return [[int(c) for c in row] for row in zip(*cols)], inv, den
+
+
 def expand_in_cos_basis(x: Scalar, e: int):
     """Rational coordinates of x in the basis [1, 2cos(2pi/e), ..., 2cos(2pi(m-1)/e)].
 
@@ -441,25 +471,118 @@ def expand_in_cos_basis(x: Scalar, e: int):
     if isinstance(x, (int, Fraction)):
         return [_as_fraction(x)] + [Fraction(0)] * (m - 1)
     L = math.lcm(x.field.E, e)
-    fld = field(L)
-    d = fld.degree
-    basis_vecs = []
-    for j in range(m):
-        if j == 0:
-            v = [Fraction(0)] * d
-            v[0] = Fraction(1)
-            basis_vecs.append(v)
-        else:
-            b = unit_root(e, j) + unit_root(e, -j)
-            if isinstance(b, Cyc):
-                basis_vecs.append(list(b.lift_vec(L)))
-            else:
-                v = [Fraction(0)] * d
-                v[0] = _as_fraction(b)
-                basis_vecs.append(v)
-    target = list(x.lift_vec(L))
-    mat = [[basis_vecs[j][i] for j in range(m)] for i in range(d)]
-    return _solve_rational(mat, target)
+    rows, inv, den = _cos_frame(L, e)
+    vec = x.vec if x.field.E == L else x.lift_vec(L)
+    t_den = math.lcm(*(c.denominator for c in vec))
+    target = [c.numerator * (t_den // c.denominator) for c in vec]
+    coeffs = _mat_vec(inv, target)
+    if _mat_vec(rows, coeffs) != [den * t for t in target]:
+        return None
+    return [Fraction(c, den * t_den) for c in coeffs]
+
+
+@lru_cache(maxsize=None)
+def _descent(e: int, F: int):
+    """(D, den): D @ a / den are the power-basis coordinates in Q(zeta_F), F | e,
+    of the value with cos-basis coordinates a, when that value lies in Q(zeta_F)."""
+    rows = _cos_frame(e, e)[0]
+    pv = field(e).pow_vec
+    inv, den = _left_inverse([pv[k * (e // F)] for k in range(field(F).degree)])
+    return [_mat_vec(zip(*rows), r) for r in inv], den
+
+
+class CosRing:
+    """Z[2cos(2pi/e)] on integer coordinates over b_0 = 1, b_j = 2cos(2pi j/e).
+
+    An element is a tuple of m = cos_basis_size(e) ints.  ``cos[t]`` expands
+    2cos(2pi t/e) for every t; products follow b_i b_j = cos[i+j] + cos[i-j].
+    Build it once per e through :func:`cos_ring`.
+    """
+
+    __slots__ = ("e", "m", "zero", "one", "cos", "_prod", "_galois", "_approx")
+
+    def __init__(self, e: int):
+        m = self.m = cos_basis_size(e)
+        self.e = e
+        self.zero = (0,) * m
+        self.one = (1,) + self.zero[1:]
+        _, inv, den = _cos_frame(e, e)
+        pv = field(e).pow_vec
+        cos = [_mat_vec(inv, [a + b for a, b in zip(pv[t], pv[-t % e])]) for t in range(e)]
+        if any(c % den for exp in cos for c in exp):
+            raise ArithmeticError(f"2cos(2pi*t/{e}) expanded off the lattice")
+        self.cos = cos = tuple(tuple(c // den for c in exp) for exp in cos)
+        basis = (self.one,) + cos[1:m]
+        # b_i b_j as sparse (k, coefficient) pairs
+        self._prod = tuple(tuple(
+            tuple((k, t) for k, t in enumerate(
+                basis[i + j] if i * j == 0 else self.add(cos[(i + j) % e], cos[i - j])
+            ) if t)
+            for j in range(m)) for i in range(m))
+        # sigma_k for k in (Z/e)^x / +-1 without the identity, as integer matrices
+        self._galois = tuple(
+            tuple(zip(self.one, *(cos[j * k % e] for j in range(1, m))))
+            for k in range(2, e // 2 + 1) if math.gcd(k, e) == 1
+        )
+        self._approx = (1.0,) + tuple(2 * math.cos(2 * math.pi * j / e) for j in range(1, m))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        out = [0] * self.m
+        for i, x in enumerate(a):
+            if x:
+                row = self._prod[i]
+                for j, y in enumerate(b):
+                    if y:
+                        xy = x * y
+                        for k, t in row[j]:
+                            out[k] += xy * t
+        return tuple(out)
+
+    def conjugates(self, a) -> list[tuple[int, ...]]:
+        """sigma_k(a) for every nontrivial k in (Z/e)^x / +-1."""
+        return [tuple(_mat_vec(g, a)) for g in self._galois]
+
+    def norm_cofactor(self, a):
+        """The product of the nontrivial conjugates: a times it is the norm of a."""
+        return reduce(self.mul, self.conjugates(a), self.one)
+
+    def sign(self, a) -> int:
+        """Certified sign of a: a double screen, escalating through real_sign."""
+        if not any(a[1:]):
+            return (a[0] > 0) - (a[0] < 0)
+        v = sum(x * w for x, w in zip(a, self._approx))
+        if abs(v) > _FLOAT_SCREEN * sum(abs(x) for x in a):
+            return 1 if v > 0 else -1
+        return real_sign(self.scalar(a, self.e))
+
+    def scalar(self, a, F: int) -> Scalar:
+        """a as an exact scalar stored at conductor F (F | e, a in Q(zeta_F))."""
+        if not any(a[1:]):
+            return Fraction(a[0])
+        mat, den = _descent(self.e, F)
+        value = Cyc.make(field(F), [Fraction(c, den) for c in _mat_vec(mat, a)])
+        if F != self.e and list(value.lift_vec(self.e)) != _mat_vec(
+            _cos_frame(self.e, self.e)[0], a
+        ):
+            raise ArithmeticError(f"value does not descend to conductor {F}")
+        return value
+
+
+@lru_cache(maxsize=None)
+def cos_ring(e: int) -> CosRing:
+    return CosRing(e)
+
+
+def exact_str(value: Scalar, e: int) -> str:
+    """The report form of an exact value: its cos-basis expansion, else repr."""
+    exp = expand_in_cos_basis(value, e)
+    return cos_basis_string(exp, e) if exp is not None else repr(value)
 
 
 def cos_basis_string(coeffs, e: int) -> str:

@@ -16,6 +16,7 @@ from .cone import (
     field_of_definition_check,
     is_interior,
     ppd_cone_hrep,
+    report_rows,
     self_duality_check,
 )
 from .constructions import (
@@ -25,7 +26,7 @@ from .constructions import (
     pointwise_product,
     ppd_times_good,
 )
-from .cyclotomic import cos_basis_string, real_sign, scalar_eq
+from .cyclotomic import real_sign, scalar_eq
 from .fourier import (
     GroupFunction,
     HaarScale,
@@ -377,64 +378,33 @@ def cone_atlas(max_order: int = 8, with_rays: bool = True,
     entries = []
     for G in abelian_group_catalog(max_order):
         cone = ppd_cone_hrep(G, bound=hrep_bound)
-        e = G.exponent()
         entry = {
             "group": format_group(G),
             "dimension": cone.basis.dim,
-            "exponent": e,
+            "exponent": G.exponent(),
             "num_inequalities": len(cone.inequalities),
-            "inequalities": [
-                {
-                    "kind": q.kind,
-                    "orbit_rep": q.orbit_rep,
-                    "coeffs": [_exact_str(c, e) for c in q.coeffs],
-                }
-                for q in cone.inequalities
-            ],
         }
-        if with_rays:
-            if cone.basis.dim > dim_bound:
-                entry["rays_skipped"] = (
-                    f"dimension {cone.basis.dim} exceeds ray bound {dim_bound}"
-                )
-                entries.append(entry)
-                continue
+        if with_rays and cone.basis.dim > dim_bound:
+            entry["rays_skipped"] = (
+                f"dimension {cone.basis.dim} exceeds ray bound {dim_bound}"
+            )
+        elif with_rays:
             cone = extremal_rays(cone, dim_bound=dim_bound)
             report = field_of_definition_check(cone)
-            duality = self_duality_check(cone)
-            entry.update(
-                {
-                    "num_rays": len(cone.rays),
-                    "rays": [
-                        {
-                            "coords": [_exact_str(c, e) for c in ray],
-                            "tight": sorted(tight),
-                        }
-                        for ray, tight in zip(cone.rays, cone.ray_tight)
-                    ],
-                    "self_duality": duality.to_dict(),
-                    "field_report": {
-                        "exponent": report.exponent,
-                        "all_integral": report.all_integral,
-                        "entries": len(report.entries),
-                    },
-                }
-            )
+            entry["num_rays"] = len(cone.rays)
+            entry["self_duality"] = self_duality_check(cone).to_dict()
+            entry["field_report"] = {
+                "exponent": report.exponent,
+                "all_integral": report.all_integral,
+                "entries": len(report.entries),
+            }
+        entry.update(report_rows(cone))
         entries.append(entry)
     return {
         "sweep": "cone-atlas",
         "max_order": max_order,
         "groups": entries,
     }
-
-
-def _exact_str(value, e: int) -> str:
-    from .cyclotomic import expand_in_cos_basis
-
-    exp = expand_in_cos_basis(value, e)
-    if exp is None:
-        return repr(value)
-    return cos_basis_string(exp, e)
 
 
 def full_sweep(max_order: int = 8, samples: int = 50, seed: int = 0) -> dict:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -219,3 +220,33 @@ def test_gaussian_goodness_unconverged_lattice_sum_exit_2(capsys):
     # a flat form makes the lattice sum run past its radius bound
     assert main(["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of `ppdlab cone G --rays` stdout and the exit code, for every
+# presentation of order 13 to 16, recorded with the Cyc-valued double
+# description; Z14 and Z16 print ray values at two conductors each.
+CONE_GOLDEN_13_16 = {
+    "Z13": ("0b06ac32be0de9393b3bb89529609a50f943eed96d7073356817a651a1c0895a", 0),
+    "Z14": ("40b625a25c43e3e3ed0848e014a016252a8a94bfb6bae872cde8214dc262b5f5", 0),
+    "Z7xZ2": ("35d5570cc24962f962589cc9530e2274583683dc9aa8a1281988faebc5ba2eca", 0),
+    "Z15": ("82f99fd0d4f53354378b5603c8836c1173f82ce5326635f8912a72b96c989027", 0),
+    "Z5xZ3": ("9833f7f6c260a68e6d2673e3a1e3852ccebf2f7d21f7586b7c1a777fe6f4e4a8", 0),
+    "Z16": ("33eb49d08d5e3242abec4a1f2cf5f1bbf037dbda7fc3962982fe89cbf00d7a5e", 0),
+    "Z8xZ2": ("51e3bcf10bcaa1c2bd6ab2770cf85ef346118b0322315eb6f34843fd7362e544", 0),
+    "Z4xZ4": ("8c6a3f7afbe95bdeca27109dee6cdba8f7a2a68683fee35de6f29e7efb2383fe", 0),
+    "Z4xZ2xZ2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "Z2xZ2xZ2xZ2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+}
+
+
+def test_cone_rays_golden_orders_13_to_16(capsys):
+    from ppdlab.groups import abelian_group_catalog, format_group
+
+    names = [format_group(G) for G in abelian_group_catalog(16) if G.order >= 13]
+    assert sorted(names) == sorted(CONE_GOLDEN_13_16)
+    for name in names:
+        code = main(["cone", name, "--rays"])
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == (
+            CONE_GOLDEN_13_16[name]
+        ), name

@@ -1,10 +1,15 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ppdlab.cone import (
     EvenBasis,
+    _dot,
+    _ring_rows,
+    _transform_coords,
     brute_force_rays,
     canonical_ray,
     extremal_rays,
@@ -14,8 +19,8 @@ from ppdlab.cone import (
     ppd_cone_hrep,
     self_duality_check,
 )
-from ppdlab.cyclotomic import real_sign, to_complex, unit_root
-from ppdlab.fourier import GroupFunction
+from ppdlab.cyclotomic import cos_ring, expand_in_cos_basis, real_sign, to_complex, unit_root
+from ppdlab.fourier import GroupFunction, counting_haar, fourier_transform
 from ppdlab.groups import abelian_group_catalog, make_group
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
 
@@ -118,6 +123,89 @@ def test_double_description_matches_bruteforce_products():
         brute = brute_force_rays(cone)
         e = G.exponent()
         assert ray_key_set(cone.rays, e) == ray_key_set(brute, e), moduli
+
+
+def test_double_description_matches_bruteforce_larger():
+    # Z10 reports ray values at conductors 5 and 10
+    for moduli in ([7], [8], [4, 2], [9], [3, 3], [10]):
+        G = make_group(moduli)
+        cone = extremal_rays(ppd_cone_hrep(G))
+        brute = brute_force_rays(cone)
+        e = G.exponent()
+        assert ray_key_set(cone.rays, e) == ray_key_set(brute, e), moduli
+        assert set(cone.ray_coords) == ray_key_set(cone.rays, e), moduli
+
+
+def test_dual_rows_are_the_transform_at_orbit_reps():
+    """The self-duality pairing evaluates dual rows on rays; they must agree
+    with the exact Fourier transform under counting measure."""
+    for G in abelian_group_catalog(8):
+        cone = extremal_rays(ppd_cone_hrep(G))
+        e = G.exponent()
+        for ray, values in zip(cone.rays, _transform_coords(cone)):
+            f = cone.basis.function_from_vector(ray)
+            fhat = fourier_transform(f, counting_haar(G))
+            got = [expand_in_cos_basis(fhat.values[r], e) for r in cone.basis.orbit_reps]
+            assert got == [list(v) for v in values], (G, ray)
+
+
+def test_ring_evaluation_carries_the_cyc_conductor():
+    """Inner products in ring coordinates report the conductor that the same
+    sum of Cyc values ends up stored at (1 for a rational result)."""
+    rng = random.Random(5)
+    for moduli in ([10], [5, 2], [14], [15], [16], [8, 2], [12]):
+        G = make_group(moduli)
+        e = G.exponent()
+        ring = cos_ring(e)
+        cone = ppd_cone_hrep(G)
+        rows, conds = _ring_rows(cone, e)
+        coeffs = [c for q in cone.inequalities for c in q.coeffs]
+        for _ in range(40):
+            vec = tuple(
+                sum((rng.randint(-2, 2) * rng.choice(coeffs) for _ in range(2)), Fraction(0))
+                for _ in range(cone.basis.dim)
+            )
+            as_row = replace(cone.inequalities[0], coeffs=vec)
+            vrows, vconds = _ring_rows(replace(cone, inequalities=(as_row,)), e)
+            q = rng.randrange(len(rows))
+            value, cond = _dot(ring, rows[q], vrows[0], (conds[q], vconds[0]))
+            want = cone.inequalities[q].evaluate(vec)
+            assert ring.scalar(value, e) == want, (moduli, vec)
+            assert cond == (1 if isinstance(want, Fraction) else want.field.E)
+
+
+def _automorphism_image(basis, ray, k, n):
+    f = basis.function_from_vector(ray)
+    return tuple(f.values[(k * x) % n] for x in basis.orbit_reps)
+
+
+def test_ray_set_closed_under_automorphisms():
+    """x -> kx (k a unit) permutes the orbit coordinates and maps the cone onto
+    itself, so it permutes the extremal rays."""
+    for n in range(1, 13):
+        cone = extremal_rays(ppd_cone_hrep(make_group([n])))
+        keys = set(cone.ray_coords)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                images = {
+                    canonical_ray(_automorphism_image(cone.basis, r, k, n), n)[1]
+                    for r in cone.rays
+                }
+                assert images == keys, (n, k)
+
+
+def test_ray_set_not_closed_under_galois():
+    """No nontrivial sigma_k preserves the ray set: a Galois conjugate of a
+    positive value can be negative, so pointwise nonnegativity is not kept."""
+    for n in (5, 7, 8, 9, 10, 12):
+        cone = extremal_rays(ppd_cone_hrep(make_group([n])))
+        ring = cos_ring(n)
+        for k in range(ring.m - 1):
+            conjugated = {
+                canonical_ray(tuple(ring.scalar(ring.conjugates(c)[k], n) for c in ray), n)[1]
+                for ray in cone.ray_coords
+            }
+            assert conjugated != set(cone.ray_coords), (n, k)
 
 
 def test_rays_removal_shrinks_cone():

@@ -4,9 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppdlab import cyclotomic
 from ppdlab.cyclotomic import (
     Cyc,
     cos_basis_string,
+    cos_ring,
     cyclotomic_polynomial,
     expand_in_cos_basis,
     is_rational,
@@ -151,3 +153,64 @@ def test_is_rational_flag():
     assert is_rational(Fraction(2, 3))
     assert is_rational(5)
     assert not is_rational(unit_root(3, 1))
+
+
+def _cos_value(e, a):
+    """Independent evaluation of cos-basis coordinates through unit roots."""
+    total = Fraction(a[0])
+    for j, c in enumerate(a[1:], start=1):
+        total = total + c * (unit_root(e, j) + unit_root(e, -j))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 10, 12, 13, 14, 15, 16]),
+    data=st.data(),
+)
+def test_cos_ring_matches_cyc_arithmetic(e, data):
+    ring = cos_ring(e)
+    elem = st.lists(st.integers(-9, 9), min_size=ring.m, max_size=ring.m).map(tuple)
+    a, b = data.draw(elem), data.draw(elem)
+    assert scalar_eq(ring.scalar(a, e), _cos_value(e, a))
+    assert expand_in_cos_basis(ring.scalar(a, e), e) == [Fraction(c) for c in a]
+    assert scalar_eq(ring.scalar(ring.mul(a, b), e), _cos_value(e, a) * _cos_value(e, b))
+    assert ring.sign(a) == real_sign(_cos_value(e, a))
+    if any(a):
+        norm = ring.mul(a, ring.norm_cofactor(a))
+        assert not any(norm[1:]) and norm[0] != 0
+
+
+def test_cos_ring_cos_table_and_descent():
+    for e in (5, 8, 10, 12, 16):
+        ring = cos_ring(e)
+        for t in range(e):
+            assert scalar_eq(ring.scalar(ring.cos[t], e), unit_root(e, t) + unit_root(e, -t))
+    # one value, two conductors, two printed forms
+    ring = cos_ring(10)
+    assert str(ring.scalar((-1, 1), 10)) == "z10^2 + -1*z10^3"
+    assert str(ring.scalar((-1, 1), 5)) == "-1 + -1*z5^2 + -1*z5^3"
+    assert str(cos_ring(16).scalar((0, 0, 1, 0), 8)) == "z8^1 + -1*z8^3"
+
+
+def test_cos_ring_sign_escalates_near_zero(monkeypatch):
+    """F_(n+1) - F_n * 2cos(2pi/10) = psi^n with psi = (1 - sqrt 5) / 2: about
+    0.618^n, far below the double screen of coordinates near F_n."""
+    refined = []
+    real_refined = cyclotomic._refined_sign
+
+    def counting(x):
+        refined.append(x)
+        return real_refined(x)
+
+    monkeypatch.setattr(cyclotomic, "_refined_sign", counting)
+    ring = cos_ring(10)
+    fib = [0, 1]
+    while len(fib) < 92:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(60, 91):
+        want = (-1) ** n
+        calls = len(refined)
+        assert ring.sign((fib[n + 1], -fib[n])) == want, n
+        assert len(refined) == calls + 1, n
+        assert real_sign(fib[n + 1] - fib[n] * (unit_root(10, 1) + unit_root(10, -1))) == want
