@@ -31,13 +31,12 @@ from .cyclotomic import (
     is_rational,
     real_sign,
     scalar_eq,
-    scalar_inv,
     to_complex,
     unit_root,
 )
-from .fourier import FLOAT_TOL, GroupFunction, exponent_table
+from .fourier import GroupFunction, Mode, exponent_table
 from .groups import FiniteAbelianGroup
-from .ppd import STRICT_TIE_TOL
+from .intlinalg import nullspace
 
 HREP_ORDER_BOUND = 16
 RAY_DIM_BOUND = 10
@@ -65,17 +64,13 @@ class EvenBasis:
         self.orbits = tuple(orbits)
         self.dim = len(reps)
 
-    def vector_from_function(self, f: GroupFunction, tol: float = FLOAT_TOL):
+    def vector_from_function(self, f: GroupFunction):
         if f.group != self.group:
             raise ValueError("function lives on a different group")
-        exact = f.is_exact
         for orbit in self.orbits:
             if len(orbit) == 2:
                 a, b = f.values[orbit[0]], f.values[orbit[1]]
-                ok = scalar_eq(a, b) if exact else abs(
-                    to_complex(a) - to_complex(b)
-                ) <= tol * max(1.0, abs(to_complex(a)))
-                if not ok:
+                if not f.mode.eq(a, b, f.mode.scale([a])):
                     raise ValueError("function is not even")
         return tuple(f.values[r] for r in self.orbit_reps)
 
@@ -138,36 +133,30 @@ def ppd_cone_hrep(G: FiniteAbelianGroup,
 # -- exact sign of an inequality value -------------------------------------------
 
 
-def _value_sign(ineq: Inequality, vec, exact: bool, base: float) -> int:
-    if exact:
+def _value_sign(ineq: Inequality, vec, mode: Mode, base: float) -> int:
+    if mode.exact:
         return real_sign(ineq.evaluate(vec))
     total = sum(
         to_complex(c) * to_complex(v) for c, v in zip(ineq.coeffs, vec)
     ).real
-    if total > STRICT_TIE_TOL * base:
-        return 1
-    if total < -STRICT_TIE_TOL * base:
-        return -1
-    return 0
+    return mode.sign(total, base)
 
 
 def is_interior(f: GroupFunction, cone: PolyhedralCone) -> bool:
     """Strict membership: every inequality positive.  Agrees with goodness."""
     vec = cone.basis.vector_from_function(f)
-    exact = f.is_exact
-    base = max([1.0] + [abs(to_complex(v)) for v in vec])
+    base = f.mode.scale(vec)
     return all(
-        _value_sign(ineq, vec, exact, base) > 0 for ineq in cone.inequalities
+        _value_sign(ineq, vec, f.mode, base) > 0 for ineq in cone.inequalities
     )
 
 
 def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
     """Closed membership: every inequality nonnegative.  Agrees with PPD."""
     vec = cone.basis.vector_from_function(f)
-    exact = f.is_exact
-    base = max([1.0] + [abs(to_complex(v)) for v in vec])
+    base = f.mode.scale(vec)
     return all(
-        _value_sign(ineq, vec, exact, base) >= 0 for ineq in cone.inequalities
+        _value_sign(ineq, vec, f.mode, base) >= 0 for ineq in cone.inequalities
     )
 
 
@@ -374,7 +363,7 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
         return tuple(found[k] for k in sorted(found))
     for subset in itertools.combinations(range(len(cone.inequalities)), d - 1):
         rows = [cone.inequalities[i].coeffs for i in subset]
-        null = _nullspace(rows, d)
+        null = nullspace(rows, d)
         if len(null) != 1:
             continue
         vec = null[0]
@@ -384,40 +373,6 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
                 found[icoords] = cvec
                 break
     return tuple(found[k] for k in sorted(found))
-
-
-def _nullspace(rows, width: int):
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            v = mat[i][c]
-            if not (is_rational(v) and v == 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = scalar_inv(mat[r][c])
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][c]
-                if not (is_rational(f) and f == 0):
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        out.append(tuple(vec))
-    return out
 
 
 # -- reports --------------------------------------------------------------------------

@@ -9,17 +9,9 @@ pull-back along the projection", realized by the adjoint homomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import (
-    is_rational,
-    real_abs,
-    real_sign,
-    scalar_inv,
-    to_complex,
-)
+from .cyclotomic import is_rational, to_complex
 from .fourier import (
-    FLOAT_TOL,
     GroupFunction,
     HaarScale,
     ScaledMeasure,
@@ -95,15 +87,9 @@ def _corestrict_raw(f: GroupFunction, H: Subgroup) -> GroupFunction:
     fhat = fourier_transform(f, counting_haar(G))
     pihat = dual_hom(Q.projection_hom)
     ghat = pullback(pihat, fhat)  # f_hat restricted to the annihilator of H
-    n_perp = ghat.group.order
-    scale = (
-        Fraction(1, n_perp)
-        if ghat.is_exact
-        else 1.0 / n_perp
-    )
     Qd = ghat.group
     return inverse_transform(
-        measure_from_function(ghat, HaarScale(Qd, scale))
+        measure_from_function(ghat, HaarScale(Qd, ghat.mode.inv(Qd.order)))
     )
 
 
@@ -112,25 +98,19 @@ def coset_average(f: GroupFunction, H: Subgroup) -> GroupFunction:
     G = f.group
     if H.parent != G:
         raise ValueError("subgroup belongs to a different group")
-    exact = f.is_exact
+    mode = f.mode
     den = _coset_sum(f, H, 0)
-    if exact:
-        if is_rational(den) and den == 0:
-            raise ValueError("zero denominator: f sums to 0 over the subgroup")
-    elif abs(to_complex(den)) == 0:
+    if mode.eq(den, 0, scale=0.0):  # an exact zero in both modes
         raise ValueError("zero denominator: f sums to 0 over the subgroup")
     Q = quotient(G, H)
-    inv = scalar_inv(den) if exact else 1.0 / to_complex(den)
-    vals = []
-    for rep in Q.coset_reps:
-        s = _coset_sum(f, H, rep)
-        vals.append(s * inv if exact else to_complex(s) * inv)
+    inv = mode.inv(mode.value(den))
+    vals = [mode.value(_coset_sum(f, H, rep)) * inv for rep in Q.coset_reps]
     return GroupFunction(Q.group, vals)
 
 
 def _coset_sum(f: GroupFunction, H: Subgroup, rep: int):
     row = f.group.index_tables[0][rep]
-    total = Fraction(0) if f.is_exact else 0.0
+    total = f.mode.zero
     for h in H.elements:
         total = total + f.values[row[h]]
     return total
@@ -159,7 +139,6 @@ class CorestrictionReport:
 
 
 def corestriction_consistency(f: GroupFunction, H: Subgroup,
-                              tol: float = FLOAT_TOL,
                               verify_input: bool = True) -> CorestrictionReport:
     """Compare the Fourier route with the coset-average route on every coset.
 
@@ -171,37 +150,25 @@ def corestriction_consistency(f: GroupFunction, H: Subgroup,
         f = require_normalized_good(f, "corestriction_consistency")
     else:
         f = normalize_function(f)
-    exact = f.is_exact
+    mode = f.mode
     u = _corestrict_raw(f, H)  # scaled to match plain coset sums
     Q = quotient(f.group, H)
     v_vals = [_coset_sum(f, H, rep) for rep in Q.coset_reps]
     for c, (uv, vv) in enumerate(zip(u.values, v_vals)):
-        d = uv - vv if exact else to_complex(uv) - to_complex(vv)
-        if exact:
-            if real_sign(d) < 0:
-                raise AssertionError(
-                    f"Fourier route fell below the coset average at coset {c}"
-                )
-        elif d.real < -tol * max(1.0, abs(to_complex(vv))):
+        if not mode.at_least(uv, vv, mode.scale([vv])):
             raise AssertionError(
                 f"Fourier route fell below the coset average at coset {c}"
             )
     fr = normalize_function(u)
     av = coset_average(f, H)
     gaps = []
-    worst = Fraction(0) if exact else 0.0
-    for c in range(Q.group.order):
-        if exact:
-            d = real_abs(fr.values[c] - av.values[c])
-            if real_sign(d) != 0:
-                gaps.append(c)
-            if real_sign(d - worst) > 0:
-                worst = d
-        else:
-            d = abs(to_complex(fr.values[c]) - to_complex(av.values[c]))
-            if d > tol:
-                gaps.append(c)
-            worst = max(worst, d)
+    worst = mode.zero
+    for c, (a, b) in enumerate(zip(fr.values, av.values)):
+        d = mode.dist(a, b)
+        if not mode.eq(a, b):
+            gaps.append(c)
+        if mode.sign(d - worst, 0.0) > 0:
+            worst = d
     return CorestrictionReport(fr, av, worst, tuple(gaps))
 
 
@@ -248,8 +215,8 @@ def external_product(u: GroupFunction, v: GroupFunction,
             raise AssertionError("external product of PPD inputs is not PPD")
         if uv.is_good and vv.is_good and not wv.is_good:
             raise AssertionError("external product of good inputs is not good")
-        if _is_one(u.values[0], u.is_exact) and _is_one(v.values[0], v.is_exact):
-            if not _is_one(w.values[0], w.is_exact):
+        if u.mode.eq(u.values[0], 1) and v.mode.eq(v.values[0], 1):
+            if not w.mode.eq(w.values[0], 1):
                 raise AssertionError("external product lost normalization")
     return w
 
@@ -267,16 +234,10 @@ def pointwise_product(u: GroupFunction, v: GroupFunction,
             raise AssertionError("product of PPD inputs is not PPD")
         if uv.is_good and vv.is_good and not wv.is_good:
             raise AssertionError("product of good inputs is not good")
-        if _is_one(u.values[0], u.is_exact) and _is_one(v.values[0], v.is_exact):
-            if not _is_one(w.values[0], w.is_exact):
+        if u.mode.eq(u.values[0], 1) and v.mode.eq(v.values[0], 1):
+            if not w.mode.eq(w.values[0], 1):
                 raise AssertionError("product lost normalization")
     return w
-
-
-def _is_one(v, exact: bool) -> bool:
-    if exact:
-        return is_rational(v) and Fraction(v) == 1
-    return abs(to_complex(v) - 1) <= FLOAT_TOL
 
 
 def ppd_times_good(f: GroupFunction, g: GroupFunction):
@@ -289,7 +250,7 @@ def ppd_times_good(f: GroupFunction, g: GroupFunction):
     fv = evaluate_function(f)
     if not fv.is_ppd:
         raise PreconditionError("ppd_times_good needs a PPD first factor")
-    if not _is_one(f.values[0], f.is_exact):
+    if not f.mode.eq(f.values[0], 1):
         raise PreconditionError("ppd_times_good needs a normalized first factor")
     gv = evaluate_function(g)
     if not gv.is_good:
@@ -321,17 +282,13 @@ def restrict_measure(mu: ScaledMeasure, H: Subgroup) -> ScaledMeasure:
         raise ValueError("subgroup belongs to a different group")
     H_abs, incl = H.as_group()
     dens = pullback(incl, mu.density)
-    total = sum(dens.values) if dens.is_exact else sum(
-        to_complex(v) for v in dens.values
-    )
-    if dens.is_exact:
-        if is_rational(total):
-            scale = HaarScale(H_abs, Fraction(1) / Fraction(total))
-            return ScaledMeasure(H_abs, dens, scale)
-        inv = total.inverse()
+    mode = dens.mode
+    total = sum(mode.value(v) for v in dens.values)
+    if mode.exact and not is_rational(total):
+        inv = mode.inv(total)
         dens = GroupFunction(H_abs, [v * inv for v in dens.values])
         return ScaledMeasure(H_abs, dens, counting_haar(H_abs))
-    return ScaledMeasure(H_abs, dens, HaarScale(H_abs, 1.0 / to_complex(total).real))
+    return ScaledMeasure(H_abs, dens, HaarScale(H_abs, mode.inv(total.real)))
 
 
 def corestrict_measure(mu: ScaledMeasure, H: Subgroup) -> ScaledMeasure:

@@ -22,6 +22,8 @@ from typing import Union
 
 import mpmath
 
+from .intlinalg import left_inverse, solve
+
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyc"]
 
@@ -237,7 +239,7 @@ class Cyc:
                 cols.append(col)
         rhs = [Fraction(0)] * d
         rhs[0] = Fraction(1)
-        sol = _solve_rational([[cols[j][i] for j in range(d)] for i in range(d)], rhs)
+        sol = solve([[cols[j][i] for j in range(d)] for i in range(d)], rhs)
         if sol is None:
             raise ZeroDivisionError("cyclotomic inverse of zero")
         return Cyc.make(fld, sol)
@@ -294,37 +296,6 @@ class Cyc:
                 else:
                     terms.append(f"{c}*z{self.field.E}^{j}")
         return " + ".join(terms) if terms else "0"
-
-
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Q; returns a solution or None."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    sol = [Fraction(0)] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][m]
-    return sol
 
 
 # -- public scalar helpers ---------------------------------------------------
@@ -432,18 +403,6 @@ def cos_basis_size(e: int) -> int:
     return euler_phi(e) // 2
 
 
-def _left_inverse(cols) -> tuple[list[list[int]], int]:
-    """(N, den) with N @ B = den * I, for integer B of full column rank given by
-    its columns."""
-    n = len(cols)
-    rows = [
-        _solve_rational([list(c) for c in cols], [Fraction(i == j) for j in range(n)])
-        for i in range(n)
-    ]
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    return [[int(c * den) for c in row] for row in rows], den
-
-
 def _mat_vec(mat, vec) -> list[int]:
     return [sum(a * x for a, x in zip(row, vec) if a) for row in mat]
 
@@ -458,7 +417,7 @@ def _cos_frame(L: int, e: int):
         tuple(a + b for a, b in zip(pv[j * s], pv[(e - j) * s]))
         for j in range(1, cos_basis_size(e))
     ]
-    inv, den = _left_inverse(cols)
+    inv, den = left_inverse(cols)
     return [[int(c) for c in row] for row in zip(*cols)], inv, den
 
 
@@ -487,7 +446,7 @@ def _descent(e: int, F: int):
     of the value with cos-basis coordinates a, when that value lies in Q(zeta_F)."""
     rows = _cos_frame(e, e)[0]
     pv = field(e).pow_vec
-    inv, den = _left_inverse([pv[k * (e // F)] for k in range(field(F).degree)])
+    inv, den = left_inverse([pv[k * (e // F)] for k in range(field(F).degree)])
     return [_mat_vec(zip(*rows), r) for r in inv], den
 
 

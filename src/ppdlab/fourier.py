@@ -4,7 +4,7 @@ Every transform takes a Haar scale (a positive multiple of counting measure):
 normalization is the central bookkeeping hazard of this whole subject, so it
 is never implicit.  Functions run in one of two arithmetic modes, decided by
 their values: exact (int/Fraction/Cyc scalars, identities hold on the nose)
-or float (complex values, equality up to FLOAT_TOL).
+or float (complex values, equality up to a tolerance); see Mode.
 
 The transform is the naive O(|G|^2) sum over a cached character-exponent
 table, which is ample at order <= 64.
@@ -20,9 +20,11 @@ from typing import Sequence
 from .cyclotomic import (
     Cyc,
     conj_scalar,
-    is_rational,
+    is_real_scalar,
+    real_abs,
     real_sign,
     scalar_eq,
+    scalar_inv,
     to_complex,
     unit_root,
 )
@@ -35,8 +37,10 @@ from .groups import (
     pairing_exponent,
 )
 
-# Global float-mode equality tolerance (relative where a scale is available).
+# Float-mode tolerances, read only by Mode: equality and sign up to
+# FLOAT_TOL * scale, strict positivity beyond STRICT_TIE_TOL * scale.
 FLOAT_TOL = 1e-10
+STRICT_TIE_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +60,95 @@ def _complex_roots(E: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / E) for k in range(E))
 
 
+class Mode:
+    """Exact or float arithmetic: its zero and one, its inverse, and its tests.
+
+    Exact tests are certified on the nose.  Float tests take the scale the
+    tolerance is relative to; scale() gives the usual one, max(1, |v|).
+    """
+
+    __slots__ = ("exact", "zero", "one")
+
+    def __init__(self, exact: bool):
+        self.exact = exact
+        self.zero = Fraction(0) if exact else 0.0
+        self.one = Fraction(1) if exact else 1.0
+
+    def __and__(self, other: "Mode") -> "Mode":
+        """The mode two operands compute in together: exact when both are."""
+        return other if self.exact else self
+
+    def value(self, v):
+        """v as this mode computes with it: unchanged, or a complex number."""
+        return v if self.exact else complex(to_complex(v))
+
+    def scale(self, values) -> float:
+        """max(1, |v|) over the values in float mode; exact tests ignore it."""
+        if self.exact:
+            return 1.0
+        return max([1.0] + [abs(to_complex(v)) for v in values])
+
+    def inv(self, v):
+        return scalar_inv(v) if self.exact else 1.0 / v
+
+    def dist(self, a, b):
+        """|a - b|, a real exact scalar or a float."""
+        if self.exact:
+            return real_abs(a - b)
+        return abs(to_complex(a) - to_complex(b))
+
+    def eq(self, a, b, scale: float = 1.0) -> bool:
+        if self.exact:
+            return scalar_eq(a, b)
+        return self.dist(a, b) <= FLOAT_TOL * scale
+
+    def at_least(self, a, b, scale: float) -> bool:
+        """a >= b for real a, b; in float mode up to FLOAT_TOL * scale."""
+        if self.exact:
+            return real_sign(a - b) >= 0
+        return not (to_complex(a) - to_complex(b)).real < -FLOAT_TOL * scale
+
+    def sign(self, v, scale: float) -> int:
+        """Sign of a real value; float values within STRICT_TIE_TOL * scale are 0."""
+        if self.exact:
+            return real_sign(v)
+        x = to_complex(v).real
+        return (x > STRICT_TIE_TOL * scale) - (x < -STRICT_TIE_TOL * scale)
+
+    def nonneg(self, v, scale: float) -> bool:
+        """Real and >= 0; in float mode both up to FLOAT_TOL * scale."""
+        if self.exact:
+            return is_real_scalar(v) and real_sign(v) >= 0
+        v = to_complex(v)
+        return abs(v.imag) <= FLOAT_TOL * scale and v.real >= -FLOAT_TOL * scale
+
+    def positive(self, v, scale: float) -> bool:
+        """Real and strictly positive: sign +1, imaginary part up to FLOAT_TOL * scale."""
+        if self.exact:
+            return is_real_scalar(v) and real_sign(v) > 0
+        return self.sign(v, scale) > 0 and abs(to_complex(v).imag) <= FLOAT_TOL * scale
+
+    def real(self, v) -> bool:
+        """Real; a float's imaginary part may be FLOAT_TOL * max(1, |v|)."""
+        if self.exact:
+            return is_real_scalar(v)
+        return not abs(to_complex(v).imag) > FLOAT_TOL * self.scale([v])
+
+    def positive_real(self, v) -> bool:
+        """Real and > 0, a float's imaginary part judged as in real()."""
+        if self.exact:
+            return is_real_scalar(v) and real_sign(v) > 0
+        return self.real(v) and not to_complex(v).real <= 0
+
+
+EXACT = Mode(True)
+FLOAT = Mode(False)
+
+
 class GroupFunction:
     """Complex-valued function on a finite abelian group, dense by element index."""
 
-    __slots__ = ("group", "values", "is_exact")
+    __slots__ = ("group", "values", "mode")
 
     def __init__(self, group: FiniteAbelianGroup, values: Sequence):
         values = tuple(values)
@@ -69,7 +158,12 @@ class GroupFunction:
             )
         self.group = group
         self.values = values
-        self.is_exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
+        exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
+        self.mode = EXACT if exact else FLOAT
+
+    @property
+    def is_exact(self) -> bool:
+        return self.mode.exact
 
     def __call__(self, x) -> object:
         if isinstance(x, int):
@@ -98,7 +192,7 @@ class GroupFunction:
 class HaarScale:
     """Haar measure = scale * counting measure; scale is a positive rational or float."""
 
-    __slots__ = ("group", "scale")
+    __slots__ = ("group", "scale", "mode")
 
     def __init__(self, group: FiniteAbelianGroup, scale):
         if isinstance(scale, int):
@@ -113,10 +207,11 @@ class HaarScale:
             raise TypeError(f"unsupported Haar scale type {type(scale)}")
         self.group = group
         self.scale = scale
+        self.mode = EXACT if isinstance(scale, Fraction) else FLOAT
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.scale, Fraction)
+        return self.mode.exact
 
     def __eq__(self, other):
         return (
@@ -140,7 +235,7 @@ def self_dual_haar(G: FiniteAbelianGroup) -> HaarScale:
 class ScaledMeasure:
     """A density times a Haar scale; total mass is scale * sum of the density."""
 
-    __slots__ = ("group", "density", "haar")
+    __slots__ = ("group", "density", "haar", "mode")
 
     def __init__(self, group: FiniteAbelianGroup, density: GroupFunction,
                  haar: HaarScale):
@@ -149,10 +244,11 @@ class ScaledMeasure:
         self.group = group
         self.density = density
         self.haar = haar
+        self.mode = density.mode & haar.mode
 
     @property
     def is_exact(self) -> bool:
-        return self.density.is_exact and self.haar.is_exact
+        return self.mode.exact
 
     def mass_at(self, i: int):
         return self.density.values[i] * self.haar.scale
@@ -240,9 +336,7 @@ def inverse_transform(mu: ScaledMeasure) -> GroupFunction:
 
 def dual_haar(m: HaarScale) -> HaarScale:
     """The unique dual scale making Fourier inversion exact: 1 / (scale * |G|)."""
-    if isinstance(m.scale, Fraction):
-        return HaarScale(dual_group(m.group), Fraction(1) / (m.scale * m.group.order))
-    return HaarScale(dual_group(m.group), 1.0 / (m.scale * m.group.order))
+    return HaarScale(dual_group(m.group), m.mode.inv(m.scale * m.group.order))
 
 
 def measure_from_function(f: GroupFunction, m: HaarScale) -> ScaledMeasure:
@@ -257,8 +351,7 @@ def convolve(mu: ScaledMeasure, nu: ScaledMeasure) -> ScaledMeasure:
     if mu.group != nu.group:
         raise ValueError("convolution needs measures on the same group")
     G = mu.group
-    zero = Fraction(0) if (mu.is_exact and nu.is_exact) else 0.0
-    out = [zero] * G.order
+    out = [(mu.mode & nu.mode).zero] * G.order
     dv, ev = mu.density.values, nu.density.values
     for a, row in zip(dv, G.index_tables[0]):
         if a == 0:
@@ -286,14 +379,12 @@ def pushforward(phi: Homomorphism, mu: ScaledMeasure) -> ScaledMeasure:
     if mu.group != phi.source:
         raise ValueError("pushforward needs a measure on the homomorphism source")
     B = phi.target
-    zero = Fraction(0) if mu.is_exact else 0.0
-    out = [zero] * B.order
+    out = [mu.mode.zero] * B.order
     for i, t in enumerate(hom_index_map(phi)):
         v = mu.mass_at(i)
         if v != 0:
             out[t] += v
-    one = Fraction(1) if mu.is_exact else 1.0
-    return ScaledMeasure(B, GroupFunction(B, out), HaarScale(B, one))
+    return ScaledMeasure(B, GroupFunction(B, out), HaarScale(B, mu.mode.one))
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -303,52 +394,20 @@ def plancherel_check(f: GroupFunction, m: HaarScale):
     """|  ||f||^2 w.r.t. m  minus  ||f_hat||^2 w.r.t. dual m  |; exactly 0 in exact mode."""
     fhat = fourier_transform(f, m)
     mhat = dual_haar(m)
-    if f.is_exact and m.is_exact:
-        lhs = sum((v * conj_scalar(v) for v in f.values), Fraction(0)) * m.scale
-        rhs = sum((v * conj_scalar(v) for v in fhat.values), Fraction(0)) * mhat.scale
-        diff = lhs - rhs
-        if is_rational(diff):
-            return abs(diff)
-        return diff if real_sign(diff) >= 0 else -diff
+    mode = f.mode & m.mode
+    if mode.exact:
+        lhs = sum((v * conj_scalar(v) for v in f.values), mode.zero) * m.scale
+        rhs = sum((v * conj_scalar(v) for v in fhat.values), mode.zero) * mhat.scale
+        return mode.dist(lhs, rhs)
     scale = float(m.scale)
     lhs = scale * sum(abs(to_complex(v)) ** 2 for v in f.values)
     rhs = float(mhat.scale) * sum(abs(to_complex(v)) ** 2 for v in fhat.values)
     return abs(lhs - rhs)
 
 
-def functions_max_abs_diff(f: GroupFunction, g: GroupFunction):
-    """Max |f - g|, exact (scalar) or float depending on mode."""
-    if f.group != g.group:
-        raise ValueError("functions live on different groups")
-    if f.is_exact and g.is_exact:
-        worst = Fraction(0)
-        for a, b in zip(f.values, g.values):
-            d = a - b
-            if not is_rational(d):
-                d = d if real_sign(d) >= 0 else -d
-            else:
-                d = abs(d)
-            if real_sign(d - worst) > 0:
-                worst = d
-        return worst
-    return max(
-        abs(to_complex(a) - to_complex(b)) for a, b in zip(f.values, g.values)
-    )
-
-
-def functions_equal(f: GroupFunction, g: GroupFunction, tol: float = FLOAT_TOL) -> bool:
-    if f.is_exact and g.is_exact:
-        return f.group == g.group and all(
-            scalar_eq(a, b) for a, b in zip(f.values, g.values)
-        )
+def functions_equal(f: GroupFunction, g: GroupFunction) -> bool:
     if f.group != g.group:
         return False
-    scale = max(
-        [1.0]
-        + [abs(to_complex(v)) for v in f.values]
-        + [abs(to_complex(v)) for v in g.values]
-    )
-    return all(
-        abs(to_complex(a) - to_complex(b)) <= tol * scale
-        for a, b in zip(f.values, g.values)
-    )
+    mode = f.mode & g.mode
+    scale = mode.scale(f.values + g.values)
+    return all(mode.eq(a, b, scale) for a, b in zip(f.values, g.values))

@@ -541,8 +541,8 @@ def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
             for i in range(m)]
     if any(d == 0 for d in diag):
         raise AssertionError("subgroup kernel lattice not of full rank")
-    # columns of Up^{-1} give the new generators; invert by solving U X = I
-    Uinv = _int_inverse(Up)
+    # columns of Up^{-1} give the new generators
+    Uinv = intlinalg.int_inverse(Up)
     new_gens = []
     for i in range(m):
         coords = [0] * k
@@ -567,28 +567,6 @@ def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
     if image != set(h_elements) or len(image) != H_abs.order:
         raise AssertionError("subgroup realization failed to match element set")
     return H_abs, incl
-
-
-def _int_inverse(U):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(U)
-    from fractions import Fraction
-
-    aug = [[Fraction(U[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise AssertionError("matrix was not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 # -- catalogues -------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Small exact integer matrix utilities: Smith normal form and kernels.
+"""Small exact matrix utilities: Smith normal form, kernels, and elimination.
 
-Everything here works on lists of lists of Python ints and is sized for the
-tiny matrices that arise when presenting subgroups and quotients of groups of
-order at most 64.
+The integer routines work on lists of lists of Python ints and are sized for
+the tiny matrices that arise when presenting subgroups and quotients of
+groups of order at most 64.  rref is the one exact Gauss-Jordan elimination;
+it runs over Q and over cyclotomic fields alike.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -115,21 +119,75 @@ def kernel_basis(A):
     return out
 
 
-def det(A) -> int:
-    """Determinant via fraction-free (Bareiss) elimination."""
-    M = [row[:] for row in A]
-    n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1] if n else 1
+def rref(rows, width: int):
+    """Reduced row echelon form over a field whose zero is falsy (Fraction, Cyc).
+
+    Pivots are sought in the first width columns only, so augmented columns
+    ride along.  Returns the reduced rows, pivot rows first with pivot 1, and
+    the pivot columns.  Integer entries become Fractions as rows are scaled.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = [x - f * y for x, y in zip(row, mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def solve(mat, rhs):
+    """A solution x of mat @ x = rhs, free unknowns 0; None when there is none."""
+    m = len(mat[0]) if mat else 0
+    red, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)], m)
+    if any(row[m] for row in red[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m
+    for row, c in zip(red, pivots):
+        x[c] = row[m]
+    return x
+
+
+def nullspace(rows, width: int) -> list[tuple]:
+    """A basis of {x : row . x = 0 for every row}, one vector per free column."""
+    red, pivots = rref(rows, width)
+    out = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        out.append(tuple(vec))
+    return out
+
+
+def left_inverse(cols) -> tuple[list[list[int]], int]:
+    """(N, den) with N @ B = den * I, for the integer matrix B of full column
+    rank given by its columns: one elimination of [B^T | I]."""
+    n, m = len(cols), len(cols[0])
+    red, pivots = rref([list(c) + [int(i == j) for j in range(n)]
+                        for i, c in enumerate(cols)], m)
+    if len(pivots) < n:
+        raise ValueError("columns are linearly dependent")
+    N = [[Fraction(0)] * m for _ in range(n)]
+    for row, c in zip(red, pivots):
+        for i in range(n):
+            N[i][c] = row[m + i]
+    den = lcm(*(x.denominator for row in N for x in row))
+    return [[int(x * den) for x in row] for row in N], den
+
+
+def int_inverse(U) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix."""
+    inv, den = left_inverse([list(col) for col in zip(*U)])
+    if den != 1:
+        raise AssertionError("matrix was not unimodular")
+    return inv

@@ -27,12 +27,10 @@ from .cyclotomic import (
     is_rational,
     is_real_scalar,
     real_sign,
-    scalar_eq,
     to_complex,
     unit_root,
 )
 from .fourier import (
-    FLOAT_TOL,
     GroupFunction,
     HaarScale,
     ScaledMeasure,
@@ -51,7 +49,6 @@ from .groups import (
     subgroup_from_elements,
 )
 
-STRICT_TIE_TOL = 1e-12
 PSD_EIG_TOL = 1e-9
 
 VACUOUS_CONDITIONS = ("3.1.2", "3.1.3", "3.1.5")
@@ -99,26 +96,14 @@ class PpdVerdict:
         }
 
 
-def _nonneg(v, scale: float, exact: bool) -> bool:
-    if exact:
-        return is_real_scalar(v) and real_sign(v) >= 0
-    return abs(v.imag) <= FLOAT_TOL * scale and v.real >= -FLOAT_TOL * scale
-
-
-def _strictly_positive(v, base: float, exact: bool) -> bool:
-    if exact:
-        return is_real_scalar(v) and real_sign(v) > 0
-    return v.real > STRICT_TIE_TOL * base and abs(v.imag) <= FLOAT_TOL * base
-
-
 def evaluate_function(f: GroupFunction) -> PpdVerdict:
     """Full PPD/good verdict for a function, with per-condition bookkeeping."""
-    exact = f.is_exact
+    mode = f.mode
     fhat = fourier_transform(f, counting_haar(f.group))
-    vals = f.values if exact else [complex(to_complex(v)) for v in f.values]
-    hvals = fhat.values if exact else [complex(to_complex(v)) for v in fhat.values]
-    scale = max([1.0] + [abs(to_complex(v)) for v in f.values])
-    hscale = max([1.0] + [abs(to_complex(v)) for v in hvals])
+    vals = [mode.value(v) for v in f.values]
+    hvals = [mode.value(v) for v in fhat.values]
+    scale = mode.scale(f.values)
+    hscale = mode.scale(hvals)
     base = abs(to_complex(f.values[0])) or 1.0
 
     witnesses: list[Witness] = []
@@ -126,7 +111,7 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
 
     pointwise_ok = True
     for i, v in enumerate(vals):
-        if not _nonneg(v, scale, exact):
+        if not mode.nonneg(v, scale):
             pointwise_ok = False
             witnesses.append(
                 Witness("2.1.1", "element", i, f"f({i}) = {v} not real nonnegative")
@@ -135,7 +120,7 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
 
     spectral_ok = True
     for i, v in enumerate(hvals):
-        if not _nonneg(v, hscale, exact):
+        if not mode.nonneg(v, hscale):
             spectral_ok = False
             witnesses.append(
                 Witness("2.1.2", "character", i, f"f_hat({i}) = {v} negative")
@@ -149,13 +134,13 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
 
     strict_ok = True
     for i, v in enumerate(vals):
-        if not _strictly_positive(v, base, exact):
+        if not mode.positive(v, base):
             strict_ok = False
             witnesses.append(
                 Witness("3.1.4", "element", i, f"f({i}) = {v} not strictly positive")
             )
     for i, v in enumerate(hvals):
-        if not _strictly_positive(v, base, exact):
+        if not mode.positive(v, base):
             strict_ok = False
             witnesses.append(
                 Witness(
@@ -172,14 +157,6 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
     )
 
 
-def is_ppd(f: GroupFunction) -> PpdVerdict:
-    return evaluate_function(f)
-
-
-def is_good(f: GroupFunction) -> PpdVerdict:
-    return evaluate_function(f)
-
-
 # -- the independent matrix oracle ---------------------------------------------
 
 
@@ -193,17 +170,14 @@ def bochner_oracle(f: GroupFunction) -> bool:
     add, neg = f.group.index_tables
     diff = [[row[j] for j in neg] for row in add]  # diff[x][y] = x - y
     vals = f.values
-    if f.is_exact:
-        if not all(is_real_scalar(v) for v in vals):
-            raise ValueError("matrix oracle needs a real-valued function")
-        if all(is_rational(v) for v in vals):
-            vals = [Fraction(v) for v in vals]
-            return _psd_exact_rational([[vals[i] for i in row] for row in diff])
-        return _psd_exact_field([[vals[i] for i in row] for row in diff])
-    for v in vals:
-        if abs(complex(v).imag) > FLOAT_TOL * max(1.0, abs(complex(v))):
-            raise ValueError("matrix oracle needs a real-valued function")
-    return _psd_float(vals, diff)
+    if not all(f.mode.real(v) for v in vals):
+        raise ValueError("matrix oracle needs a real-valued function")
+    if not f.is_exact:
+        return _psd_float(vals, diff)
+    if all(is_rational(v) for v in vals):
+        vals = [Fraction(v) for v in vals]
+        return _psd_exact_rational([[vals[i] for i in row] for row in diff])
+    return _psd_exact_field([[vals[i] for i in row] for row in diff])
 
 
 def _is_exact_zero(v) -> bool:
@@ -329,41 +303,30 @@ def spectral_min_sign(f: GroupFunction) -> int:
 def normalize_function(f: GroupFunction) -> GroupFunction:
     """Scale so that the value at 0 is 1; requires f(0) > 0 real."""
     v0 = f.values[0]
-    if f.is_exact:
-        if not is_real_scalar(v0) or real_sign(v0) <= 0:
-            raise ValueError(f"cannot normalize: f(0) = {v0} is not positive")
-        if is_rational(v0):
-            inv = Fraction(1) / Fraction(v0)
-        else:
-            inv = v0.inverse()
-        return GroupFunction(f.group, [v * inv for v in f.values])
-    v0c = complex(v0)
-    if abs(v0c.imag) > FLOAT_TOL * max(1.0, abs(v0c)) or v0c.real <= 0:
+    if not f.mode.positive_real(v0):
         raise ValueError(f"cannot normalize: f(0) = {v0} is not positive")
-    return GroupFunction(f.group, [complex(v) / v0c.real for v in f.values])
+    if f.is_exact:
+        inv = f.mode.inv(v0)
+        return GroupFunction(f.group, [v * inv for v in f.values])
+    v0 = complex(v0).real
+    return GroupFunction(f.group, [complex(v) / v0 for v in f.values])
 
 
 def normalize_measure(mu: ScaledMeasure) -> ScaledMeasure:
     """Rescale the Haar part so the total mass is 1."""
     mass = mu.total_mass()
-    if mu.is_exact:
-        if not is_real_scalar(mass) or real_sign(mass) <= 0:
-            raise ValueError(f"cannot normalize measure of mass {mass}")
-        if is_rational(mass):
-            new_scale = mu.haar.scale / Fraction(mass)
-            return ScaledMeasure(
-                mu.group, mu.density, HaarScale(mu.group, new_scale)
-            )
+    if not mu.mode.positive_real(mass):
+        raise ValueError(f"cannot normalize measure of mass {mass}")
+    if not mu.is_exact:
+        new_scale = float(mu.haar.scale) / complex(mass).real
+    elif is_rational(mass):
+        new_scale = mu.haar.scale / Fraction(mass)
+    else:
         # irrational positive mass: fold the inverse into the density
-        inv = mass.inverse()
+        inv = mu.mode.inv(mass)
         dens = GroupFunction(mu.group, [v * inv for v in mu.density.values])
         return ScaledMeasure(mu.group, dens, mu.haar)
-    m = complex(mass)
-    if abs(m.imag) > FLOAT_TOL * max(1.0, abs(m)) or m.real <= 0:
-        raise ValueError(f"cannot normalize measure of mass {mass}")
-    return ScaledMeasure(
-        mu.group, mu.density, HaarScale(mu.group, float(mu.haar.scale) / m.real)
-    )
+    return ScaledMeasure(mu.group, mu.density, HaarScale(mu.group, new_scale))
 
 
 # -- duality ----------------------------------------------------------------------
@@ -384,16 +347,12 @@ def dual_measure(f: GroupFunction) -> ScaledMeasure:
 def _assert_measure_ppd(mu: ScaledMeasure) -> None:
     dens = mu.density
     Ghat = mu.group
-    exact = mu.is_exact
-    scale = max([1.0] + [abs(to_complex(v)) for v in dens.values])
+    mode = mu.mode
+    scale = mode.scale(dens.values)
     for i, v in enumerate(dens.values):
-        if not _nonneg(v if exact else complex(to_complex(v)), scale, exact):
+        if not mode.nonneg(v, scale):
             raise AssertionError(f"dual measure not nonnegative at {i}")
-        j = Ghat.neg_index(i)
-        if exact:
-            if not scalar_eq(v, dens.values[j]):
-                raise AssertionError("dual measure not even")
-        elif abs(to_complex(v) - to_complex(dens.values[j])) > FLOAT_TOL * scale:
+        if not mode.eq(v, dens.values[Ghat.neg_index(i)], scale):
             raise AssertionError("dual measure not even")
     dverdict = evaluate_function(dens)
     if not dverdict.is_ppd:
@@ -402,46 +361,30 @@ def _assert_measure_ppd(mu: ScaledMeasure) -> None:
 
 def normalized_dual(f: GroupFunction, require_good: bool = True) -> GroupFunction:
     """Transform taken at the unique Haar scale making f * m a probability measure."""
+    mode = f.mode
     if require_good:
         verdict = evaluate_function(f)
         if not verdict.is_good:
             raise ValueError(
                 f"normalized_dual needs a good input: {[w.to_dict() for w in verdict.witnesses]}"
             )
-        if not scalar_eq_any(f.values[0], 1, f.is_exact):
+        if not mode.eq(f.values[0], 1):
             raise ValueError(f"normalized_dual needs a normalized input, f(0)={f.values[0]}")
-    mass = sum(f.values) if f.is_exact else sum(to_complex(v) for v in f.values)
-    if f.is_exact:
-        if not is_real_scalar(mass) or real_sign(mass) <= 0:
-            raise ValueError(f"total mass {mass} is not positive")
-        scale = (
-            HaarScale(f.group, Fraction(1) / Fraction(mass))
-            if is_rational(mass)
-            else None
-        )
-        if scale is None:
-            # irrational mass: multiply by the exact inverse after transforming
-            fhat = fourier_transform(f, counting_haar(f.group))
-            inv = mass.inverse()
-            out = GroupFunction(fhat.group, [v * inv for v in fhat.values])
-        else:
-            out = fourier_transform(f, scale)
+    mass = sum(mode.value(v) for v in f.values)
+    if not mode.positive_real(mass):
+        raise ValueError(f"total mass {mass} is not positive")
+    if mode.exact and not is_rational(mass):
+        # irrational mass: multiply by the exact inverse after transforming
+        inv = mode.inv(mass)
+        fhat = fourier_transform(f, counting_haar(f.group))
+        out = GroupFunction(fhat.group, [v * inv for v in fhat.values])
     else:
-        m = complex(mass)
-        if m.real <= 0 or abs(m.imag) > FLOAT_TOL * max(1.0, abs(m)):
-            raise ValueError(f"total mass {mass} is not positive")
-        out = fourier_transform(f, HaarScale(f.group, 1.0 / m.real))
+        out = fourier_transform(f, HaarScale(f.group, mode.inv(mass.real)))
     if require_good:
         overdict = evaluate_function(out)
         if not overdict.is_good:
             raise AssertionError("normalized dual failed to be good")
     return out
-
-
-def scalar_eq_any(v, target, exact: bool) -> bool:
-    if exact:
-        return scalar_eq(v, Fraction(target))
-    return abs(complex(to_complex(v)) - target) <= FLOAT_TOL * max(1.0, abs(target))
 
 
 # -- structure: stabilizer and descent ----------------------------------------------
@@ -457,16 +400,10 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
         verdict = evaluate_function(f)
         if not verdict.is_ppd:
             raise ValueError("stabilizer is defined for PPD functions")
-    exact = f.is_exact
+    mode = f.mode
     v0 = f.values[0]
-    scale = max([1.0] + [abs(to_complex(v)) for v in f.values])
-    members = []
-    for i, v in enumerate(f.values):
-        if exact:
-            if scalar_eq(v, v0):
-                members.append(i)
-        elif abs(to_complex(v) - to_complex(v0)) <= FLOAT_TOL * scale:
-            members.append(i)
+    scale = mode.scale(f.values)
+    members = [i for i, v in enumerate(f.values) if mode.eq(v, v0, scale)]
     H = subgroup_from_elements(f.group, members)
     if not _translation_invariant(f, H, scale):
         raise AssertionError("level set at f(0) is not a stabilizer")
@@ -474,42 +411,30 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
 
 
 def _translation_invariant(f: GroupFunction, H: Subgroup, scale: float) -> bool:
-    """f(x + h) = f(x) for every x in G and h in H (float mode: up to FLOAT_TOL * scale)."""
+    """f(x + h) = f(x) for every x in G and h in H (float mode: at the given scale)."""
     vals = f.values
-    exact = f.is_exact
     add = f.group.index_tables[0]
     for h in H.elements:
         row = add[h]
         for x, v in enumerate(vals):
-            lhs = vals[row[x]]
-            if exact:
-                ok = scalar_eq(lhs, v)
-            else:
-                ok = abs(to_complex(lhs) - to_complex(v)) <= FLOAT_TOL * scale
-            if not ok:
+            if not f.mode.eq(vals[row[x]], v, scale):
                 return False
     return True
 
 
 def descend_to_quotient(f: GroupFunction, H: Subgroup,
                         verify_input: bool = True) -> GroupFunction:
-    """The unique g on G/H with f = g o pi; requires H inside the stabilizer."""
-    G = f.group
-    exact = f.is_exact
-    scale = max([1.0] + [abs(to_complex(v)) for v in f.values])
-    if not _translation_invariant(f, H, scale):
-        raise ValueError("subgroup is not contained in the stabilizer of the function")
-    Q = quotient(G, H)
+    """The unique g on G/H with f = g o pi; requires H inside the stabilizer.
+
+    g takes f's value at each coset representative, so f = g o pi holds
+    exactly when f is H-translation-invariant.
+    """
+    Q = quotient(f.group, H)
     g = GroupFunction(Q.group, [f.values[r] for r in Q.coset_reps])
     back = pullback(Q.projection_hom, g)
-    for a, b in zip(back.values, f.values):
-        ok = (
-            scalar_eq(a, b)
-            if exact
-            else abs(to_complex(a) - to_complex(b)) <= FLOAT_TOL * scale
-        )
-        if not ok:
-            raise AssertionError("descended function does not pull back to f")
+    scale = f.mode.scale(f.values)
+    if not all(f.mode.eq(a, b, scale) for a, b in zip(back.values, f.values)):
+        raise ValueError("subgroup is not contained in the stabilizer of the function")
     if verify_input:
         gverdict = evaluate_function(g)
         if not gverdict.is_ppd:
@@ -520,9 +445,11 @@ def descend_to_quotient(f: GroupFunction, H: Subgroup,
 # -- seeded samplers -----------------------------------------------------------------
 
 
-def _derived_seed(seed: int, tag: str, moduli: tuple[int, ...]) -> int:
-    payload = f"{seed}|{tag}|{moduli}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+def derived_rng(seed: int, tag: str, key) -> random.Random:
+    """A generator seeded from sha256 of f"{seed}|{tag}|{key}": one stream per
+    case, the same in every process."""
+    payload = f"{seed}|{tag}|{key}".encode()
+    return random.Random(int.from_bytes(hashlib.sha256(payload).digest()[:8], "big"))
 
 
 def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
@@ -536,7 +463,7 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     back from a proper quotient part of the time so nontrivial stabilizers
     show up downstream.
     """
-    rng = random.Random(_derived_seed(seed, strictness, G.moduli))
+    rng = derived_rng(seed, strictness, G.moduli)
     if (
         strictness == "ppd"
         and _depth == 0

@@ -8,7 +8,6 @@ and returns a plain dict that serializes to a deterministic JSON report
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .cone import (
@@ -48,6 +47,7 @@ from .groups import (
 )
 from .ppd import (
     bochner_oracle,
+    derived_rng,
     descend_to_quotient,
     evaluate_function,
     normalize_function,
@@ -58,13 +58,6 @@ from .ppd import (
     spectral_min_sign,
     stabilizer_subgroup,
 )
-
-
-def _case_rng(seed: int, tag: str, *parts) -> random.Random:
-    import hashlib
-
-    payload = f"{seed}|{tag}|{parts}".encode()
-    return random.Random(int.from_bytes(hashlib.sha256(payload).digest()[:8], "big"))
 
 
 def random_even_function(G, rng, lo: int = -9, hi: int = 9) -> GroupFunction:
@@ -84,7 +77,7 @@ def bochner_agreement_sweep(max_order: int = 12, samples: int = 1000,
     groups = abelian_group_catalog(max_order)
     cases = 0
     for G in groups:
-        rng = _case_rng(seed, "bochner", G.moduli)
+        rng = derived_rng(seed, "bochner", (G.moduli,))
         for _ in range(samples):
             f = random_even_function(G, rng)
             cases += 1
@@ -111,7 +104,7 @@ def structure_sweep(max_order: int = 16, samples: int = 1000,
     cases = 0
     for G in groups:
         for j in range(samples):
-            rng = _case_rng(seed, "structure", G.moduli, j)
+            rng = derived_rng(seed, "structure", (G.moduli, j))
             f = sample_ppd(G, seed=rng.randrange(2**31))
             cases += 1
             v0 = f.values[0]
@@ -154,7 +147,7 @@ def corestriction_sweep(max_order: int = 12, samples: int = 100,
         for H in all_subgroups(G):
             pairs += 1
             for j in range(samples):
-                rng = _case_rng(seed, "corestrict", G.moduli, H.elements, j)
+                rng = derived_rng(seed, "corestrict", (G.moduli, H.elements, j))
                 f = sample_good(G, seed=rng.randrange(2**31))
                 cases += 1
                 report = corestriction_consistency(f, H, verify_input=False)
@@ -192,7 +185,7 @@ def product_closure_sweep(cases: int = 1000, seed: int = 0,
     failures = []
     diag_checked = 0
     for j in range(cases):
-        rng = _case_rng(seed, "product", j)
+        rng = derived_rng(seed, "product", (j,))
         moduli = list(rng.choice(_PRODUCT_GROUPS))
         G = make_group(moduli)
         kind = rng.choice(["ppd", "good"])
@@ -243,7 +236,7 @@ def mixed_product_sweep(cases: int = 100, seed: int = 0) -> dict:
     documented boundary case where the first factor has zeros."""
     failures = []
     for j in range(cases):
-        rng = _case_rng(seed, "mixed", j)
+        rng = derived_rng(seed, "mixed", (j,))
         moduli = list(rng.choice(_PRODUCT_GROUPS))
         G = make_group(moduli)
         f = sample_normalized_good(G, seed=rng.randrange(2**31))
@@ -289,7 +282,7 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
         if G.order == 1:
             continue
         for j in range(samples):
-            rng = _case_rng(seed, "involution", G.moduli, j)
+            rng = derived_rng(seed, "involution", (G.moduli, j))
             f = sample_normalized_good(G, seed=rng.randrange(2**31))
             cases += 1
             back = normalized_dual(normalized_dual(f, require_good=False),
@@ -299,7 +292,7 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
 
     for G in abelian_group_catalog(square_max_order):
         for H in all_subgroups(G):
-            rng = _case_rng(seed, "square", G.moduli, H.elements)
+            rng = derived_rng(seed, "square", (G.moduli, H.elements))
             f = sample_normalized_good(G, seed=rng.randrange(2**31))
             cases += 1
             if not _duality_square_commutes(f, G, H):
@@ -312,7 +305,7 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
                 )
 
     for G in abelian_group_catalog(max_order):
-        rng = _case_rng(seed, "haar", G.moduli)
+        rng = derived_rng(seed, "haar", (G.moduli,))
         m = HaarScale(G, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         cases += 1
         if dual_haar(dual_haar(m)).scale != m.scale:
@@ -350,7 +343,7 @@ def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
     cases = 0
     for G in abelian_group_catalog(max_order):
         cone = ppd_cone_hrep(G)
-        rng = _case_rng(seed, "membership", G.moduli)
+        rng = derived_rng(seed, "membership", (G.moduli,))
         for _ in range(samples):
             vec = tuple(
                 Fraction(rng.randint(-3, 9), rng.randint(1, 4))

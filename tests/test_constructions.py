@@ -41,6 +41,7 @@ from ppdlab.groups import (
 from ppdlab.ppd import (
     evaluate_function,
     normalize_function,
+    normalize_measure,
     normalized_dual,
     sample_good,
     sample_normalized_good,
@@ -385,3 +386,35 @@ def test_duality_square():
                 lhs_idx = restr_hom.target.index(hom_apply(restr_hom, chi))
                 rhs_idx = Qp.projection[i]
                 assert scalar_eq(lhs.values[lhs_idx], rhs.values[rhs_idx])
+
+
+# float-mode outputs pinned bit for bit (reprs taken from the reference
+# implementation): a reordered float operation fails this test
+FLOAT_GOLDEN = {
+    "normalize_function": 'GroupFunction(Z8, [(1+0j), (0.4246575342465754+0j), (0.2602739726027397+0j), (0.17808219178082194+0j), (0.15068493150684933+0j), (0.17808219178082194+0j), (0.2602739726027397+0j), (0.4246575342465754+0j)])',
+    "normalize_measure": 'ScaledMeasure(Z8, [7.3, 3.1, 1.9, 1.3, 1.1, 1.3, 1.9, 3.1], 0.04761904761904762)',
+    "normalized_dual": 'GroupFunction(Z8, [(0.9999999999999999+0j), (0.41645640058436045-1.9296733523246768e-17j), (0.219047619047619+3.8593467046493535e-17j), (0.17401978989182992+1.9296733523246768e-17j), (0.16190476190476188+5.131853253569862e-17j), (0.1740197898918299+1.9296733523246768e-17j), (0.21904761904761902+3.8593467046493535e-17j), (0.41645640058436045+1.9296733523246768e-17j)])',
+    "coset_average": 'GroupFunction(Z4, [(1+0j), (0.5238095238095238+0j), (0.45238095238095233+0j), (0.5238095238095238+0j)])',
+    "corestriction_consistency": "{'fourier_route': [1.0, 0.5238095238095238, 0.4523809523809525, 0.5238095238095238], 'average_route': [1.0, 0.5238095238095238, 0.4523809523809524, 0.5238095238095238], 'max_abs_gap': 1.1237201003226825e-16, 'gap_positions': []}",
+    "evaluate_good": "{'is_ppd': True, 'is_good': True, 'witnesses': [], 'conditions': {'2.1.1': True, '2.1.2': True, '3.1.1': True, '3.1.2': True, '3.1.3': True, '3.1.5': True, '3.1.4': True}, 'vacuous_conditions': ['3.1.2', '3.1.3', '3.1.5']}",
+    "evaluate_not_ppd": "{'is_ppd': False, 'is_good': False, 'witnesses': [{'condition': '2.1.1', 'kind': 'element', 'index': 2, 'detail': 'f(2) = (-0.1+0j) not real nonnegative'}, {'condition': '2.1.2', 'kind': 'character', 'index': 2, 'detail': 'f_hat(2) = (-0.09999999999999998+1.2246467991473532e-16j) negative'}, {'condition': '3.1.4', 'kind': 'element', 'index': 2, 'detail': 'f(2) = (-0.1+0j) not strictly positive'}, {'condition': '3.1.4', 'kind': 'character', 'index': 2, 'detail': 'f_hat(2) = (-0.09999999999999998+1.2246467991473532e-16j) not strictly positive'}], 'conditions': {'2.1.1': False, '2.1.2': False, '3.1.1': False, '3.1.2': True, '3.1.3': True, '3.1.5': True, '3.1.4': False}, 'vacuous_conditions': ['3.1.2', '3.1.3', '3.1.5']}",
+}
+
+
+def test_float_mode_outputs_golden():
+    Z8 = make_group([8])
+    f = GroupFunction(Z8, [7.3, 3.1, 1.9, 1.3, 1.1, 1.3, 1.9, 3.1])
+    H = subgroup_from_generators(Z8, [(4,)])
+    bad = GroupFunction(Z4, [1.0, 0.5, -0.1, 0.5])
+    got = {
+        "normalize_function": repr(normalize_function(f)),
+        "normalize_measure": repr(
+            normalize_measure(ScaledMeasure(Z8, f, HaarScale(Z8, 0.37)))
+        ),
+        "normalized_dual": repr(normalized_dual(normalize_function(f))),
+        "coset_average": repr(coset_average(f, H)),
+        "corestriction_consistency": repr(corestriction_consistency(f, H).to_dict()),
+        "evaluate_good": repr(evaluate_function(f).to_dict()),
+        "evaluate_not_ppd": repr(evaluate_function(bad).to_dict()),
+    }
+    assert got == FLOAT_GOLDEN

@@ -1,10 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdlab import intlinalg
+from ppdlab.cyclotomic import scalar_eq, unit_root
 from ppdlab.groups import (
     Homomorphism,
     abelian_group_catalog,
@@ -296,8 +298,8 @@ def test_smith_normal_form_properties():
         A = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         U, D, V = intlinalg.smith_normal_form(A)
         assert intlinalg.mat_mul(intlinalg.mat_mul(U, A), V) == D
-        assert abs(intlinalg.det(U)) == 1
-        assert abs(intlinalg.det(V)) == 1
+        for W in (U, V):  # unimodular: the integer inverse exists
+            assert intlinalg.mat_mul(W, intlinalg.int_inverse(W)) == intlinalg.identity(len(W))
         diag = [D[i][i] for i in range(min(n, m))]
         for a, b in zip(diag, diag[1:]):
             if b:
@@ -306,6 +308,71 @@ def test_smith_normal_form_properties():
             for j in range(m):
                 if i != j:
                     assert D[i][j] == 0
+
+
+def _dot(row, x):
+    return sum((a * v for a, v in zip(row, x)), Fraction(0))
+
+
+def _check_elimination(A, b, x0):
+    """solve, nullspace and rref agree with A x = b over the field of the entries."""
+    n, m = len(A), len(A[0])
+    rank = len(intlinalg.rref(A, m)[1])
+    null = intlinalg.nullspace(A, m)
+    assert len(null) == m - rank
+    for vec in null:
+        assert all(scalar_eq(_dot(row, vec), 0) for row in A)
+    # a consistent right-hand side is solved
+    x = intlinalg.solve(A, [_dot(row, x0) for row in A])
+    assert x is not None
+    assert all(scalar_eq(_dot(row, x), _dot(row, x0)) for row in A)
+    # b is inconsistent exactly when some y with y A = 0 has y . b != 0
+    AT = [[A[i][j] for i in range(n)] for j in range(m)]
+    inconsistent = any(
+        not scalar_eq(_dot(y, b), 0) for y in intlinalg.nullspace(AT, n)
+    )
+    x = intlinalg.solve(A, b)
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert all(scalar_eq(_dot(row, x), v) for row, v in zip(A, b))
+
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_rref_over_rationals(n, m, data):
+    # a few zero-heavy rows make rank-deficient and inconsistent systems common
+    entry = st.one_of(st.just(Fraction(0)), _small_q)
+    A = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        A[-1] = [2 * a - c for a, c in zip(A[0], A[1 % n])]
+    b = [data.draw(_small_q) for _ in range(n)]
+    x0 = [data.draw(_small_q) for _ in range(m)]
+    _check_elimination(A, b, x0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([5, 8]), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_rref_over_cyclotomic_fields(E, n, m, data):
+    coeff = st.integers(-1, 1)
+
+    def entry():
+        return sum((data.draw(coeff) * unit_root(E, k) for k in range(3)), Fraction(0))
+
+    A = [[entry() for _ in range(m)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        A[-1] = [unit_root(E, 1) * a for a in A[0]]
+    _check_elimination(A, [entry() for _ in range(n)], [entry() for _ in range(m)])
+
+
+def test_int_inverse_rejects_non_unimodular():
+    assert intlinalg.int_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(AssertionError):
+        intlinalg.int_inverse([[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        intlinalg.int_inverse([[1, 2], [2, 4]])
 
 
 @settings(max_examples=60, deadline=None)

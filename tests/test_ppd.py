@@ -28,8 +28,6 @@ from ppdlab.ppd import (
     descend_to_quotient,
     dual_measure,
     evaluate_function,
-    is_good,
-    is_ppd,
     normalize_function,
     normalize_measure,
     normalized_dual,
@@ -51,7 +49,7 @@ def F(group, *vals):
 
 def test_constant_is_ppd_not_good_on_nontrivial():
     f = F(Z4, 1, 1, 1, 1)
-    v = is_ppd(f)
+    v = evaluate_function(f)
     assert v.is_ppd and not v.is_good
     assert any(w.condition == "3.1.4" and w.kind == "character" for w in v.witnesses)
 
@@ -68,7 +66,7 @@ def test_indicator_subgroup_is_ppd_not_good():
 
 def test_not_ppd_two_point():
     f = F(Z2, 1, 2)
-    v = is_ppd(f)
+    v = evaluate_function(f)
     assert not v.is_ppd
     assert any(
         w.condition == "2.1.2" and w.kind == "character" and w.index == 1
@@ -78,7 +76,7 @@ def test_not_ppd_two_point():
 
 def test_good_golden_z4():
     f = F(Z4, 4, 2, 1, 2)
-    v = is_good(f)
+    v = evaluate_function(f)
     assert v.is_ppd and v.is_good
     assert v.witnesses == ()
     assert v.condition_status["3.1.2"] == "vacuous"
@@ -265,6 +263,8 @@ def test_descend_to_quotient_golden():
     assert one.group.order == 1 and one.values == (Fraction(1),)
     with pytest.raises(ValueError):
         descend_to_quotient(F(Z4, 4, 2, 1, 2), H)
+    with pytest.raises(ValueError):
+        descend_to_quotient(GroupFunction(Z4, [4.0, 2.0, 1.0, 2.0]), H)
 
 
 def test_sampler_determinism_and_membership():
