@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -263,7 +264,9 @@ def cmd_gaussian(args) -> int:
     raise InputError(f"unknown gaussian check {args.check!r}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ppdlab parser, built once: parse_args gives a fresh namespace per call."""
     p = argparse.ArgumentParser(
         prog="ppdlab",
         description=(

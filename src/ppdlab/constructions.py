@@ -179,19 +179,6 @@ def direct_sum(G: FiniteAbelianGroup, H: FiniteAbelianGroup) -> FiniteAbelianGro
     return make_group(G.moduli + H.moduli)
 
 
-def sum_projections(G: FiniteAbelianGroup, H: FiniteAbelianGroup):
-    """The two coordinate projections out of the direct sum."""
-    S = direct_sum(G, H)
-    pg = Homomorphism(S, G, tuple(
-        tuple(1 if j == i else 0 for j in range(S.rank)) for i in range(G.rank)
-    ))
-    ph = Homomorphism(S, H, tuple(
-        tuple(1 if j == G.rank + i else 0 for j in range(S.rank))
-        for i in range(H.rank)
-    ))
-    return S, pg, ph
-
-
 def diagonal_hom(G: FiniteAbelianGroup) -> Homomorphism:
     """x -> (x, x) into the direct sum of G with itself."""
     S = direct_sum(G, G)
@@ -209,15 +196,7 @@ def external_product(u: GroupFunction, v: GroupFunction,
     vals = [u.values[i % nG] * v.values[i // nG] for i in range(S.order)]
     w = GroupFunction(S, vals)
     if check:
-        uv, vv = evaluate_function(u), evaluate_function(v)
-        wv = evaluate_function(w)
-        if uv.is_ppd and vv.is_ppd and not wv.is_ppd:
-            raise AssertionError("external product of PPD inputs is not PPD")
-        if uv.is_good and vv.is_good and not wv.is_good:
-            raise AssertionError("external product of good inputs is not good")
-        if u.mode.eq(u.values[0], 1) and v.mode.eq(v.values[0], 1):
-            if not w.mode.eq(w.values[0], 1):
-                raise AssertionError("external product lost normalization")
+        _check_product_closure("external product", u, v, w)
     return w
 
 
@@ -228,16 +207,22 @@ def pointwise_product(u: GroupFunction, v: GroupFunction,
         raise ValueError("pointwise product needs functions on one group")
     w = GroupFunction(u.group, [a * b for a, b in zip(u.values, v.values)])
     if check:
-        uv, vv = evaluate_function(u), evaluate_function(v)
-        wv = evaluate_function(w)
-        if uv.is_ppd and vv.is_ppd and not wv.is_ppd:
-            raise AssertionError("product of PPD inputs is not PPD")
-        if uv.is_good and vv.is_good and not wv.is_good:
-            raise AssertionError("product of good inputs is not good")
-        if u.mode.eq(u.values[0], 1) and v.mode.eq(v.values[0], 1):
-            if not w.mode.eq(w.values[0], 1):
-                raise AssertionError("product lost normalization")
+        _check_product_closure("product", u, v, w)
     return w
+
+
+def _check_product_closure(name: str, u: GroupFunction, v: GroupFunction,
+                           w: GroupFunction) -> None:
+    """Raise if the product w of u and v lost PPD, goodness or normalization."""
+    uv, vv = evaluate_function(u), evaluate_function(v)
+    wv = evaluate_function(w)
+    if uv.is_ppd and vv.is_ppd and not wv.is_ppd:
+        raise AssertionError(f"{name} of PPD inputs is not PPD")
+    if uv.is_good and vv.is_good and not wv.is_good:
+        raise AssertionError(f"{name} of good inputs is not good")
+    if u.mode.eq(u.values[0], 1) and v.mode.eq(v.values[0], 1):
+        if not w.mode.eq(w.values[0], 1):
+            raise AssertionError(f"{name} lost normalization")
 
 
 def ppd_times_good(f: GroupFunction, g: GroupFunction):

@@ -6,13 +6,16 @@ is never implicit.  Functions run in one of two arithmetic modes, decided by
 their values: exact (int/Fraction/Cyc scalars, identities hold on the nose)
 or float (complex values, equality up to a tolerance); see Mode.
 
-The transform is the naive O(|G|^2) sum over a cached character-exponent
-table, which is ample at order <= 64.
+Both transforms, and the spectral screen in ppd, are one character-sum
+kernel, _character_sums: an O(|G|^2) sum over a cached exponent table.  In
+exact mode it sums the rational values per power of zeta_E, joins the powers
+in ascending order, then adds each cyclotomic term in index order; this order
+fixes the conductor each result is stored at, which str() prints.  In float
+mode it sums root * value in index order.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -185,9 +188,6 @@ class GroupFunction:
     def map(self, fn) -> "GroupFunction":
         return GroupFunction(self.group, [fn(v) for v in self.values])
 
-    def to_float(self) -> "GroupFunction":
-        return GroupFunction(self.group, [to_complex(v) for v in self.values])
-
 
 class HaarScale:
     """Haar measure = scale * counting measure; scale is a positive rational or float."""
@@ -228,10 +228,6 @@ def counting_haar(G: FiniteAbelianGroup) -> HaarScale:
     return HaarScale(G, Fraction(1))
 
 
-def self_dual_haar(G: FiniteAbelianGroup) -> HaarScale:
-    return HaarScale(G, 1.0 / math.sqrt(G.order))
-
-
 class ScaledMeasure:
     """A density times a Haar scale; total mass is scale * sum of the density."""
 
@@ -267,71 +263,59 @@ def fourier_transform(f: GroupFunction, m: HaarScale) -> GroupFunction:
     """f_hat(chi) = scale * sum_x conj(chi(x)) f(x), on the dual group."""
     if f.group != m.group:
         raise ValueError(f"function on {f.group} but Haar scale on {m.group}")
-    G = f.group
-    table = exponent_table(G.moduli)
+    out = _character_sums(f.group, f.values, -1, m.scale, f.mode & m.mode)
+    return GroupFunction(dual_group(f.group), out)
+
+
+def inverse_transform(mu: ScaledMeasure) -> GroupFunction:
+    """mu_check(x) = sum_chi chi(x) d(mu)(chi), a function on the dual group."""
+    out = _character_sums(mu.group, mu.density.values, 1, mu.haar.scale, mu.mode)
+    return GroupFunction(dual_group(mu.group), out)
+
+
+def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode):
+    """scale * sum_a values[a] * zeta_E^(sign * <a, b>) for every index b; the
+    pairing is symmetric, so row b of the exponent table serves both directions."""
     E = G.exponent()
-    if f.is_exact and m.is_exact:
+    table = exponent_table(G.moduli)
+    if mode.exact:
         out = []
-        for a in range(G.order):
-            row = table[a]
-            buckets = [Fraction(0)] * E
-            tail = []
-            for x, v in enumerate(f.values):
-                if isinstance(v, (int, Fraction)):
-                    buckets[(-row[x]) % E] += v
-                else:
-                    tail.append(unit_root(E, -row[x]) * v)
+        for row in table:
+            buckets, terms = _bucket_row(row, values, sign, E)
             acc = _from_buckets(E, buckets)
-            for t in tail:
+            for t in terms:
                 acc = acc + t
-            out.append(acc * m.scale)
-        return GroupFunction(dual_group(G), out)
+            out.append(acc * scale)
+        return out
     roots = _complex_roots(E)
-    scale = m.scale if isinstance(m.scale, float) else float(m.scale)
-    vals = [to_complex(v) for v in f.values]
-    out = [
-        scale * sum(roots[(-table[a][x]) % E] * vals[x] for x in range(G.order))
-        for a in range(G.order)
+    scale = float(scale)
+    vals = [to_complex(v) for v in values]
+    return [
+        scale * sum(roots[(sign * k) % E] * v for k, v in zip(row, vals))
+        for row in table
     ]
-    return GroupFunction(dual_group(G), out)
+
+
+def _bucket_row(row, values, sign: int, E: int):
+    """(buckets, terms): buckets[k] sums the rational values[x] with sign * row[x]
+    = k mod E; terms lists unit_root(E, sign * row[x]) * values[x] for the rest, by x."""
+    buckets = [Fraction(0)] * E
+    terms = []
+    for k, v in zip(row, values):
+        if isinstance(v, (int, Fraction)):
+            buckets[(sign * k) % E] += v
+        else:
+            terms.append(unit_root(E, sign * k) * v)
+    return buckets, terms
 
 
 def _from_buckets(E: int, buckets):
+    """sum_k zeta_E^k * buckets[k], added in ascending k."""
     acc = Fraction(0)
     for k, c in enumerate(buckets):
         if c:
             acc = acc + unit_root(E, k) * c
     return acc
-
-
-def inverse_transform(mu: ScaledMeasure) -> GroupFunction:
-    """mu_check(x) = sum_chi chi(x) d(mu)(chi), a function on the dual group."""
-    G = mu.group
-    table = exponent_table(G.moduli)
-    E = G.exponent()
-    if mu.is_exact:
-        out = []
-        for x in range(G.order):
-            buckets = [Fraction(0)] * E
-            tail = []
-            for a, v in enumerate(mu.density.values):
-                if isinstance(v, (int, Fraction)):
-                    buckets[table[a][x] % E] += v
-                else:
-                    tail.append(unit_root(E, table[a][x]) * v)
-            acc = _from_buckets(E, buckets)
-            for t in tail:
-                acc = acc + t
-            out.append(acc * mu.haar.scale)
-        return GroupFunction(dual_group(G), out)
-    roots = _complex_roots(E)
-    scale = mu.haar.scale if isinstance(mu.haar.scale, float) else float(mu.haar.scale)
-    vals = [to_complex(v) for v in mu.density.values]
-    out = [
-        scale * sum(roots[table[a][x] % E] * vals[a] for a in range(G.order))
-        for x in range(G.order)
-    ]
-    return GroupFunction(dual_group(G), out)
 
 
 def dual_haar(m: HaarScale) -> HaarScale:

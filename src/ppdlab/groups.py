@@ -304,16 +304,6 @@ def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
     return subgroup_from_generators(G, [])
 
 
-def full_subgroup(G: FiniteAbelianGroup) -> Subgroup:
-    gens = []
-    for j, n in enumerate(G.moduli):
-        if n > 1:
-            e = [0] * G.rank
-            e[j] = 1
-            gens.append(tuple(e))
-    return subgroup_from_generators(G, gens)
-
-
 def all_subgroups(G: FiniteAbelianGroup,
                   bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
     """Complete duplicate-free subgroup list, ordered by (size, element list)."""
@@ -405,14 +395,6 @@ def identity_hom(G: FiniteAbelianGroup) -> Homomorphism:
     ))
 
 
-def compose_hom(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
-    if inner.target != outer.source:
-        raise ValueError("homomorphisms not composable")
-    M = intlinalg.mat_mul([list(r) for r in outer.matrix],
-                          [list(r) for r in inner.matrix])
-    return Homomorphism(inner.source, outer.target, tuple(map(tuple, M)))
-
-
 def dual_hom(phi: Homomorphism) -> Homomorphism:
     """Adjoint map on characters: <dual_hom(phi)(b), x> = <b, phi(x)>."""
     hom_validate(phi)
@@ -469,9 +451,6 @@ class QuotientGroup:
     @property
     def num_cosets(self) -> int:
         return self.group.order
-
-    def project_index(self, i: int) -> int:
-        return self.projection[i]
 
     def __repr__(self):
         return f"QuotientGroup({self.parent} / {list(self.subgroup.elements)})"

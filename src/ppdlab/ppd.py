@@ -27,6 +27,7 @@ from .cyclotomic import (
     is_rational,
     is_real_scalar,
     real_sign,
+    scalar_inv,
     to_complex,
     unit_root,
 )
@@ -34,6 +35,8 @@ from .fourier import (
     GroupFunction,
     HaarScale,
     ScaledMeasure,
+    _bucket_row,
+    _from_buckets,
     counting_haar,
     dual_haar,
     exponent_table,
@@ -180,10 +183,6 @@ def bochner_oracle(f: GroupFunction) -> bool:
     return _psd_exact_field([[vals[i] for i in row] for row in diff])
 
 
-def _is_exact_zero(v) -> bool:
-    return is_rational(v) and v == 0
-
-
 def _psd_exact_field(M) -> bool:
     """Schur-complement elimination with exact real-cyclotomic scalars."""
     n = len(M)
@@ -198,13 +197,13 @@ def _psd_exact_field(M) -> bool:
             if s > 0 and pivot is None:
                 pivot = i
         if pivot is None:
-            return all(_is_exact_zero(M[i][j]) for i in active for j in active)
+            return all(not M[i][j] for i in active for j in active)
         rest = [i for i in active if i != pivot]
         p = M[pivot][pivot]
-        pinv = (Fraction(1) / Fraction(p)) if is_rational(p) else p.inverse()
+        pinv = scalar_inv(p)
         for i in rest:
             ci = M[i][pivot] * pinv
-            if _is_exact_zero(ci):
+            if not ci:
                 continue
             for j in rest:
                 M[i][j] = M[i][j] - ci * M[pivot][j]
@@ -259,20 +258,16 @@ def spectral_min_sign(f: GroupFunction) -> int:
     """Certified sign of min f_hat over the dual group (exact functions only).
 
     This is the fast exact-mode spectral route: a double-precision screen over
-    the bucketed character sums, with exact cyclotomic fallback only when a
-    value is too close to zero to call in doubles.
+    the character-sum kernel's bucketed rows, with exact cyclotomic fallback
+    only when a value is too close to zero to call in doubles.
     """
     if not f.is_exact or not all(is_rational(v) for v in f.values):
         raise ValueError("spectral_min_sign expects rational exact values")
     G = f.group
     E = G.exponent()
-    table = exponent_table(G.moduli)
     worst = 1
-    for a in range(G.order):
-        row = table[a]
-        buckets = [Fraction(0)] * E
-        for x, v in enumerate(f.values):
-            buckets[(-row[x]) % E] += v
+    for row in exponent_table(G.moduli):
+        buckets, _ = _bucket_row(row, f.values, -1, E)
         approx = 0.0
         mass = 0.0
         for k, b in enumerate(buckets):
@@ -283,10 +278,7 @@ def spectral_min_sign(f: GroupFunction) -> int:
         if abs(approx) > 1e-9 * (mass + 1.0):
             sgn = 1 if approx > 0 else -1
         else:
-            value = sum(
-                (unit_root(E, k) * b for k, b in enumerate(buckets) if b),
-                Fraction(0),
-            )
+            value = _from_buckets(E, buckets)
             if not is_real_scalar(value):
                 raise ValueError("transform not real; function is not even-real")
             sgn = real_sign(value)

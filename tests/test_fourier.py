@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab.cyclotomic import scalar_eq, to_complex
+from ppdlab.cyclotomic import scalar_eq, to_complex, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -29,8 +30,10 @@ from ppdlab.groups import (
     identity_hom,
     make_group,
     pairing,
+    parse_group,
     subgroup_from_generators,
 )
+from ppdlab.ppd import sample_good
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -61,6 +64,64 @@ def test_transform_golden_z4():
     # oracle agreement
     ref = naive_dft([4, 2, 1, 2], (4,))
     assert all(abs(to_complex(v) - r) < 1e-12 for v, r in zip(fhat.values, ref))
+
+
+# sha256 of repr((f_hat.values, mu_check.values)).  The repr shows the
+# conductor each Cyc value is stored at, which depends on the summation order
+# (see the fourier module docstring); str() of a value prints that conductor.
+TRANSFORM_GOLDEN = {
+    "rational Z12": "e19245699e0f381fed4fa28ee8788f982a401c9fe604eb3089b87ae67648e8b6",
+    "rational Z6xZ2": "f742b22786b0b3f5503edf1d77d754a7d376f30d46908e6184d4933a8b8ec03a",
+    "rational Z15": "ceb0177aa41f2a2bfe0842cbc02e963cd7717be9b63a176aed35463300f30315",
+    "rational Z16": "2a34ec74b7ff7b95a75783ef95cd0f360cfedada352317f3ad914d9224926ac2",
+    "gaussian rational Z8": "537df008586a287526e0b11f4d382868581886cf2820d80c954ce8fda5f6acdb",
+    "gaussian rational Z12": "ea080c5b3ef30809377fb88d6adfb10e40af6fd327520f4c9b5eb7e018336d53",
+    "sparse rational Z15": "9bb1ac688279bd1efbfecc4a476a5e4499be35212f6cfabd0b58e1ec2c652fcb",
+    "sparse gaussian rational Z12": "02abc82173b6ec88a91482eba5a10f25745bfe3c1533095f1ca08669098fc92c",
+    "sample_good Z15 1": "f67a039d193a0d6958ce08ffb07582a9bffa0131cb4d85c3c09d9c3f9a292b80",
+    "sample_good Z15 2": "4064db495e1b23c83daec21378544bc4762ef5249370f9bcdfedf893208bbb8e",
+    "float, float scale": "5e4aadf638117873302439c96feeedfa33e5aa5950bd281d955caf778a0c5ca7",
+    "float, rational scale": "1630903fad65b1176d4822ee953569970b211a612f559a3b6e9a7723d5d7b471",
+}
+
+
+def _golden_transform_cases():
+    i = unit_root(4, 1)
+    cases = []
+    for text in ("Z12", "Z6xZ2", "Z15", "Z16"):
+        G = parse_group(text)
+        vals = [Fraction((7 * x * x + 3 * x) % 11 - 3, 1 + x % 4) for x in range(G.order)]
+        cases.append((f"rational {text}", GroupFunction(G, vals), Fraction(1, 3)))
+    for text in ("Z8", "Z12"):
+        G = parse_group(text)
+        vals = [Fraction(x % 5, 2) + Fraction(3 * x % 4 - 1, 3) * i for x in range(G.order)]
+        cases.append((f"gaussian rational {text}", GroupFunction(G, vals), Fraction(1)))
+    # one row each where summing the buckets, or the cyclotomic terms, in
+    # another order collapses to a rational at a different step
+    Z15 = make_group([15])
+    vals = [Fraction(0)] * 15
+    vals[12], vals[10], vals[5] = Fraction(3), Fraction(2), Fraction(2)
+    cases.append(("sparse rational Z15", GroupFunction(Z15, vals), Fraction(1)))
+    Z12 = make_group([12])
+    vals = [i, i, i, 2 * i] + [Fraction(0)] * 8
+    cases.append(("sparse gaussian rational Z12", GroupFunction(Z12, vals), Fraction(1)))
+    for s in (1, 2):
+        cases.append((f"sample_good Z15 {s}", sample_good(Z15, s), Fraction(1)))
+    G = make_group([6, 2])
+    f = GroupFunction(G, [complex(0.3 + 0.1 * x, 0.05 * (x % 3)) for x in range(G.order)])
+    cases.append(("float, float scale", f, 0.7))
+    cases.append(("float, rational scale", f, Fraction(1, 3)))
+    return cases
+
+
+def test_transform_outputs_golden():
+    got = {}
+    for name, f, s in _golden_transform_cases():
+        m = HaarScale(f.group, s)
+        fwd = fourier_transform(f, m).values
+        inv = inverse_transform(ScaledMeasure(f.group, f, m)).values
+        got[name] = hashlib.sha256(repr((fwd, inv)).encode()).hexdigest()
+    assert got == TRANSFORM_GOLDEN
 
 
 def test_transform_delta_is_constant():

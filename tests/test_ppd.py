@@ -19,6 +19,7 @@ from ppdlab.fourier import (
 from ppdlab.groups import (
     Homomorphism,
     abelian_group_catalog,
+    all_subgroups,
     make_group,
     quotient,
     subgroup_from_generators,
@@ -148,6 +149,17 @@ def test_bochner_oracle_matches_spectral_random():
                     vals[G.neg_index(i)] = v
             f = GroupFunction(G, vals)
             assert bochner_oracle(f) == (spectral_min_sign(f) >= 0)
+        # transforms with exact zeros: these rows take the exact fallback
+        indicators = [[Fraction(1)] * G.order] + [
+            [Fraction(int(i in H.elements)) for i in range(G.order)]
+            for H in all_subgroups(G)
+        ]
+        for vals in indicators:
+            f = GroupFunction(G, vals)
+            sign = spectral_min_sign(f)
+            assert bochner_oracle(f) == (sign >= 0)
+            fhat = fourier_transform(f, counting_haar(G))
+            assert sign == min(real_sign(v) for v in fhat.values)
 
 
 def test_bochner_oracle_float_mode():
