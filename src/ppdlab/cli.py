@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cone import (
+    HREP_ORDER_BOUND,
     extremal_rays,
     field_of_definition_check,
     ppd_cone_hrep,
@@ -147,7 +148,7 @@ def cmd_cone(args) -> int:
         G = parse_group(args.group)
     except ValueError as exc:
         raise InputError(str(exc))
-    if G.order > _order_or(args, 16):
+    if G.order > _order_or(args, HREP_ORDER_BOUND):
         raise InputError(f"group order {G.order} exceeds the configured bound")
     cone = ppd_cone_hrep(G)
     payload = {"group": args.group, "dimension": cone.basis.dim}

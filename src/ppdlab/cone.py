@@ -10,15 +10,19 @@ coefficient and ray coordinate lives: each new ray is divided by its integer
 content, tight sets are bitmasks, signs are certified, insertion order is
 fixed, and every output ray passes a fraction-free tightness-rank test.
 Canonical rays are primitive with the first nonzero coordinate a positive
-integer.  Cyc values are built only for the report, each ray coordinate at
-the conductor that Cyc arithmetic along the same path gives it (the lcm of
-the operands', 1 for a rational result), which fixes how it prints.
+integer.  The H-rep is built once per group, with the integer rows of its
+coefficients; double description, the self-duality pairing and the printed
+report read those rows and the ray coordinates.  Cyc ray values are built
+for the field report, each coordinate at the conductor that Cyc arithmetic
+along the same path gives it (the lcm of the operands', 1 for a rational
+result), which fixes how it prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
@@ -26,7 +30,6 @@ from .cyclotomic import (
     CosRing,
     cos_basis_string,
     cos_ring,
-    exact_str,
     expand_in_cos_basis,
     is_rational,
     real_sign,
@@ -100,16 +103,20 @@ class Inequality:
 class PolyhedralCone:
     basis: EvenBasis
     inequalities: tuple[Inequality, ...]
+    rows: tuple[tuple, ...]  # per inequality, its coefficients in ring coordinates
+    row_conds: tuple[tuple[int, ...], ...]  # and the conductors of those coefficients
     rays: Optional[tuple[tuple, ...]] = None
     ray_tight: Optional[tuple[frozenset, ...]] = None
     ray_coords: Optional[tuple[tuple, ...]] = None  # canonical ring coordinates
 
 
-def ppd_cone_hrep(G: FiniteAbelianGroup,
-                  bound: int = HREP_ORDER_BOUND) -> PolyhedralCone:
-    """One inequality per element orbit and per dual orbit, point ones first."""
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds H-rep bound {bound}")
+@lru_cache(maxsize=None)
+def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
+    """One inequality per element orbit and per dual orbit, point ones first,
+    with every coefficient expanded once into ring coordinates; built once per
+    group."""
+    if G.order > HREP_ORDER_BOUND:
+        raise ValueError(f"group order {G.order} exceeds H-rep bound {HREP_ORDER_BOUND}")
     basis = EvenBasis(G)
     E = G.exponent()
     table = exponent_table(G.moduli)
@@ -127,7 +134,12 @@ def ppd_cone_hrep(G: FiniteAbelianGroup,
                 sum((unit_root(E, -row[x]) for x in orbit), Fraction(0))
             )
         ineqs.append(Inequality(tuple(coeffs), "dual", rep))
-    return PolyhedralCone(basis, tuple(ineqs))
+    exps = [[expand_in_cos_basis(c, E) for c in q.coeffs] for q in ineqs]
+    if any(x is None or any(c.denominator != 1 for c in x) for row in exps for x in row):
+        raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{E})]")
+    rows = tuple(tuple(tuple(int(c) for c in x) for x in row) for row in exps)
+    conds = tuple(tuple(_conductor(c) for c in q.coeffs) for q in ineqs)
+    return PolyhedralCone(basis, tuple(ineqs), rows, conds)
 
 
 # -- exact sign of an inequality value -------------------------------------------
@@ -165,16 +177,6 @@ def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
 
 def _conductor(x) -> int:
     return 1 if is_rational(x) else x.field.E
-
-
-def _ring_rows(cone: PolyhedralCone, e: int):
-    """Every inequality's coefficients in ring coordinates, and their conductors."""
-    exps = [[expand_in_cos_basis(c, e) for c in q.coeffs] for q in cone.inequalities]
-    if any(x is None or any(c.denominator != 1 for c in x) for row in exps for x in row):
-        raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{e})]")
-    rows = tuple(tuple(tuple(int(c) for c in x) for x in row) for row in exps)
-    conds = tuple(tuple(_conductor(c) for c in q.coeffs) for q in cone.inequalities)
-    return rows, conds
 
 
 def _dot(ring: CosRing, row, vec, conds=None):
@@ -240,8 +242,7 @@ def canonical_ray(vec, e: int):
 # -- double description --------------------------------------------------------------
 
 
-def extremal_rays(cone: PolyhedralCone,
-                  dim_bound: int = RAY_DIM_BOUND) -> PolyhedralCone:
+def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     """Fill in the V-representation by incremental double description.
 
     Starts from the nonnegative orthant cut out by the point inequalities
@@ -253,11 +254,10 @@ def extremal_rays(cone: PolyhedralCone,
     """
     basis = cone.basis
     d = basis.dim
-    if d > dim_bound:
-        raise ValueError(f"cone dimension {d} exceeds ray bound {dim_bound}")
-    e = basis.group.exponent()
-    ring = cos_ring(e)
-    rows, row_conds = _ring_rows(cone, e)
+    if d > RAY_DIM_BOUND:
+        raise ValueError(f"cone dimension {d} exceeds ray bound {RAY_DIM_BOUND}")
+    ring = cos_ring(basis.group.exponent())
+    rows, row_conds = cone.rows, cone.row_conds
     point_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "point"]
     dual_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "dual"]
     if len(point_idx) != d:
@@ -383,13 +383,13 @@ def report_rows(cone: PolyhedralCone) -> dict:
     e = cone.basis.group.exponent()
     rows = {"inequalities": [
         {"kind": q.kind, "orbit_rep": q.orbit_rep,
-         "coeffs": [exact_str(c, e) for c in q.coeffs]}
-        for q in cone.inequalities
+         "coeffs": [cos_basis_string(c, e) for c in row]}
+        for q, row in zip(cone.inequalities, cone.rows)
     ]}
     if cone.rays is not None:
         rows["rays"] = [
-            {"coords": [exact_str(c, e) for c in ray], "tight": sorted(t)}
-            for ray, t in zip(cone.rays, cone.ray_tight)
+            {"coords": [cos_basis_string(c, e) for c in ray], "tight": sorted(t)}
+            for ray, t in zip(cone.ray_coords, cone.ray_tight)
         ]
     return rows
 
@@ -477,10 +477,9 @@ def _transform_coords(cone: PolyhedralCone) -> tuple[tuple, ...]:
     in ring coordinates: the dual inequality rows evaluated on the ray."""
     if cone.ray_coords is None:
         raise ValueError("V-representation not computed yet")
-    e = cone.basis.group.exponent()
-    ring = cos_ring(e)
-    rows, _ = _ring_rows(cone, e)
-    dual = {q.orbit_rep: row for q, row in zip(cone.inequalities, rows) if q.kind == "dual"}
+    ring = cos_ring(cone.basis.group.exponent())
+    dual = {q.orbit_rep: row for q, row in zip(cone.inequalities, cone.rows)
+            if q.kind == "dual"}
     return tuple(
         tuple(_dot(ring, dual[a], ray)[0] for a in cone.basis.orbit_reps)
         for ray in cone.ray_coords

@@ -383,16 +383,6 @@ def scalar_inv(x: Scalar) -> Scalar:
     return x.inverse()
 
 
-def real_max(values) -> Scalar:
-    best = None
-    for v in values:
-        if best is None or real_sign(v - best) > 0:
-            best = v
-    if best is None:
-        raise ValueError("real_max of empty sequence")
-    return best
-
-
 # -- real cyclotomic subfield expansions --------------------------------------
 
 
@@ -536,12 +526,6 @@ class CosRing:
 @lru_cache(maxsize=None)
 def cos_ring(e: int) -> CosRing:
     return CosRing(e)
-
-
-def exact_str(value: Scalar, e: int) -> str:
-    """The report form of an exact value: its cos-basis expansion, else repr."""
-    exp = expand_in_cos_basis(value, e)
-    return cos_basis_string(exp, e) if exp is not None else repr(value)
 
 
 def cos_basis_string(coeffs, e: int) -> str:

@@ -185,9 +185,6 @@ class GroupFunction:
     def __repr__(self):
         return f"GroupFunction({self.group}, {list(self.values)})"
 
-    def map(self, fn) -> "GroupFunction":
-        return GroupFunction(self.group, [fn(v) for v in self.values])
-
 
 class HaarScale:
     """Haar measure = scale * counting measure; scale is a positive rational or float."""

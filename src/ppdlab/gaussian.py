@@ -384,16 +384,17 @@ class GaussianGoodnessReport:
         }
 
 
-def lattice_sum(Q: QuadraticFormSPD, tol: float = 1e-16, max_radius: int = 60) -> float:
-    """sum over integer vectors of exp(-pi z^T A z), truncated when terms vanish."""
+def lattice_sum(Q: QuadraticFormSPD) -> float:
+    """sum over integer vectors of exp(-pi z^T A z), truncated once a shell past
+    radius 1 adds less than 1e-16; radius 60 is the limit."""
     n = Q.dimension
     total = 0.0
-    for radius in range(max_radius + 1):
+    for radius in range(61):
         shell = _shell_points(n, radius)
         vals = Q(shell)
         s = float(np.sum(vals))
         total += s
-        if radius > 1 and s < tol:
+        if radius > 1 and s < 1e-16:
             return total
     raise ArithmeticError("lattice sum did not converge within the radius bound")
 

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from . import intlinalg
 
-DEFAULT_ORDER_BOUND = 64
+SUBGROUP_ORDER_BOUND = 64
 
 Element = tuple[int, ...]
 
@@ -304,11 +304,10 @@ def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
     return subgroup_from_generators(G, [])
 
 
-def all_subgroups(G: FiniteAbelianGroup,
-                  bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
+def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     """Complete duplicate-free subgroup list, ordered by (size, element list)."""
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds bound {bound}")
+    if G.order > SUBGROUP_ORDER_BOUND:
+        raise ValueError(f"group order {G.order} exceeds bound {SUBGROUP_ORDER_BOUND}")
     return list(_all_subgroups_cached(G.moduli))
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .cyclotomic import (
     conj_scalar,
     is_rational,
-    is_real_scalar,
     real_sign,
     scalar_inv,
     to_complex,
@@ -168,13 +167,17 @@ def bochner_oracle(f: GroupFunction) -> bool:
 
     Exact mode uses fraction-free symmetric elimination over the integers for
     rational values and field-exact elimination otherwise; float mode uses a
-    symmetric eigensolver with tolerance 1e-9 * ||M||.
+    symmetric eigensolver with tolerance 1e-9 * ||M||.  A real f that is not
+    even gives a non-symmetric M, so it is not positive-definite.
     """
     add, neg = f.group.index_tables
     diff = [[row[j] for j in neg] for row in add]  # diff[x][y] = x - y
     vals = f.values
     if not all(f.mode.real(v) for v in vals):
         raise ValueError("matrix oracle needs a real-valued function")
+    scale = f.mode.scale(vals)
+    if not all(f.mode.eq(v, vals[j], scale) for v, j in zip(vals, neg)):
+        return False
     if not f.is_exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
@@ -221,14 +224,8 @@ def _psd_float(vals, diff) -> bool:
 def _psd_exact_rational(M: list[list[Fraction]]) -> bool:
     """Fraction-free diagonal-pivot elimination; integers throughout."""
     n = len(M)
-    lcm = 1
-    for row in M:
-        for v in row:
-            d = v.denominator
-            if lcm % d:
-                g = np.gcd(lcm, d)
-                lcm = lcm // int(g) * d
-    A = [[int(v * lcm) for v in row] for row in M]
+    den = math.lcm(*(v.denominator for row in M for v in row))
+    A = [[int(v * den) for v in row] for row in M]
     active = list(range(n))
     prev = 1
     while active:
@@ -255,7 +252,7 @@ def _psd_exact_rational(M: list[list[Fraction]]) -> bool:
 
 
 def spectral_min_sign(f: GroupFunction) -> int:
-    """Certified sign of min f_hat over the dual group (exact functions only).
+    """Certified sign of min f_hat over the dual group (even rational functions only).
 
     This is the fast exact-mode spectral route: a double-precision screen over
     the character-sum kernel's bucketed rows, with exact cyclotomic fallback
@@ -264,6 +261,8 @@ def spectral_min_sign(f: GroupFunction) -> int:
     if not f.is_exact or not all(is_rational(v) for v in f.values):
         raise ValueError("spectral_min_sign expects rational exact values")
     G = f.group
+    if any(v != f.values[j] for v, j in zip(f.values, G.index_tables[1])):
+        raise ValueError("spectral_min_sign expects an even function")
     E = G.exponent()
     worst = 1
     for row in exponent_table(G.moduli):
@@ -278,10 +277,7 @@ def spectral_min_sign(f: GroupFunction) -> int:
         if abs(approx) > 1e-9 * (mass + 1.0):
             sgn = 1 if approx > 0 else -1
         else:
-            value = _from_buckets(E, buckets)
-            if not is_real_scalar(value):
-                raise ValueError("transform not real; function is not even-real")
-            sgn = real_sign(value)
+            sgn = real_sign(_from_buckets(E, buckets))
         if sgn < worst:
             worst = sgn
             if worst < 0:

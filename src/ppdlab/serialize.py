@@ -20,7 +20,10 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v.strip())
+        try:
+            return Fraction(v.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}")
     if isinstance(v, float):
         if v != int(v):
             raise ValueError(
@@ -59,6 +62,10 @@ def _format_value(v, exact: bool):
 
 
 def function_from_dict(d: dict, mode: str = "exact") -> GroupFunction:
+    if not isinstance(d, dict):
+        raise ValueError("a function file holds a JSON object")
+    if not isinstance(d["group"], str) or not isinstance(d["values"], list):
+        raise ValueError('"group" must be a string and "values" a list')
     group = parse_group(d["group"])
     values = [_parse_value(v, mode) for v in d["values"]]
     return GroupFunction(group, values)
@@ -76,8 +83,10 @@ def measure_from_dict(d: dict, mode: str = "exact") -> ScaledMeasure:
     raw = d.get("haar_scale", "1")
     if mode == "exact":
         scale = parse_rational(raw)
+    elif isinstance(raw, (int, float, str)):
+        scale = float(parse_rational(raw) if isinstance(raw, str) else raw)
     else:
-        scale = float(Fraction(raw) if isinstance(raw, str) else raw)
+        raise ValueError(f"not a real value: {raw!r}")
     return ScaledMeasure(f.group, f, HaarScale(f.group, scale))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone import (
+    RAY_DIM_BOUND,
     extremal_rays,
     field_of_definition_check,
     is_interior,
@@ -60,11 +61,11 @@ from .ppd import (
 )
 
 
-def random_even_function(G, rng, lo: int = -9, hi: int = 9) -> GroupFunction:
+def random_even_function(G, rng) -> GroupFunction:
     vals = [None] * G.order
     for i in range(G.order):
         if vals[i] is None:
-            v = Fraction(rng.randint(lo, hi))
+            v = Fraction(rng.randint(-9, 9))
             vals[i] = v
             vals[G.neg_index(i)] = v
     return GroupFunction(G, vals)
@@ -170,9 +171,8 @@ _PRODUCT_GROUPS = ([2], [3], [4], [2, 2], [5], [6], [3, 2], [8], [4, 2], [2, 2, 
                    [9], [10], [12], [6, 2], [4, 3])
 
 
-def product_closure_sweep(cases: int = 1000, seed: int = 0,
-                          external_max_order: int = 16) -> dict:
-    """Pointwise and external products keep PPD/good/normalized status."""
+def product_closure_sweep(cases: int = 1000, seed: int = 0) -> dict:
+    """Pointwise and external products (order <= 16) keep PPD/good/normalized status."""
     failures = []
     diag_checked = 0
     for j in range(cases):
@@ -187,7 +187,7 @@ def product_closure_sweep(cases: int = 1000, seed: int = 0,
         try:
             if external:
                 small = [m for m in _PRODUCT_GROUPS
-                         if G.order * make_group(m).order <= external_max_order]
+                         if G.order * make_group(m).order <= 16]
                 Hmod = list(rng.choice(small)) if small else [2]
                 Hg = make_group(Hmod)
                 w2 = normalize_function(draw(Hg, seed=rng.randrange(2**31)))
@@ -356,24 +356,23 @@ def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
     }
 
 
-def cone_atlas(max_order: int = 8, with_rays: bool = True,
-               hrep_bound: int = 16, dim_bound: int = 10) -> dict:
+def cone_atlas(max_order: int = 8, with_rays: bool = True) -> dict:
     """Per-group cone data: inequalities, rays, self-duality, field report."""
     entries = []
     for G in abelian_group_catalog(max_order):
-        cone = ppd_cone_hrep(G, bound=hrep_bound)
+        cone = ppd_cone_hrep(G)
         entry = {
             "group": format_group(G),
             "dimension": cone.basis.dim,
             "exponent": G.exponent(),
             "num_inequalities": len(cone.inequalities),
         }
-        if with_rays and cone.basis.dim > dim_bound:
+        if with_rays and cone.basis.dim > RAY_DIM_BOUND:
             entry["rays_skipped"] = (
-                f"dimension {cone.basis.dim} exceeds ray bound {dim_bound}"
+                f"dimension {cone.basis.dim} exceeds ray bound {RAY_DIM_BOUND}"
             )
         elif with_rays:
-            cone = extremal_rays(cone, dim_bound=dim_bound)
+            cone = extremal_rays(cone)
             report = field_of_definition_check(cone)
             entry["num_rays"] = len(cone.rays)
             entry["self_duality"] = self_duality_check(cone).to_dict()

@@ -45,6 +45,35 @@ def test_check_bad_group_literal_exit_2(tmp_path):
     assert main(["check", path]) == 2
 
 
+# Malformed function and measure files: (payload, mode, commands).  `check`
+# reads no haar_scale, so the haar_scale files go through `convolve` only.
+MALFORMED = {
+    "value 1/0 exact": ({"group": "Z2", "values": [["1/0", 0], [1, 0]]}, "exact",
+                        ("check", "convolve")),
+    "value 1/0 float": ({"group": "Z2", "values": [["1/0", 0], [1, 0]]}, "float",
+                        ("check", "convolve")),
+    "haar_scale 1/0 exact": ({"group": "Z2", "values": [[1, 0], [1, 0]],
+                              "haar_scale": "1/0"}, "exact", ("convolve",)),
+    "haar_scale 1/0 float": ({"group": "Z2", "values": [[1, 0], [1, 0]],
+                              "haar_scale": "1/0"}, "float", ("convolve",)),
+    "top-level array": ([1, 2], "exact", ("check", "convolve")),
+    "values 5": ({"group": "Z2", "values": 5}, "exact", ("check", "convolve")),
+    "group 5": ({"group": 5, "values": [[1, 0]]}, "exact", ("check", "convolve")),
+    "float haar_scale [1]": ({"group": "Z2", "values": [[1, 0], [1, 0]],
+                              "haar_scale": [1]}, "float", ("convolve",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_2(case, tmp_path, capsys):
+    payload, mode, commands = MALFORMED[case]
+    path = write(tmp_path, "bad.json", payload)
+    for command in commands:
+        argv = ["--mode", mode, command, path] + ([path] if command == "convolve" else [])
+        assert main(argv) == 2, (case, command)
+        assert capsys.readouterr().err.startswith("error: "), (case, command)
+
+
 def test_cone_rays_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "rays.csv"
     out_path = tmp_path / "cone.json"
@@ -250,3 +279,84 @@ def test_cone_rays_golden_orders_13_to_16(capsys):
         assert (hashlib.sha256(out.encode()).hexdigest(), code) == (
             CONE_GOLDEN_13_16[name]
         ), name
+
+
+# sha256 of stdout and the exit code of `ppdlab cone G --rays` and of
+# `ppdlab cone G`, for every presentation of order 1 to 12, recorded before
+# the reports were printed from the cone's integer rows.
+CONE_GOLDEN_1_12 = {
+    "Z1": (("d90d612dcea203b439472538c67624ac96c513aed2213fd639e2a46e849f9b55", 0),
+           ("7f5f1547c239e0cde29fae83f6cece71ff74df4ef3eefdce37991c2a6f8e056a", 0)),
+    "Z2": (("61372f743103dd4421845fd2444ebb50a51a8c0fd6530cdd704b1495043dead6", 0),
+           ("90bfa77182ffddaa669b6f591c3a4a31a0263449bb4b023d4bdc16120696fc88", 0)),
+    "Z3": (("5a1a93f515ddb71ed9756757702c29de864ecb0d2dd17c16ed4c660a7da6f71e", 0),
+           ("96528caedaa9eb1fc65bf0b7a4467a18bdce3d15f6583a3f908720d2cc196989", 0)),
+    "Z4": (("7e9048f5cce350c12cf1153373d366fb4ff1d4b6d2280443d25f52090b3c3c14", 0),
+           ("9142c8cf04cdce155760f39e0ed085c15bc06072fdac0222430f719a9719a3df", 0)),
+    "Z2xZ2": (("c5ecb5bc40c3255572888d7ccb4dc26fe9c47e994273d0d69b84c2f4908a9bc4", 0),
+              ("6ac4c6bb98372e0c4fdace30966215c71e13db1d9b1d9fb2a70165ab8af1fab2", 0)),
+    "Z5": (("9905e32a5af599c57a4dd5f27379cb19af375cb175de804de1595334060ebaa9", 0),
+           ("ec598d9eb9140bcb806fd789b767374214d9b06e3a711ad1a18dd8625be9b861", 0)),
+    "Z6": (("e912bfde8c7459fbffe2cf20d9fad1d3418da1b478647682c93737db46f82b84", 0),
+           ("5cf0779d999e855dcb7b993db6446b04daa43f66b8b34ee2c81f3486c195832e", 0)),
+    "Z3xZ2": (("830fb12280f3940ab7c136a5002bb5f81a42dfc177c7dbd68e533f5321413fae", 0),
+              ("abf99420b0dc7c777b91937bed1c27fe401bdb9d8bf87cd295a4341c2f086e08", 0)),
+    "Z7": (("17b28a25d62a508d34a265289324b8b8cc160cd4be51753ca24254c0a6d55584", 0),
+           ("8f83705a2e5cc77b4337cc9ef91bccf4b9d60f47f65de5e268103273adeb6d22", 0)),
+    "Z8": (("06859bd0950a597ffc84f7c265ef33b3d022b84188c6970b04d15fdb796c9a12", 0),
+           ("c97c1e2be72900380dd1c9fdee207a467c3b97f47cde49f317e67627a43acccf", 0)),
+    "Z4xZ2": (("5b702c6e9d1b115b0a40ed53702258e78617e11a37ceee229681a8b2b7e5000e", 0),
+              ("7bb5416d440080a03889b1116bde72fbea047a4900c80c7e7d5cd874d780d9eb", 0)),
+    "Z2xZ2xZ2": (("3afe0b9e60e3bd0952d7e3ea31217a79739a8566f5795d608af1210fff025219", 0),
+                 ("3642a428b49c7f4be8f8f6754ce9c2de087643a9c003f0805527b1c92e92d8c6", 0)),
+    "Z9": (("9b0f260908fad137461b95b8cfda05dc8ae85c9d414dfd47818a4e6adaf255bb", 0),
+           ("ec4beb01280c17e7ba4e0496e911216b4b7bde6b2c99afc70d14b707b70d4d7d", 0)),
+    "Z3xZ3": (("50a8a4b66c71460ab1ab710a56aec0eb337fe8c24becfc549c8f79b160cfa1eb", 0),
+              ("7d6c5ad9a02e3f879688075b87f9b8727a1dc840cc5bf0844589354a54d650a1", 0)),
+    "Z10": (("8340f20d7c66193d7847144d3fd8a4644b9489058d853a2678216f2acb7da93d", 0),
+            ("8943aac1744767e8dff4cbc5b0b0ecc368d094c532eeef5db16132fc551e7297", 0)),
+    "Z5xZ2": (("398784c1f99585c8b40e22bc2731e86a34545653b4a8f3196d0b569cbc15d5a6", 0),
+              ("923a02887b69446c384c6a6ffc5d9b31c602f2d8af94c133a0f555b873c0538b", 0)),
+    "Z11": (("6f2863600b4e86a9865b1c6e7b09908d543970d052fa76e73af46a6bfe3249cf", 0),
+            ("83bb0123a7a40355ff4619db97c59e91bac42974fec59ccc639cb08fe4ad9ac7", 0)),
+    "Z12": (("e8ade02030ce5d955ad232d4b6b3defc485237a6c6778caea60baf2f85a6b552", 0),
+            ("ed2ffbb6ce2da363b3057310d4c9b63e7370617c4407a8bd325c9ba0575c4f7a", 0)),
+    "Z6xZ2": (("347dadcbc20db50dd6e808578d732197ec9c2d87349cebece66043b44682f48a", 0),
+              ("886137538576ed45838be196c9b8d5f93b5708673bdea2da7e27ce1655f284a2", 0)),
+    "Z4xZ3": (("1a3934cc944d9a90001ccd1300f5878aee3171d79b3a18926aaaee1b624f5429", 0),
+              ("410957da752097148b9fd3dffca5b57373e39264335cfb5778426e4fadcd5f19", 0)),
+    "Z3xZ2xZ2": (("8eb8e78aa4ba5c667ac98163d09b3085ec372e0dd7990dd288520818ca6a5ecf", 0),
+                 ("20e8ad0f0aba18a58cda62c8db3124483af24f28f487889d040e0b85526e3c45", 0)),
+}
+
+# the same for the two order-16 atlases, and the sha256 of the ray CSV of Z10
+ATLAS_GOLDEN_16 = {
+    (): ("4ef2b01d2f48cf004a1846c7b31f41b109badd7da81fe89ffea8e3edec6e840f", 0),
+    ("--no-rays",): ("ad9e9c43e83a541976b1f17c4acffdfdc4d5f531a752f7ae3bba3558f6cd4b8d", 0),
+}
+CSV_GOLDEN_Z10 = "98c426dd8e6407c2ab86802e9108bac32b17129efafa586c42d7301c8cdfa1a9"
+
+
+def _stdout_digest(capsys, argv):
+    code = main(argv)
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code
+
+
+def test_cone_golden_orders_1_to_12(capsys):
+    from ppdlab.groups import abelian_group_catalog, format_group
+
+    names = [format_group(G) for G in abelian_group_catalog(12)]
+    assert names == list(CONE_GOLDEN_1_12)
+    for name in names:
+        got = (_stdout_digest(capsys, ["cone", name, "--rays"]),
+               _stdout_digest(capsys, ["cone", name]))
+        assert got == CONE_GOLDEN_1_12[name], name
+
+
+def test_cone_atlas_and_csv_golden(tmp_path, capsys):
+    for extra, want in ATLAS_GOLDEN_16.items():
+        assert _stdout_digest(capsys, ["cone-atlas", "--max-order", "16", *extra]) == want
+    csv_path = tmp_path / "z10.csv"
+    assert main(["cone", "Z10", "--rays", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CSV_GOLDEN_Z10

@@ -1,14 +1,13 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ppdlab.cone import (
     EvenBasis,
+    _conductor,
     _dot,
-    _ring_rows,
     _transform_coords,
     brute_force_rays,
     canonical_ray,
@@ -83,7 +82,21 @@ def test_hrep_golden_z2_z3_z4():
 
 def test_hrep_bound():
     with pytest.raises(ValueError):
-        ppd_cone_hrep(make_group([17]), bound=16)
+        ppd_cone_hrep(make_group([17]))
+
+
+def test_hrep_rows_are_the_coefficients_and_built_once():
+    """The stored integer rows re-evaluate to the Cyc coefficients, and each
+    group's H-rep is built once."""
+    for G in abelian_group_catalog(16):
+        cone = ppd_cone_hrep(G)
+        ring = cos_ring(G.exponent())
+        assert len(cone.rows) == len(cone.row_conds) == len(cone.inequalities)
+        for q, row in zip(cone.inequalities, cone.rows):
+            assert len(row) == len(q.coeffs) == cone.basis.dim
+            for c, x in zip(q.coeffs, row):
+                assert ring.scalar(x, G.exponent()) == c, (G, q)
+        assert ppd_cone_hrep(G) is ppd_cone_hrep(make_group(G.moduli))
 
 
 def test_extremal_rays_golden_counts_and_vectors():
@@ -158,17 +171,17 @@ def test_ring_evaluation_carries_the_cyc_conductor():
         e = G.exponent()
         ring = cos_ring(e)
         cone = ppd_cone_hrep(G)
-        rows, conds = _ring_rows(cone, e)
+        rows, conds = cone.rows, cone.row_conds
         coeffs = [c for q in cone.inequalities for c in q.coeffs]
         for _ in range(40):
             vec = tuple(
                 sum((rng.randint(-2, 2) * rng.choice(coeffs) for _ in range(2)), Fraction(0))
                 for _ in range(cone.basis.dim)
             )
-            as_row = replace(cone.inequalities[0], coeffs=vec)
-            vrows, vconds = _ring_rows(replace(cone, inequalities=(as_row,)), e)
+            vrow = tuple(tuple(int(c) for c in expand_in_cos_basis(v, e)) for v in vec)
+            vconds = tuple(_conductor(v) for v in vec)
             q = rng.randrange(len(rows))
-            value, cond = _dot(ring, rows[q], vrows[0], (conds[q], vconds[0]))
+            value, cond = _dot(ring, rows[q], vrow, (conds[q], vconds))
             want = cone.inequalities[q].evaluate(vec)
             assert ring.scalar(value, e) == want, (moduli, vec)
             assert cond == (1 if isinstance(want, Fraction) else want.field.E)

@@ -148,7 +148,7 @@ def test_all_subgroups_matches_bruteforce():
 
 def test_all_subgroups_bound():
     with pytest.raises(ValueError):
-        all_subgroups(make_group([128]), bound=64)
+        all_subgroups(make_group([128]))
 
 
 def test_quotient_golden():

@@ -1,25 +1,41 @@
 """Guard against code no caller needs.
 
-Every function, method and class defined in the package must be named again
-somewhere in the package, the tests or the README; every module-level import
-of a source module must be used in that module.
+Every function, method and class defined in the package must be referenced
+somewhere in the package or the tests, as a name, an attribute or an import;
+every module-level import of a source module must be used in that module.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ppdlab").glob("*.py"))
-CORPUS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + [ROOT / "README.md"]
+CORPUS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _count(name: str, text: str) -> int:
     return len(re.findall(rf"\b{re.escape(name)}\b", text))
 
 
+def _references(tree) -> Counter:
+    """Names a module refers to: Name ids, Attribute attrs and imported names."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+    return refs
+
+
 def test_every_definition_has_a_caller():
-    corpus = "\n".join(path.read_text() for path in CORPUS)
+    refs = Counter()
+    for path in CORPUS:
+        refs += _references(ast.parse(path.read_text()))
     unused = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -28,7 +44,7 @@ def test_every_definition_has_a_caller():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if _count(name, corpus) < 2:
+            if not refs[name]:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 

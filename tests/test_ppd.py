@@ -108,6 +108,21 @@ def test_bochner_oracle_golden():
     assert not bochner_oracle(F(Z2, 1, 2))
     with pytest.raises(ValueError):
         bochner_oracle(GroupFunction(Z2, [Fraction(1), unit_i()]))
+    # denominators whose lcm is past 2**63
+    p1, p2, p3 = 1099511627791, 1099511627817, 1099511627831
+    big = GroupFunction(Z4, [4 + Fraction(1, p1), Fraction(1, p2), Fraction(1, p3),
+                             Fraction(1, p2)])
+    assert evaluate_function(big).is_ppd
+    assert bochner_oracle(big)
+    # a real function that is not even gives a non-symmetric matrix
+    odd = F(Z3, 2, 1, 0)
+    assert not evaluate_function(odd).is_ppd
+    assert not bochner_oracle(odd)
+    odd_float = GroupFunction(Z3, [2.0, 1.0, 0.0])
+    assert not evaluate_function(odd_float).is_ppd
+    assert not bochner_oracle(odd_float)
+    with pytest.raises(ValueError):
+        spectral_min_sign(odd)
 
 
 def unit_i():
