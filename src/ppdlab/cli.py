@@ -150,6 +150,8 @@ def cmd_cone(args) -> int:
         raise InputError(str(exc))
     if G.order > _order_or(args, HREP_ORDER_BOUND):
         raise InputError(f"group order {G.order} exceeds the configured bound")
+    if args.csv and not args.rays:
+        raise InputError("--csv needs --rays")
     cone = ppd_cone_hrep(G)
     payload = {"group": args.group, "dimension": cone.basis.dim}
     if args.rays:
@@ -157,7 +159,7 @@ def cmd_cone(args) -> int:
         payload["self_duality"] = self_duality_check(cone).to_dict()
         payload["field_report"] = field_of_definition_check(cone).to_dict()
     payload.update(report_rows(cone))
-    if args.rays and args.csv:
+    if args.csv:
         _write_ray_csv(args.csv, payload["rays"], cone.basis.dim)
     _emit(payload, args.out)
     return 0

@@ -34,12 +34,12 @@ from .cyclotomic import (
     is_rational,
     real_sign,
     scalar_eq,
+    scalar_inv,
     to_complex,
     unit_root,
 )
 from .fourier import GroupFunction, Mode, exponent_table
 from .groups import FiniteAbelianGroup
-from .intlinalg import nullspace
 
 HREP_ORDER_BOUND = 16
 RAY_DIM_BOUND = 10
@@ -345,33 +345,52 @@ def _ring_rank(ring: CosRing, rows, width: int) -> int:
 
 
 def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
-    """Oracle: nullspaces of all (dim-1)-subsets of inequalities, then filter.
+    """Oracle: the line cut out by each independent (dim-1)-subset of
+    inequalities, kept when one of its two directions satisfies all of them.
 
-    Exponential; intended for the completeness cross-check on tiny groups.
+    Subsets are enumerated depth first on an incremental echelon form.  A
+    prefix whose rows are dependent is pruned: every subset through it has a
+    nullspace of dimension >= 2 and cuts out no line.  Exponential; intended
+    for the completeness cross-check on tiny groups.
     """
-    import itertools
-
-    basis = cone.basis
-    d = basis.dim
-    e = basis.group.exponent()
+    d = cone.basis.dim
+    e = cone.basis.group.exponent()
+    ineqs = cone.inequalities
     found: dict[tuple, tuple] = {}
-    if d == 1:
-        vec = (Fraction(1),)
-        if all(real_sign(q.evaluate(vec)) >= 0 for q in cone.inequalities):
-            cvec, icoords = canonical_ray(vec, e)
-            found[icoords] = cvec
-        return tuple(found[k] for k in sorted(found))
-    for subset in itertools.combinations(range(len(cone.inequalities)), d - 1):
-        rows = [cone.inequalities[i].coeffs for i in subset]
-        null = nullspace(rows, d)
-        if len(null) != 1:
-            continue
-        vec = null[0]
-        for candidate in (vec, tuple(-v for v in vec)):
-            if all(real_sign(q.evaluate(candidate)) >= 0 for q in cone.inequalities):
-                cvec, icoords = canonical_ray(candidate, e)
-                found[icoords] = cvec
-                break
+
+    def keep(echelon, subset):
+        # back-substitute in reverse order: row k is 0 at earlier rows' pivots
+        vec = [Fraction(0)] * d
+        vec[next(c for c in range(d) if c not in {p for p, _ in echelon})] = Fraction(1)
+        for p, row in reversed(echelon):
+            vec[p] = -sum((c * v for c, v in zip(row, vec) if c and v), Fraction(0))
+        side = 0  # the first nonzero sign; the line is a ray only if no other shows
+        for i, q in enumerate(ineqs):
+            if i not in subset:
+                s = real_sign(q.evaluate(vec))
+                if side and s == -side:
+                    return
+                side = side or s
+        cvec, icoords = canonical_ray(tuple(-v for v in vec) if side < 0 else tuple(vec), e)
+        found[icoords] = cvec
+
+    def extend(rows, echelon, subset):
+        """rows: (index, row reduced by echelon) for the inequalities after subset."""
+        if len(echelon) == d - 1:
+            keep(echelon, subset)
+            return
+        for t, (i, row) in enumerate(rows):
+            p = next((j for j, c in enumerate(row) if c), None)
+            if p is None:
+                continue  # dependent prefix
+            inv = scalar_inv(row[p])
+            prow = [c * inv for c in row]
+            rest = [] if len(echelon) == d - 2 else [  # a leaf reads no rows
+                (j, [a - r[p] * b for a, b in zip(r, prow)] if r[p] else r)
+                for j, r in rows[t + 1:]]
+            extend(rest, echelon + [(p, prow)], subset + [i])
+
+    extend([(i, list(q.coeffs)) for i, q in enumerate(ineqs)], [], [])
     return tuple(found[k] for k in sorted(found))
 
 

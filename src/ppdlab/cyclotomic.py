@@ -314,6 +314,42 @@ def unit_root(E: int, k: int) -> Scalar:
     return Cyc.make(fld, fld.pow_vec[kr])
 
 
+def root_conductor(E: int, k: int) -> int:
+    """The conductor unit_root(E, k) is stored at: E / gcd(k, E), 1 when that is <= 2."""
+    c = E // math.gcd(k, E)
+    return c if c > 2 else 1
+
+
+@lru_cache(maxsize=None)
+def int_powers(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_L^m for m in range(L) as sparse integer power-basis coordinates:
+    the pairs (i, c) with c != 0."""
+    return tuple(
+        tuple((i, int(c)) for i, c in enumerate(vec) if c)
+        for vec in field(L).pow_vec[:L]
+    )
+
+
+@lru_cache(maxsize=None)
+def _power_descent(F: int, L: int):
+    """(N, den): N @ x / den are the coordinates in Q(zeta_F), F | L, of the
+    value with power-basis coordinates x in Q(zeta_L), when it lies in Q(zeta_F)."""
+    pv = field(L).pow_vec
+    return left_inverse([pv[k * (L // F)] for k in range(field(F).degree)])
+
+
+def from_int_coords(x, F: int, L: int, den: int) -> Scalar:
+    """x / den, for integer power-basis coordinates x in Q(zeta_L), stored at
+    conductor F (F | L, the value in Q(zeta_F)); a rational value as Fraction."""
+    if not any(x[1:]):
+        return Fraction(x[0], den)
+    if F != L:
+        mat, d = _power_descent(F, L)
+        x = _mat_vec(mat, x)
+        den *= d
+    return Cyc(field(F), tuple(Fraction(c, den) for c in x))
+
+
 def is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 
@@ -430,16 +466,6 @@ def expand_in_cos_basis(x: Scalar, e: int):
     return [Fraction(c, den * t_den) for c in coeffs]
 
 
-@lru_cache(maxsize=None)
-def _descent(e: int, F: int):
-    """(D, den): D @ a / den are the power-basis coordinates in Q(zeta_F), F | e,
-    of the value with cos-basis coordinates a, when that value lies in Q(zeta_F)."""
-    rows = _cos_frame(e, e)[0]
-    pv = field(e).pow_vec
-    inv, den = left_inverse([pv[k * (e // F)] for k in range(field(F).degree)])
-    return [_mat_vec(zip(*rows), r) for r in inv], den
-
-
 class CosRing:
     """Z[2cos(2pi/e)] on integer coordinates over b_0 = 1, b_j = 2cos(2pi j/e).
 
@@ -514,11 +540,9 @@ class CosRing:
         """a as an exact scalar stored at conductor F (F | e, a in Q(zeta_F))."""
         if not any(a[1:]):
             return Fraction(a[0])
-        mat, den = _descent(self.e, F)
-        value = Cyc.make(field(F), [Fraction(c, den) for c in _mat_vec(mat, a)])
-        if F != self.e and list(value.lift_vec(self.e)) != _mat_vec(
-            _cos_frame(self.e, self.e)[0], a
-        ):
+        x = _mat_vec(_cos_frame(self.e, self.e)[0], a)
+        value = from_int_coords(x, F, self.e, 1)
+        if F != self.e and list(value.lift_vec(self.e)) != x:
             raise ArithmeticError(f"value does not descend to conductor {F}")
         return value
 

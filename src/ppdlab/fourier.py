@@ -8,14 +8,24 @@ or float (complex values, equality up to a tolerance); see Mode.
 
 Both transforms, and the spectral screen in ppd, are one character-sum
 kernel, _character_sums: an O(|G|^2) sum over a cached exponent table.  In
-exact mode it sums the rational values per power of zeta_E, joins the powers
-in ascending order, then adds each cyclotomic term in index order; this order
-fixes the conductor each result is stored at, which str() prints.  In float
-mode it sums root * value in index order.
+float mode it sums root * value in index order.
+
+In exact mode it runs on Python ints.  Every input is put over one common
+denominator and worked in Q(zeta_L), L = lcm(E, the conductors of the Cyc
+inputs), in power-basis coordinates.  Each row sums the rational numerators
+into E buckets, adds the buckets in ascending k through a cached integer
+table of the powers of zeta_L, then adds each cyclotomic term
+zeta_E^k * value in index order.  A value is built only at the end, stored at
+the conductor a Cyc sum in that order would reach: the lcm of the term
+conductors, reset to 1 whenever a partial sum is rational.  The term
+zeta_E^k has conductor E / gcd(k, E), read as 1 when that is <= 2; a
+cyclotomic term takes the lcm with its value's conductor, or 1 when the term
+is rational.  str() prints that conductor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -23,13 +33,16 @@ from typing import Sequence
 from .cyclotomic import (
     Cyc,
     conj_scalar,
+    field,
+    from_int_coords,
+    int_powers,
     is_real_scalar,
     real_abs,
     real_sign,
+    root_conductor,
     scalar_eq,
     scalar_inv,
     to_complex,
-    unit_root,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -276,14 +289,7 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode)
     E = G.exponent()
     table = exponent_table(G.moduli)
     if mode.exact:
-        out = []
-        for row in table:
-            buckets, terms = _bucket_row(row, values, sign, E)
-            acc = _from_buckets(E, buckets)
-            for t in terms:
-                acc = acc + t
-            out.append(acc * scale)
-        return out
+        return _exact_character_sums(E, table, values, sign, scale)
     roots = _complex_roots(E)
     scale = float(scale)
     vals = [to_complex(v) for v in values]
@@ -293,26 +299,76 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode)
     ]
 
 
-def _bucket_row(row, values, sign: int, E: int):
-    """(buckets, terms): buckets[k] sums the rational values[x] with sign * row[x]
-    = k mod E; terms lists unit_root(E, sign * row[x]) * values[x] for the rest, by x."""
-    buckets = [Fraction(0)] * E
-    terms = []
-    for k, v in zip(row, values):
-        if isinstance(v, (int, Fraction)):
-            buckets[(sign * k) % E] += v
-        else:
-            terms.append(unit_root(E, sign * k) * v)
-    return buckets, terms
+def _exact_character_sums(E: int, table, values, sign: int, scale):
+    """The exact kernel on integer coordinates at L = lcm(E, input conductors)
+    over one common denominator; see the module docstring."""
+    L = math.lcm(E, *(v.field.E for v in values if isinstance(v, Cyc)))
+    den = common_denominator(values)
+    rationals, cycs = [], []
+    for x, v in enumerate(values):
+        if isinstance(v, Cyc):
+            cycs.append((x, _term_table(v, den, E, L)))
+        elif v:
+            rationals.append((x, v.numerator * (den // v.denominator)))
+    snum, den = scale.numerator, den * scale.denominator
+    out = []
+    for row in table:
+        acc, cond = root_sum(enumerate(int_buckets(row, rationals, sign, E)), E, L)
+        for x, terms in cycs:
+            vec, tc = terms[(sign * row[x]) % E]
+            for i, c in enumerate(vec):
+                acc[i] += c
+            if tc > 1:
+                cond = math.lcm(cond, tc) if any(acc[1:]) else 1
+        out.append(from_int_coords([a * snum for a in acc], cond, L, den))
+    return out
 
 
-def _from_buckets(E: int, buckets):
-    """sum_k zeta_E^k * buckets[k], added in ascending k."""
-    acc = Fraction(0)
-    for k, c in enumerate(buckets):
-        if c:
-            acc = acc + unit_root(E, k) * c
-    return acc
+def common_denominator(values) -> int:
+    """The lcm of the denominators of exact values and of Cyc coordinates."""
+    return math.lcm(*(
+        c.denominator for v in values
+        for c in (v.vec if isinstance(v, Cyc) else (v,))
+    ))
+
+
+def int_buckets(row, numerators, sign: int, E: int) -> list[int]:
+    """buckets[k] sums the integer numerators n of (x, n) with sign * row[x] = k mod E."""
+    buckets = [0] * E
+    for x, n in numerators:
+        buckets[(sign * row[x]) % E] += n
+    return buckets
+
+
+def root_sum(terms, E: int, L: int):
+    """(coordinates in Q(zeta_L), conductor) of sum n * zeta_E^k over the pairs
+    (k, n) of terms, added in the order given.  The conductor is the one a Cyc
+    sum in that order is stored at: the lcm of the term conductors since the
+    last rational partial sum."""
+    powers = int_powers(L)
+    step = L // E
+    acc = [0] * field(L).degree
+    cond = 1
+    for k, n in terms:
+        if n:
+            for i, c in powers[(k % E) * step]:
+                acc[i] += n * c
+            tc = root_conductor(E, k)
+            if tc > 1:
+                cond = math.lcm(cond, tc) if any(acc[1:]) else 1
+    return acc, cond
+
+
+def _term_table(v: Cyc, den: int, E: int, L: int):
+    """(coordinates in Q(zeta_L) of zeta_E^m * v * den, conductor of that term)
+    for every m in range(E); a rational term has conductor 1."""
+    lift = L // v.field.E
+    num = [(j * lift, c.numerator * (den // c.denominator)) for j, c in enumerate(v.vec) if c]
+    out = []
+    for m in range(E):
+        vec = root_sum(((m * (L // E) + e, n) for e, n in num), L, L)[0]
+        out.append((vec, math.lcm(root_conductor(E, m), v.field.E) if any(vec[1:]) else 1))
+    return out
 
 
 def dual_haar(m: HaarScale) -> HaarScale:

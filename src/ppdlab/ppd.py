@@ -23,25 +23,25 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import (
-    conj_scalar,
+    from_int_coords,
     is_rational,
     real_sign,
     scalar_inv,
     to_complex,
-    unit_root,
 )
 from .fourier import (
     GroupFunction,
     HaarScale,
     ScaledMeasure,
-    _bucket_row,
-    _from_buckets,
+    common_denominator,
     counting_haar,
     dual_haar,
     exponent_table,
     fourier_transform,
+    int_buckets,
     measure_from_function,
     pullback,
+    root_sum,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -255,8 +255,8 @@ def spectral_min_sign(f: GroupFunction) -> int:
     """Certified sign of min f_hat over the dual group (even rational functions only).
 
     This is the fast exact-mode spectral route: a double-precision screen over
-    the character-sum kernel's bucketed rows, with exact cyclotomic fallback
-    only when a value is too close to zero to call in doubles.
+    the character-sum kernel's integer buckets, with the kernel's exact value
+    as the fallback only when a value is too close to zero to call in doubles.
     """
     if not f.is_exact or not all(is_rational(v) for v in f.values):
         raise ValueError("spectral_min_sign expects rational exact values")
@@ -264,20 +264,23 @@ def spectral_min_sign(f: GroupFunction) -> int:
     if any(v != f.values[j] for v, j in zip(f.values, G.index_tables[1])):
         raise ValueError("spectral_min_sign expects an even function")
     E = G.exponent()
+    den = common_denominator(f.values)
+    nums = [(x, v.numerator * (den // v.denominator)) for x, v in enumerate(f.values) if v]
     worst = 1
     for row in exponent_table(G.moduli):
-        buckets, _ = _bucket_row(row, f.values, -1, E)
+        buckets = int_buckets(row, nums, -1, E)
         approx = 0.0
         mass = 0.0
         for k, b in enumerate(buckets):
             if b:
-                fb = float(b)
+                fb = b / den
                 approx += fb * math.cos(2 * math.pi * k / E)
                 mass += abs(fb)
         if abs(approx) > 1e-9 * (mass + 1.0):
             sgn = 1 if approx > 0 else -1
         else:
-            sgn = real_sign(_from_buckets(E, buckets))
+            acc, cond = root_sum(enumerate(buckets), E, E)
+            sgn = real_sign(from_int_coords(acc, cond, E, den))
         if sgn < worst:
             worst = sgn
             if worst < 0:
@@ -470,13 +473,20 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     k = rng.randint(1, min(3, G.order))
     chars = [rng.randrange(G.order) for _ in range(k)]
     weights = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(k)]
+    den = common_denominator(weights)
+    ints = [w.numerator * (den // w.denominator) for w in weights]
     values = []
     for x in range(G.order):
-        u = sum(
-            (w * unit_root(E, table[a][x]) for a, w in zip(chars, weights)),
-            Fraction(0),
-        )
-        values.append(u * conj_scalar(u))
+        exps = [table[a][x] for a in chars]
+        # u = sum_a w_a zeta^exps[a], summed in draw order, fixes the conductor
+        # of |u|^2 = sum_a,a' w_a w_a' zeta^(exps[a] - exps[a'])
+        cond = root_sum(zip(exps, ints), E, E)[1]
+        buckets = [0] * E
+        for m, w in zip(exps, ints):
+            for m2, w2 in zip(exps, ints):
+                buckets[(m - m2) % E] += w * w2
+        values.append(from_int_coords(root_sum(enumerate(buckets), E, E)[0],
+                                      cond, E, den * den))
     if strictness == "good":
         a = Fraction(rng.randint(1, 3), rng.randint(1, 3))
         b = Fraction(rng.randint(1, 3), rng.randint(1, 3))

@@ -2,7 +2,8 @@
 
 Functions serialize as {"group": "Z4xZ2", "values": [[re, im], ...]} and
 measures add {"haar_scale": "1/4"}.  In exact mode, numeric entries must be
-integers or rational strings like "3/4"; float mode accepts anything real.
+integers or rational strings like "3/4"; float mode accepts any real number
+or rational string.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ def _parse_value(entry, mode: str):
         if im_q == 0:
             return re_q
         return re_q + im_q * unit_root(4, 1)
-    return complex(float(re_part), float(im_part))
+    return complex(_real(re_part), _real(im_part))
+
+
+def _real(v) -> float:
+    """A float-mode number: rational strings like "3/4" parse as in exact mode."""
+    return float(parse_rational(v) if isinstance(v, str) else v)
 
 
 def _format_value(v, exact: bool):
@@ -84,7 +90,7 @@ def measure_from_dict(d: dict, mode: str = "exact") -> ScaledMeasure:
     if mode == "exact":
         scale = parse_rational(raw)
     elif isinstance(raw, (int, float, str)):
-        scale = float(parse_rational(raw) if isinstance(raw, str) else raw)
+        scale = _real(raw)
     else:
         raise ValueError(f"not a real value: {raw!r}")
     return ScaledMeasure(f.group, f, HaarScale(f.group, scale))

@@ -90,6 +90,21 @@ def test_cone_rays_and_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_cone_csv_needs_rays(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    assert main(["cone", "Z4", "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --csv needs --rays")
+    assert not csv_path.exists()
+
+
+def test_float_mode_reads_rational_strings(tmp_path, capsys):
+    path = write(tmp_path, "f.json", {"group": "Z2", "values": [["1/2", 0], ["1/4", 0]]})
+    for mode in ("float", "exact"):
+        assert main(["--mode", mode, "check", "--good", path]) == 0, mode
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["is_ppd"] is True and verdict["is_good"] is True, mode
+
+
 def test_cone_atlas(tmp_path):
     out = tmp_path / "atlas.json"
     assert main(["--out", str(out), "cone-atlas", "--max-order", "4"]) == 0

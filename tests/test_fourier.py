@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from ppdlab.cyclotomic import scalar_eq, to_complex, unit_root
 from ppdlab.fourier import (
+    EXACT,
     GroupFunction,
     HaarScale,
     ScaledMeasure,
+    _character_sums,
     convolve,
     counting_haar,
     dual_haar,
+    exponent_table,
     fourier_transform,
     functions_equal,
     inverse_transform,
@@ -122,6 +125,89 @@ def test_transform_outputs_golden():
         inv = inverse_transform(ScaledMeasure(f.group, f, m)).values
         got[name] = hashlib.sha256(repr((fwd, inv)).encode()).hexdigest()
     assert got == TRANSFORM_GOLDEN
+
+
+def _reference_character_sums(G, values, sign, scale):
+    """The kernel as a plain Cyc sum: rational values summed per power of
+    zeta_E, the powers added in ascending order, then each cyclotomic term
+    zeta_E^k * value added in index order."""
+    E = G.exponent()
+    out = []
+    for row in exponent_table(G.moduli):
+        buckets = [Fraction(0)] * E
+        terms = []
+        for k, v in zip(row, values):
+            if isinstance(v, (int, Fraction)):
+                buckets[(sign * k) % E] += v
+            else:
+                terms.append(unit_root(E, sign * k) * v)
+        acc = Fraction(0)
+        for k, c in enumerate(buckets):
+            if c:
+                acc = acc + unit_root(E, k) * c
+        for t in terms:
+            acc = acc + t
+        out.append(acc * scale)
+    return out
+
+
+_small_fractions = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def _field_values(draw, n):
+    """Mostly 0 or a small integer, else +-zeta_n^j or a short sum of rationals
+    times powers of zeta_n: sparse rows make partial sums collapse to rationals."""
+    kind = draw(st.sampled_from(["zero", "zero", "zero", "zero", "int", "root", "root", "sum"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "int" or n == 1:
+        return Fraction(draw(st.sampled_from([-2, -1, 1, 2])))
+    if kind == "root":
+        return draw(st.sampled_from([1, -1])) * unit_root(n, draw(st.integers(0, n - 1)))
+    v = draw(_small_fractions)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        v = v + draw(_small_fractions) * unit_root(n, draw(st.integers(0, n - 1)))
+    return v
+
+
+# (group, conductor of the input values); several conductors do not divide
+# the exponent, so the kernel works above Q(zeta_E).
+KERNEL_CASES = [((3,), 4), ((5,), 4), ((6,), 4), ((4, 2), 5), ((4,), 4), ((8,), 3),
+                ((12,), 4), ((12,), 8), ((15,), 1), ((10,), 1), ((2, 2, 2), 4), ((6, 2), 12)]
+
+
+@pytest.mark.parametrize("moduli,n", KERNEL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_character_sums_match_cyc_reference(moduli, n, data):
+    """Same values at the same conductors: the reprs agree."""
+    G = make_group(list(moduli))
+    values = [data.draw(_field_values(n)) for _ in range(G.order)]
+    sign = data.draw(st.sampled_from([1, -1]))
+    scale = data.draw(st.sampled_from([Fraction(1), Fraction(2, 3)]))
+    got = _character_sums(G, values, sign, scale, EXACT)
+    assert repr(got) == repr(_reference_character_sums(G, values, sign, scale))
+
+
+def test_character_sums_match_cyc_reference_where_terms_collapse():
+    """Rows where a partial sum of cyclotomic terms turns rational and terms of
+    a smaller conductor follow, so the conductor must restart at 1."""
+    i, z3, z83 = unit_root(4, 1), unit_root(3, 1), unit_root(8, 3)
+    z5, z52, z53 = (unit_root(5, k) for k in (1, 2, 3))
+    cases = [
+        ((12,), [0, 0, z83, -1, -1, z83, -1, 0, -i, 0, 1, -1], 1),
+        ((8,), [0, -1, 0, -1 - z3, 0, -z3, z3, 0], -1),
+        ((6,), [-i, -i, -i, -i, 0, 0], -1),
+        ((4, 2), [1, z5, 0, z5, z52, 0, -1 - z5 - z52 - z53, 0], 1),
+    ]
+    for moduli, ints, sign in cases:
+        G = make_group(list(moduli))
+        values = [Fraction(v) if isinstance(v, int) else v for v in ints]
+        got = _character_sums(G, values, sign, Fraction(1), EXACT)
+        assert repr(got) == repr(_reference_character_sums(G, values, sign, Fraction(1))), moduli
 
 
 def test_transform_delta_is_constant():

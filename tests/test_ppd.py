@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -303,6 +304,20 @@ def test_sampler_determinism_and_membership():
             assert evaluate_function(f1).is_ppd
             g = sample_good(G, seed=s)
             assert evaluate_function(g).is_good
+
+
+# sha256 of repr of (moduli, seed, sample_ppd values, sample_good values) for
+# every presentation through order 16 and seeds 0-4.  The repr shows the
+# conductor each Cyc value is stored at.
+SAMPLER_GOLDEN = "cc8ba58add16d5f42a6fe666a2c8543485aba238bc3aabae24401c64c57ef5f8"
+
+
+def test_sampler_outputs_golden():
+    out = [
+        (G.moduli, s, sample_ppd(G, s).values, sample_good(G, s).values)
+        for G in abelian_group_catalog(16) for s in range(5)
+    ]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SAMPLER_GOLDEN
 
 
 def test_sampled_ppd_max_at_identity_and_even():
