@@ -6,10 +6,11 @@ an element of Q(zeta_E) stored in the power basis ``1, zeta, ..., zeta^(d-1)``
 Arithmetic contracts rational results back to ``Fraction``, so the two kinds
 mix freely and a reduced nonzero ``Cyc`` is never rational.
 
-Sign queries on real values run a double-precision screen with a conservative
-error margin and escalate to arbitrary precision only near zero.  Exact zeros
-are recognized structurally (the reduced representation is zero iff every
-coordinate is), so the refinement loop terminates on all inputs.
+sign_if_real decides realness and sign once per value on integer numerators:
+a cached integer conjugation table, then one double screen (screen_sign, shared
+with CosRing) that shifts wide integers down rather than overflow and escalates
+to arbitrary precision only near zero.  Exact zeros are recognized structurally
+(a reduced value is zero iff every coordinate is), so refinement terminates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Union
+from operator import mul
+from typing import Optional, Union
 
 import mpmath
 
@@ -91,7 +93,7 @@ def cyclotomic_polynomial(E: int) -> tuple[int, ...]:
 class CycField:
     """Cached arithmetic tables for Q(zeta_E) in the power basis."""
 
-    __slots__ = ("E", "degree", "pow_vec", "conj_vec", "roots_complex")
+    __slots__ = ("E", "degree", "pow_vec", "conj_int", "roots_complex")
 
     def __init__(self, E: int):
         self.E = E
@@ -112,7 +114,9 @@ class CycField:
                 nxt = [a + lead * t for a, t in zip(nxt, tail)]
             cur = nxt
         self.pow_vec = pows
-        self.conj_vec = tuple(pows[(E - j) % E] for j in range(d))
+        # zeta^-j for j < d as sparse integer coordinates (i, c), c != 0
+        self.conj_int = tuple(tuple((i, int(c)) for i, c in enumerate(pows[-j % E]) if c)
+                              for j in range(d))
         self.roots_complex = tuple(
             cmath.exp(2j * cmath.pi * j / E) for j in range(d)
         )
@@ -261,9 +265,8 @@ class Cyc:
         out = [Fraction(0)] * fld.degree
         for j, c in enumerate(self.vec):
             if c:
-                for i, b in enumerate(fld.conj_vec[j]):
-                    if b:
-                        out[i] += c * b
+                for i, b in fld.conj_int[j]:
+                    out[i] += c * b
         return Cyc.make(fld, out)
 
     def __eq__(self, other):
@@ -358,10 +361,27 @@ def conj_scalar(x: Scalar) -> Scalar:
     return x if isinstance(x, (int, Fraction)) else x.conjugate()
 
 
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """(nums, den) with values[i] = nums[i] / den, den the lcm of the denominators."""
+    # a list: an unpacked generator leaves its argument tuple on the tuple free list
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _real_numerators(x: Cyc) -> Optional[list[int]]:
+    """x's coordinates over their common denominator, or None when x is not
+    real, i.e. when they differ from their image under conjugation."""
+    nums = over_common_denominator(x.vec)[0]
+    conj = [0] * len(nums)
+    for n, row in zip(nums, x.field.conj_int):
+        if n:
+            for i, c in row:
+                conj[i] += n * c
+    return nums if conj == nums else None
+
+
 def is_real_scalar(x: Scalar) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return True
-    return x.conjugate() == x
+    return isinstance(x, (int, Fraction)) or _real_numerators(x) is not None
 
 
 def to_complex(x) -> complex:
@@ -371,23 +391,49 @@ def to_complex(x) -> complex:
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        return a == b
-    return _as_fraction(a) == _as_fraction(b)
+    return a == b  # ints and Fractions compare directly; a reduced Cyc is never rational
+
+
+@lru_cache(maxsize=None)
+def cos_approx(E: int) -> tuple[float, ...]:
+    """cos(2*pi*k/E) for k in range(E): the real parts of the powers of zeta_E."""
+    return tuple(math.cos(2 * math.pi * k / E) for k in range(E))
+
+
+def screen_sign(coords, weights) -> Optional[int]:
+    """Certified sign of sum(c * w) over integer coords and float weights
+    |w| <= 2, or None when the double screen cannot tell it from zero.
+    Coordinates are shifted right until sum |c| fits in 60 bits; each floor
+    moves the sum by less than |w|, so the margin grows by 2 per coordinate."""
+    mass = sum(map(abs, coords))
+    shift = mass.bit_length() - 60
+    if shift > 0:
+        coords = [c >> shift for c in coords]
+        mass = sum(map(abs, coords))
+    v = sum(map(mul, coords, weights))
+    if abs(v) > _FLOAT_SCREEN * mass + (2.0 * len(coords) if shift > 0 else 0.0):
+        return 1 if v > 0 else -1
+    return None
+
+
+def sign_if_real(x: Scalar) -> Optional[int]:
+    """Certified sign (-1, 0, +1) of an exact scalar, or None when it is not
+    real; a real Cyc has the sign of sum n_j cos(2*pi*j/E) over its numerators."""
+    if isinstance(x, (int, Fraction)):
+        return (x > 0) - (x < 0)
+    nums = _real_numerators(x)
+    if nums is None:
+        return None
+    s = screen_sign(nums, cos_approx(x.field.E))
+    return _refined_sign(x) if s is None else s
 
 
 def real_sign(x: Scalar) -> int:
     """Certified sign (-1, 0, +1) of a real exact scalar."""
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    if not is_real_scalar(x):
+    s = sign_if_real(x)
+    if s is None:
         raise ValueError(f"sign of a non-real value: {x!r}")
-    # structural zero is impossible for a reduced Cyc; screen in doubles first
-    mass = sum(abs(float(c)) for c in x.vec)
-    v = x.to_complex().real
-    if abs(v) > _FLOAT_SCREEN * mass:
-        return 1 if v > 0 else -1
-    return _refined_sign(x)
+    return s
 
 
 def _refined_sign(x: Cyc) -> int:
@@ -457,9 +503,7 @@ def expand_in_cos_basis(x: Scalar, e: int):
         return [_as_fraction(x)] + [Fraction(0)] * (m - 1)
     L = math.lcm(x.field.E, e)
     rows, inv, den = _cos_frame(L, e)
-    vec = x.vec if x.field.E == L else x.lift_vec(L)
-    t_den = math.lcm(*(c.denominator for c in vec))
-    target = [c.numerator * (t_den // c.denominator) for c in vec]
+    target, t_den = over_common_denominator(x.vec if x.field.E == L else x.lift_vec(L))
     coeffs = _mat_vec(inv, target)
     if _mat_vec(rows, coeffs) != [den * t for t in target]:
         return None
@@ -528,13 +572,11 @@ class CosRing:
         return reduce(self.mul, self.conjugates(a), self.one)
 
     def sign(self, a) -> int:
-        """Certified sign of a: a double screen, escalating through real_sign."""
+        """Certified sign of a: the double screen, escalating to _refined_sign."""
         if not any(a[1:]):
             return (a[0] > 0) - (a[0] < 0)
-        v = sum(x * w for x, w in zip(a, self._approx))
-        if abs(v) > _FLOAT_SCREEN * sum(abs(x) for x in a):
-            return 1 if v > 0 else -1
-        return real_sign(self.scalar(a, self.e))
+        s = screen_sign(a, self._approx)
+        return _refined_sign(self.scalar(a, self.e)) if s is None else s
 
     def scalar(self, a, F: int) -> Scalar:
         """a as an exact scalar stored at conductor F (F | e, a in Q(zeta_F))."""

@@ -42,6 +42,7 @@ from .cyclotomic import (
     root_conductor,
     scalar_eq,
     scalar_inv,
+    sign_if_real,
     to_complex,
 )
 from .groups import (
@@ -134,15 +135,22 @@ class Mode:
     def nonneg(self, v, scale: float) -> bool:
         """Real and >= 0; in float mode both up to FLOAT_TOL * scale."""
         if self.exact:
-            return is_real_scalar(v) and real_sign(v) >= 0
+            return sign_if_real(v) in (0, 1)
         v = to_complex(v)
         return abs(v.imag) <= FLOAT_TOL * scale and v.real >= -FLOAT_TOL * scale
 
     def positive(self, v, scale: float) -> bool:
         """Real and strictly positive: sign +1, imaginary part up to FLOAT_TOL * scale."""
         if self.exact:
-            return is_real_scalar(v) and real_sign(v) > 0
+            return sign_if_real(v) == 1
         return self.sign(v, scale) > 0 and abs(to_complex(v).imag) <= FLOAT_TOL * scale
+
+    def nonneg_positive(self, v, scale: float, base: float) -> tuple[bool, bool]:
+        """(nonneg(v, scale), positive(v, base)), asking an exact value's sign once."""
+        if self.exact:
+            s = sign_if_real(v)
+            return s in (0, 1), s == 1
+        return self.nonneg(v, scale), self.positive(v, base)
 
     def real(self, v) -> bool:
         """Real; a float's imaginary part may be FLOAT_TOL * max(1, |v|)."""
@@ -153,7 +161,7 @@ class Mode:
     def positive_real(self, v) -> bool:
         """Real and > 0, a float's imaginary part judged as in real()."""
         if self.exact:
-            return is_real_scalar(v) and real_sign(v) > 0
+            return sign_if_real(v) == 1
         return self.real(v) and not to_complex(v).real <= 0
 
 
@@ -326,10 +334,11 @@ def _exact_character_sums(E: int, table, values, sign: int, scale):
 
 def common_denominator(values) -> int:
     """The lcm of the denominators of exact values and of Cyc coordinates."""
-    return math.lcm(*(
+    # a list, not a generator, as in cyclotomic.over_common_denominator
+    return math.lcm(*[
         c.denominator for v in values
         for c in (v.vec if isinstance(v, Cyc) else (v,))
-    ))
+    ])
 
 
 def int_buckets(row, numerators, sign: int, E: int) -> list[int]:

@@ -311,7 +311,8 @@ def counterexample_probe(n_terms: int,
         total_mass=total,
         total_mass_closed=p_n * std * std,
         swap_symmetry_gap=swap_gap,
-        partial_sums_ppd=True,  # positive combination of Gaussians
+        # f at the swapped spots and its numeric transform at the spots
+        partial_sums_ppd=bool(min(direct.min(), swapped.min()) >= 0),
         grid=q.meta(),
     )
 
@@ -425,7 +426,7 @@ def gaussian_goodness_probe(Q: QuadraticFormSPD) -> GaussianGoodnessReport:
         except ValueError:
             marginals_ok = False
     return GaussianGoodnessReport(
-        strictly_positive=True,  # exp is positive everywhere, analytically
+        strictly_positive=bool(Q(np.zeros(n))[0] > 0),  # f > 0 iff f(0) > 0
         transform_strictly_positive=amp > 0,
         marginals_integrable=marginals_ok,
         lattice_restriction_sum=lattice_sum(QuadraticFormSPD(Q.matrix[:1, :1])),

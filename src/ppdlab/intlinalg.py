@@ -156,19 +156,6 @@ def solve(mat, rhs):
     return x
 
 
-def nullspace(rows, width: int) -> list[tuple]:
-    """A basis of {x : row . x = 0 for every row}, one vector per free column."""
-    red, pivots = rref(rows, width)
-    out = []
-    for fc in (c for c in range(width) if c not in pivots):
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        out.append(tuple(vec))
-    return out
-
-
 def left_inverse(cols) -> tuple[list[list[int]], int]:
     """(N, den) with N @ B = den * I, for the integer matrix B of full column
     rank given by its columns: one elimination of [B^T | I]."""

@@ -15,7 +15,6 @@ value with |v| <= 1e-12 * f(0) fails.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,17 +22,19 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import (
+    cos_approx,
     from_int_coords,
     is_rational,
+    over_common_denominator,
     real_sign,
     scalar_inv,
+    screen_sign,
     to_complex,
 )
 from .fourier import (
     GroupFunction,
     HaarScale,
     ScaledMeasure,
-    common_denominator,
     counting_haar,
     dual_haar,
     exponent_table,
@@ -107,56 +108,27 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
     scale = mode.scale(f.values)
     hscale = mode.scale(hvals)
     base = abs(to_complex(f.values[0])) or 1.0
+    # (nonnegative, strictly positive) per value: each exact sign asked once
+    tests = [mode.nonneg_positive(v, scale, base) for v in vals]
+    htests = [mode.nonneg_positive(v, hscale, base) for v in hvals]
 
     witnesses: list[Witness] = []
-    status: dict[str, str] = {}
-
-    pointwise_ok = True
-    for i, v in enumerate(vals):
-        if not mode.nonneg(v, scale):
-            pointwise_ok = False
-            witnesses.append(
-                Witness("2.1.1", "element", i, f"f({i}) = {v} not real nonnegative")
-            )
-    status["2.1.1"] = "ok" if pointwise_ok else "failed"
-
-    spectral_ok = True
-    for i, v in enumerate(hvals):
-        if not mode.nonneg(v, hscale):
-            spectral_ok = False
-            witnesses.append(
-                Witness("2.1.2", "character", i, f"f_hat({i}) = {v} negative")
-            )
-    status["2.1.2"] = "ok" if spectral_ok else "failed"
-
-    is_ppd_flag = pointwise_ok and spectral_ok
+    for cond, kind, name, vs, ts, k, what in (
+        ("2.1.1", "element", "f", vals, tests, 0, "not real nonnegative"),
+        ("2.1.2", "character", "f_hat", hvals, htests, 0, "negative"),
+        ("3.1.4", "element", "f", vals, tests, 1, "not strictly positive"),
+        ("3.1.4", "character", "f_hat", hvals, htests, 1, "not strictly positive"),
+    ):
+        witnesses += [Witness(cond, kind, i, f"{name}({i}) = {v} {what}")
+                      for i, (v, t) in enumerate(zip(vs, ts)) if not t[k]]
+    failed = {w.condition for w in witnesses}
+    is_ppd_flag = not failed & {"2.1.1", "2.1.2"}
+    status = {c: "failed" if c in failed else "ok" for c in ("2.1.1", "2.1.2")}
     status["3.1.1"] = "ok" if is_ppd_flag else "failed"
-    for c in VACUOUS_CONDITIONS:
-        status[c] = "vacuous"
-
-    strict_ok = True
-    for i, v in enumerate(vals):
-        if not mode.positive(v, base):
-            strict_ok = False
-            witnesses.append(
-                Witness("3.1.4", "element", i, f"f({i}) = {v} not strictly positive")
-            )
-    for i, v in enumerate(hvals):
-        if not mode.positive(v, base):
-            strict_ok = False
-            witnesses.append(
-                Witness(
-                    "3.1.4", "character", i, f"f_hat({i}) = {v} not strictly positive"
-                )
-            )
-    status["3.1.4"] = "ok" if strict_ok else "failed"
-
-    return PpdVerdict(
-        is_ppd=is_ppd_flag,
-        is_good=is_ppd_flag and strict_ok,
-        witnesses=tuple(witnesses),
-        condition_status=status,
-    )
+    status.update(dict.fromkeys(VACUOUS_CONDITIONS, "vacuous"))
+    status["3.1.4"] = "failed" if "3.1.4" in failed else "ok"
+    return PpdVerdict(is_ppd=is_ppd_flag, is_good=is_ppd_flag and "3.1.4" not in failed,
+                      witnesses=tuple(witnesses), condition_status=status)
 
 
 # -- the independent matrix oracle ---------------------------------------------
@@ -181,8 +153,7 @@ def bochner_oracle(f: GroupFunction) -> bool:
     if not f.is_exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
-        vals = [Fraction(v) for v in vals]
-        return _psd_exact_rational([[vals[i] for i in row] for row in diff])
+        return _psd_exact_rational(vals, diff)
     return _psd_exact_field([[vals[i] for i in row] for row in diff])
 
 
@@ -221,12 +192,12 @@ def _psd_float(vals, diff) -> bool:
     return bool(eigs.min() >= -PSD_EIG_TOL * norm)
 
 
-def _psd_exact_rational(M: list[list[Fraction]]) -> bool:
-    """Fraction-free diagonal-pivot elimination; integers throughout."""
-    n = len(M)
-    den = math.lcm(*(v.denominator for row in M for v in row))
-    A = [[int(v * den) for v in row] for row in M]
-    active = list(range(n))
+def _psd_exact_rational(vals, diff) -> bool:
+    """Fraction-free diagonal-pivot elimination of M[x][y] = vals[diff[x][y]];
+    integers throughout, the |G| values scaled once."""
+    nums = over_common_denominator(vals)[0]
+    A = [[nums[i] for i in row] for row in diff]
+    active = list(range(len(A)))
     prev = 1
     while active:
         pivot = None
@@ -238,16 +209,14 @@ def _psd_exact_rational(M: list[list[Fraction]]) -> bool:
                 pivot = i
         if pivot is None:
             return all(A[i][j] == 0 for i in active for j in active)
-        p = A[pivot][pivot]
+        rowp = A[pivot]
+        p = rowp[pivot]
         rest = [i for i in active if i != pivot]
         for i in rest:
-            Aip = A[i][pivot]
-            rowi = A[i]
-            rowp = A[pivot]
+            rowi, Aip = A[i], A[i][pivot]
             for j in rest:
                 rowi[j] = (rowi[j] * p - Aip * rowp[j]) // prev
-        prev = p
-        active = rest
+        prev, active = p, rest
     return True
 
 
@@ -264,21 +233,13 @@ def spectral_min_sign(f: GroupFunction) -> int:
     if any(v != f.values[j] for v, j in zip(f.values, G.index_tables[1])):
         raise ValueError("spectral_min_sign expects an even function")
     E = G.exponent()
-    den = common_denominator(f.values)
-    nums = [(x, v.numerator * (den // v.denominator)) for x, v in enumerate(f.values) if v]
+    nums, den = over_common_denominator(f.values)
+    nums = [(x, n) for x, n in enumerate(nums) if n]
     worst = 1
     for row in exponent_table(G.moduli):
         buckets = int_buckets(row, nums, -1, E)
-        approx = 0.0
-        mass = 0.0
-        for k, b in enumerate(buckets):
-            if b:
-                fb = b / den
-                approx += fb * math.cos(2 * math.pi * k / E)
-                mass += abs(fb)
-        if abs(approx) > 1e-9 * (mass + 1.0):
-            sgn = 1 if approx > 0 else -1
-        else:
+        sgn = screen_sign(buckets, cos_approx(E))
+        if sgn is None:
             acc, cond = root_sum(enumerate(buckets), E, E)
             sgn = real_sign(from_int_coords(acc, cond, E, den))
         if sgn < worst:
@@ -473,8 +434,7 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     k = rng.randint(1, min(3, G.order))
     chars = [rng.randrange(G.order) for _ in range(k)]
     weights = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(k)]
-    den = common_denominator(weights)
-    ints = [w.numerator * (den // w.denominator) for w in weights]
+    ints, den = over_common_denominator(weights)
     values = []
     for x in range(G.order):
         exps = [table[a][x] for a in chars]

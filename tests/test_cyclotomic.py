@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +13,13 @@ from ppdlab.cyclotomic import (
     cos_ring,
     cyclotomic_polynomial,
     expand_in_cos_basis,
+    field,
     is_rational,
     is_real_scalar,
     real_abs,
     real_sign,
     scalar_eq,
+    sign_if_real,
     to_complex,
     unit_root,
 )
@@ -214,3 +218,190 @@ def test_cos_ring_sign_escalates_near_zero(monkeypatch):
         assert ring.sign((fib[n + 1], -fib[n])) == want, n
         assert len(refined) == calls + 1, n
         assert real_sign(fib[n + 1] - fib[n] * (unit_root(10, 1) + unit_root(10, -1))) == want
+
+
+# -- a Fraction reference for realness, sign and equality -----------------------
+
+
+def _ref_power(k: int, E: int) -> list[Fraction]:
+    """zeta_E^k in the power basis, reduced by hand modulo the cyclotomic polynomial."""
+    phi = cyclotomic_polynomial(E)
+    d = len(phi) - 1
+    poly = [Fraction(0)] * max(k + 1, d)
+    poly[k] = Fraction(1)
+    for i in range(k, d - 1, -1):
+        c = poly[i]
+        if c:
+            for j, p in enumerate(phi):
+                poly[i - d + j] -= c * p
+    return poly[:d]
+
+
+def _ref_coords(x, E2: int) -> list[Fraction]:
+    """Coordinates of an exact scalar in Q(zeta_E2), the conductor of x dividing E2."""
+    out = [Fraction(0)] * (len(cyclotomic_polynomial(E2)) - 1)
+    if is_rational(x):
+        out[0] = Fraction(x)
+        return out
+    for j, c in enumerate(x.vec):
+        for i, b in enumerate(_ref_power(j * (E2 // x.field.E), E2)):
+            out[i] += c * b
+    return out
+
+
+def _ref_conj(x: Cyc) -> list[Fraction]:
+    E = x.field.E
+    out = [Fraction(0)] * x.field.degree
+    for j, c in enumerate(x.vec):
+        for i, b in enumerate(_ref_power(-j % E, E)):
+            out[i] += c * b
+    return out
+
+
+def _ref_is_real(x) -> bool:
+    return is_rational(x) or _ref_conj(x) == list(x.vec)
+
+
+def _ref_sign(x) -> int:
+    """Sign of a real scalar at 80 digits; the test values stay far above 1e-60."""
+    if is_rational(x):
+        return (x > 0) - (x < 0)
+    with mpmath.workdps(80):
+        v = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * j / x.field.E)
+            for j, c in enumerate(x.vec)
+        )
+        assert abs(v) > mpmath.mpf(10) ** -60
+        return 1 if v > 0 else -1
+
+
+def _ref_eq(a, b) -> bool:
+    ea = 1 if is_rational(a) else a.field.E
+    eb = 1 if is_rational(b) else b.field.E
+    E = math.lcm(ea, eb, 3)
+    return _ref_coords(a, E) == _ref_coords(b, E)
+
+
+@st.composite
+def _exact_scalars(draw):
+    """An int, a Fraction, or a Cyc at a conductor in 3..24: raw (mostly not
+    real), made real as x + conj(x), or shifted off the reals by a unit root."""
+    E = draw(st.sampled_from(range(3, 25)))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    vec = draw(st.lists(coord, min_size=field(E).degree, max_size=field(E).degree))
+    x = Cyc.make(field(E), vec)
+    kind = draw(st.sampled_from(["int", "fraction", "raw", "real", "real", "twisted"]))
+    if kind == "int":
+        return int(vec[0] * 4)
+    if kind == "fraction":
+        return vec[0]
+    if kind == "real" and not is_rational(x):
+        return x + Cyc.make(field(E), _ref_conj(x))
+    if kind == "twisted":
+        return x + unit_root(E, draw(st.integers(1, E - 1)))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_exact_scalars())
+def test_realness_and_sign_match_fraction_reference(x):
+    real = _ref_is_real(x)
+    assert is_real_scalar(x) == real
+    if real:
+        want = _ref_sign(x)
+        assert sign_if_real(x) == want
+        assert real_sign(x) == want
+    else:
+        assert sign_if_real(x) is None
+        with pytest.raises(ValueError):
+            real_sign(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_exact_scalars(), data=st.data())
+def test_scalar_eq_matches_fraction_reference(a, data):
+    kind = data.draw(st.sampled_from(["other", "lifted", "as_fraction", "as_int", "shifted"]))
+    if kind == "other":
+        b = data.draw(_exact_scalars())
+    elif kind == "lifted" and not is_rational(a):
+        # the same value stored at a multiple of its conductor
+        E2 = a.field.E * data.draw(st.sampled_from([2, 3]))
+        b = Cyc(field(E2), tuple(_ref_coords(a, E2)))
+    elif kind == "as_fraction":
+        b = Fraction(a) if is_rational(a) else a.vec[0]
+    elif kind == "as_int" and is_rational(a):
+        b = int(a) if Fraction(a).denominator == 1 else math.floor(a)
+    else:
+        b = a + Fraction(1, 7)
+    want = _ref_eq(a, b)
+    assert scalar_eq(a, b) == want
+    assert scalar_eq(b, a) == want
+
+
+def test_int_fraction_cyc_equality():
+    c = unit_root(5, 1) + unit_root(5, 4)
+    assert scalar_eq(3, Fraction(3)) and scalar_eq(Fraction(6, 2), 3)
+    assert not scalar_eq(Fraction(1, 2), 1) and not scalar_eq(0, Fraction(1, 3))
+    assert not scalar_eq(c, 1) and not scalar_eq(Fraction(1), c)
+    assert scalar_eq(c, Cyc(field(10), tuple(_ref_coords(c, 10))))
+
+
+def _fibonacci(n: int) -> list[int]:
+    fib = [0, 1]
+    while len(fib) < n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def _count_refinements(monkeypatch) -> list:
+    refined = []
+    real_refined = cyclotomic._refined_sign
+
+    def counting(x):
+        refined.append(x)
+        return real_refined(x)
+
+    monkeypatch.setattr(cyclotomic, "_refined_sign", counting)
+    return refined
+
+
+def test_cyc_sign_escalates_near_zero(monkeypatch):
+    """The Fibonacci values of test_cos_ring_sign_escalates_near_zero, built as
+    Cyc: real, of sign (-1)^n, and too close to zero for the double screen."""
+    refined = _count_refinements(monkeypatch)
+    fib = _fibonacci(92)
+    two_cos = unit_root(10, 1) + unit_root(10, -1)
+    for n in range(60, 91):
+        x = fib[n + 1] - fib[n] * two_cos
+        assert _ref_is_real(x) and is_real_scalar(x)
+        calls = len(refined)
+        assert sign_if_real(x) == (-1) ** n, n
+        assert len(refined) == calls + 1, n
+        assert real_sign(-x) == -((-1) ** n)
+        assert not is_real_scalar(x + unit_root(10, 1))
+        assert sign_if_real(x + unit_root(10, 1)) is None
+
+
+def test_signs_of_wide_coordinates(monkeypatch):
+    """Coordinates of 1100 bits and more: the screen shifts them instead of
+    converting them to float, and escalates near zero."""
+    refined = _count_refinements(monkeypatch)
+    ring = cos_ring(10)
+    big = 1 << 1100
+    for a, want in [((3 * big, -big), 1), ((-3 * big, big), -1),
+                    ((big + 1, 2 * big), 1), ((1, -(big // 3)), -1)]:
+        assert ring.sign(a) == want
+        assert real_sign(ring.scalar(a, 10)) == want
+        assert real_sign(ring.scalar(a, 5)) == want
+    assert refined == []
+    wide = Fraction(big + 1, 3**700)  # wide numerator and denominator
+    assert real_sign(wide * (unit_root(5, 1) + unit_root(5, 4))) == 1
+    assert real_sign(wide * (unit_root(5, 2) + unit_root(5, 3))) == -1
+    assert sign_if_real(wide * unit_root(5, 1)) is None
+    assert refined == []
+    fib = _fibonacci(92)
+    for n in (60, 75, 90):
+        a = (fib[n + 1] << 1100, -fib[n] << 1100)
+        assert ring.sign(a) == (-1) ** n
+        assert real_sign(ring.scalar(a, 10)) == (-1) ** n
+    assert len(refined) == 6

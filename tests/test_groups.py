@@ -314,11 +314,25 @@ def _dot(row, x):
     return sum((a * v for a, v in zip(row, x)), Fraction(0))
 
 
+def _nullspace(rows, width: int) -> list[tuple]:
+    """A basis of {x : row . x = 0 for every row}, one vector per free column of rref."""
+    red, pivots = intlinalg.rref(rows, width)
+    out = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        out.append(tuple(vec))
+    return out
+
+
 def _check_elimination(A, b, x0):
-    """solve, nullspace and rref agree with A x = b over the field of the entries."""
+    """solve, rref and the nullspace built on rref agree with A x = b over the
+    field of the entries."""
     n, m = len(A), len(A[0])
     rank = len(intlinalg.rref(A, m)[1])
-    null = intlinalg.nullspace(A, m)
+    null = _nullspace(A, m)
     assert len(null) == m - rank
     for vec in null:
         assert all(scalar_eq(_dot(row, vec), 0) for row in A)
@@ -329,7 +343,7 @@ def _check_elimination(A, b, x0):
     # b is inconsistent exactly when some y with y A = 0 has y . b != 0
     AT = [[A[i][j] for i in range(n)] for j in range(m)]
     inconsistent = any(
-        not scalar_eq(_dot(y, b), 0) for y in intlinalg.nullspace(AT, n)
+        not scalar_eq(_dot(y, b), 0) for y in _nullspace(AT, n)
     )
     x = intlinalg.solve(A, b)
     assert (x is None) == inconsistent

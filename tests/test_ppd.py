@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ppdlab.cyclotomic import real_sign, scalar_eq
+from ppdlab.cone import is_interior, ppd_cone_hrep
+from ppdlab.cyclotomic import real_sign, scalar_eq, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -28,6 +30,7 @@ from ppdlab.groups import (
 from ppdlab.ppd import (
     bochner_oracle,
     descend_to_quotient,
+    derived_rng,
     dual_measure,
     evaluate_function,
     normalize_function,
@@ -38,6 +41,11 @@ from ppdlab.ppd import (
     sample_ppd,
     spectral_min_sign,
     stabilizer_subgroup,
+)
+from ppdlab.sweeps import (
+    bochner_agreement_sweep,
+    cone_membership_sweep,
+    random_even_function,
 )
 
 Z2 = make_group([2])
@@ -507,3 +515,64 @@ def test_stabilizer_descent_roundtrip_sampled():
             # descending by the full stabilizer leaves a trivial stabilizer
             if H.order > 1:
                 assert stabilizer_subgroup(g).order == 1 or g.group.order == 1
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _verdict_inputs():
+    """Sampled PPD functions, shifted below zero and twisted off the reals: the
+    witnesses print Cyc values at the conductors the transform stores them at."""
+    for G in abelian_group_catalog(12):
+        E = G.exponent()
+        for s in range(3):
+            f = sample_ppd(G, s).values
+            yield GroupFunction(G, f)
+            yield GroupFunction(G, [v - Fraction(1, 2) for v in f])
+            yield GroupFunction(G, [v * unit_root(E, x) for x, v in enumerate(f)])
+
+
+def _sweep_case_verdicts(seed):
+    """Per-case verdicts on the functions the two verification sweeps draw."""
+    out = []
+    for G in abelian_group_catalog(12):
+        rng = derived_rng(seed, "bochner", (G.moduli,))
+        for _ in range(5):
+            f = random_even_function(G, rng)
+            out.append([bochner_oracle(f), spectral_min_sign(f)])
+    for G in abelian_group_catalog(8):
+        cone = ppd_cone_hrep(G)
+        rng = derived_rng(seed, "membership", (G.moduli,))
+        for _ in range(12):
+            vec = tuple(Fraction(rng.randint(-3, 9), rng.randint(1, 4))
+                        for _ in range(cone.basis.dim))
+            f = cone.basis.function_from_vector(vec)
+            out.append([is_interior(f, cone), evaluate_function(f).to_dict()])
+    return out
+
+
+# sha256 of sorted-key JSON; the sweep reports carry no disagreement, so the
+# per-case verdicts are pinned as well.
+SWEEP_REPORT_GOLDEN = {
+    "bochner": "51ddb1b24a37dd526c213010c1d560811c30d91c8c2b99d199d5775475917622",
+    "membership": "7f491122be027ca16a1c09e1eda667b8f9a59b339345b6b92e6d017dcad6b529",
+}
+SWEEP_CASES_GOLDEN = {
+    1: "f2687fc5504ddb43e13a70138f456d318fe72531194b3947a369eef8c029e7c8",
+    2: "7f08621fffd0dce933c73ca5a22752efca30aef6170b7f4aa313af63d7515fe8",
+}
+VERDICTS_GOLDEN = "eba1f32e8094cf244e878d7fc4ea33d32cc6f5b23f3bcf676a6400648e87632a"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verification_sweeps_golden(seed):
+    assert _digest(bochner_agreement_sweep(12, 5, seed)) == SWEEP_REPORT_GOLDEN["bochner"]
+    assert _digest(cone_membership_sweep(8, 12, seed)) == SWEEP_REPORT_GOLDEN["membership"]
+    assert _digest(_sweep_case_verdicts(seed)) == SWEEP_CASES_GOLDEN[seed]
+
+
+def test_verdicts_with_cyclotomic_witnesses_golden():
+    out = [evaluate_function(f).to_dict() for f in _verdict_inputs()]
+    assert sum("z" in w["detail"] for d in out for w in d["witnesses"]) == 768
+    assert _digest(out) == VERDICTS_GOLDEN
