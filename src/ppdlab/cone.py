@@ -11,11 +11,12 @@ content, tight sets are bitmasks, signs are certified, insertion order is
 fixed, and every output ray passes a fraction-free tightness-rank test.
 Canonical rays are primitive with the first nonzero coordinate a positive
 integer.  The H-rep is built once per group, with the integer rows of its
-coefficients; double description, the self-duality pairing and the printed
-report read those rows and the ray coordinates.  Cyc ray values are built
-for the field report, each coordinate at the conductor that Cyc arithmetic
-along the same path gives it (the lcm of the operands', 1 for a rational
-result), which fixes how it prints.
+coefficients; double description, the self-duality pairing, the printed report
+and the membership of a rational vector (one integer row combination and one
+ring sign per inequality) read those rows and the ray coordinates.  Cyc ray
+values are built for the field report, each coordinate at the conductor that
+Cyc arithmetic along the same path gives it (the lcm of the operands', 1 for a
+rational result), which fixes how it prints.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .cyclotomic import (
     cos_ring,
     expand_in_cos_basis,
     is_rational,
+    over_common_denominator,
     real_sign,
     scalar_eq,
     scalar_inv,
     to_complex,
     unit_root,
 )
-from .fourier import GroupFunction, Mode, exponent_table
+from .fourier import GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
 
 HREP_ORDER_BOUND = 16
@@ -142,34 +144,39 @@ def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     return PolyhedralCone(basis, tuple(ineqs), rows, conds)
 
 
-# -- exact sign of an inequality value -------------------------------------------
+# -- membership ---------------------------------------------------------------------
 
 
-def _value_sign(ineq: Inequality, vec, mode: Mode, base: float) -> int:
-    if mode.exact:
-        return real_sign(ineq.evaluate(vec))
-    total = sum(
-        to_complex(c) * to_complex(v) for c, v in zip(ineq.coeffs, vec)
-    ).real
-    return mode.sign(total, base)
+def _inequality_signs(f: GroupFunction, cone: PolyhedralCone):
+    """The sign of each inequality at f, in listed order, one at a time.  Over
+    a rational vector's common denominator, inequality i is sum_j rows[i][j] * n_j
+    in ring coordinates; any other vector is evaluated coefficient by coefficient."""
+    vec = cone.basis.vector_from_function(f)
+    mode = f.mode
+    if mode.exact and all(is_rational(v) for v in vec):
+        ring = cos_ring(cone.basis.group.exponent())
+        nums = [(j, n) for j, n in enumerate(over_common_denominator(vec)[0]) if n]
+        for row in cone.rows:
+            total = [0] * ring.m
+            for j, n in nums:
+                for k, c in enumerate(row[j]):
+                    total[k] += c * n
+            yield ring.sign(total)
+    else:
+        base = mode.scale(vec)
+        for ineq in cone.inequalities:
+            yield mode.sign(ineq.evaluate(vec) if mode.exact else sum(
+                to_complex(c) * to_complex(v) for c, v in zip(ineq.coeffs, vec)), base)
 
 
 def is_interior(f: GroupFunction, cone: PolyhedralCone) -> bool:
     """Strict membership: every inequality positive.  Agrees with goodness."""
-    vec = cone.basis.vector_from_function(f)
-    base = f.mode.scale(vec)
-    return all(
-        _value_sign(ineq, vec, f.mode, base) > 0 for ineq in cone.inequalities
-    )
+    return all(s > 0 for s in _inequality_signs(f, cone))
 
 
 def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
     """Closed membership: every inequality nonnegative.  Agrees with PPD."""
-    vec = cone.basis.vector_from_function(f)
-    base = f.mode.scale(vec)
-    return all(
-        _value_sign(ineq, vec, f.mode, base) >= 0 for ineq in cone.inequalities
-    )
+    return all(s >= 0 for s in _inequality_signs(f, cone))
 
 
 # -- integer ring coordinates ------------------------------------------------------
@@ -209,7 +216,7 @@ def _primitive_form(ring: CosRing, vec) -> tuple:
     if any(vec[lead][1:]):
         cof = ring.norm_cofactor(vec[lead])
         vec = [ring.mul(v, cof) for v in vec]
-    g = gcd(*(c for v in vec for c in v))
+    g = gcd(*[c for v in vec for c in v])
     if vec[lead][0] < 0:
         g = -g
     return tuple(tuple(c // g for c in v) for v in vec)
@@ -234,7 +241,7 @@ def canonical_ray(vec, e: int):
         raise AssertionError(f"ray coordinate {vec[exps.index(None)]!r} left the "
                              f"real subfield of conductor {e}")
     ring = cos_ring(e)
-    den = lcm(*(c.denominator for exp in exps for c in exp))
+    den = lcm(*[c.denominator for exp in exps for c in exp])
     coords = _primitive_form(ring, [tuple(int(c * den) for c in exp) for exp in exps])
     return _ray_values(ring, coords, [_conductor(v) for v in vec]), coords
 
@@ -289,7 +296,7 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                     yc = lcm(cm, ac) if any(y[1:]) else 1
                     new.append(z)
                     new_conds.append(lcm(xc, yc) if any(z[1:]) else 1)
-                g = gcd(*(c for z in new for c in z))
+                g = gcd(*[c for z in new for c in z])
                 new = tuple(tuple(c // g for c in z) for z in new)
                 keep.append((new, tuple(new_conds), common | bit))
         rays, conds, tights = (list(col) for col in zip(*keep))
@@ -338,7 +345,7 @@ def _ring_rank(ring: CosRing, rows, width: int) -> int:
             if any(f):
                 row = [ring.sub(ring.mul(p, x), ring.mul(f, y))
                        for x, y in zip(mat[i], mat[r])]
-                g = gcd(*(v for x in row for v in x))
+                g = gcd(*[v for x in row for v in x])
                 mat[i] = [tuple(v // g for v in x) for x in row] if g > 1 else row
         r += 1
     return r

@@ -9,8 +9,9 @@ mix freely and a reduced nonzero ``Cyc`` is never rational.
 sign_if_real decides realness and sign once per value on integer numerators:
 a cached integer conjugation table, then one double screen (screen_sign, shared
 with CosRing) that shifts wide integers down rather than overflow and escalates
-to arbitrary precision only near zero.  Exact zeros are recognized structurally
-(a reduced value is zero iff every coordinate is), so refinement terminates.
+to mpmath (imported on first use) only near zero.  Exact zeros are recognized
+structurally (a reduced value is zero iff every coordinate is), so refinement
+terminates.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Optional, Union
-
-import mpmath
 
 from .intlinalg import left_inverse, solve
 
@@ -437,6 +436,8 @@ def real_sign(x: Scalar) -> int:
 
 
 def _refined_sign(x: Cyc) -> int:
+    import mpmath  # only near-zero values escalate; a cold import skips it
+
     E = x.field.E
     for dps in (60, 120, 240, 480, 960):
         with mpmath.workdps(dps):

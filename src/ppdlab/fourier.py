@@ -310,7 +310,7 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode)
 def _exact_character_sums(E: int, table, values, sign: int, scale):
     """The exact kernel on integer coordinates at L = lcm(E, input conductors)
     over one common denominator; see the module docstring."""
-    L = math.lcm(E, *(v.field.E for v in values if isinstance(v, Cyc)))
+    L = math.lcm(E, *[v.field.E for v in values if isinstance(v, Cyc)])
     den = common_denominator(values)
     rationals, cycs = [], []
     for x, v in enumerate(values):

@@ -168,7 +168,7 @@ def left_inverse(cols) -> tuple[list[list[int]], int]:
     for row, c in zip(red, pivots):
         for i in range(n):
             N[i][c] = row[m + i]
-    den = lcm(*(x.denominator for row in N for x in row))
+    den = lcm(*[x.denominator for row in N for x in row])
     return [[int(x * den) for x in row] for row in N], den
 
 

@@ -10,6 +10,11 @@ probes.
 
 Strictness ties: an exact zero fails goodness in exact mode; in float mode a
 value with |v| <= 1e-12 * f(0) fails.
+
+An even function with rational exact values is decided on integers: f's signs
+are its numerators' over one denominator, f_hat's are the double screen's over
+the character-sum buckets (_spectral_signs, which spectral_min_sign shares),
+and only f_hat values a witness prints are built.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import (
+    Cyc,
     cos_approx,
     from_int_coords,
     is_rational,
@@ -102,15 +108,20 @@ class PpdVerdict:
 def evaluate_function(f: GroupFunction) -> PpdVerdict:
     """Full PPD/good verdict for a function, with per-condition bookkeeping."""
     mode = f.mode
-    fhat = fourier_transform(f, counting_haar(f.group))
     vals = [mode.value(v) for v in f.values]
-    hvals = [mode.value(v) for v in fhat.values]
-    scale = mode.scale(f.values)
-    hscale = mode.scale(hvals)
     base = abs(to_complex(f.values[0])) or 1.0
-    # (nonnegative, strictly positive) per value: each exact sign asked once
-    tests = [mode.nonneg_positive(v, scale, base) for v in vals]
-    htests = [mode.nonneg_positive(v, hscale, base) for v in hvals]
+    even = _even_rational(f)
+    if even:
+        # signs read off integer numerators; only printed f_hat values are built
+        hsigns, hvals = zip(*_spectral_signs(f.group, *even, witness=True))
+        tests = [(n >= 0, n > 0) for n in even[0]]
+        htests = [(s >= 0, s > 0) for s in hsigns]
+    else:
+        hvals = [mode.value(v) for v in fourier_transform(f, counting_haar(f.group)).values]
+        scale, hscale = mode.scale(f.values), mode.scale(hvals)
+        # (nonnegative, strictly positive) per value: each exact sign asked once
+        tests = [mode.nonneg_positive(v, scale, base) for v in vals]
+        htests = [mode.nonneg_positive(v, hscale, base) for v in hvals]
 
     witnesses: list[Witness] = []
     for cond, kind, name, vs, ts, k, what in (
@@ -220,32 +231,45 @@ def _psd_exact_rational(vals, diff) -> bool:
     return True
 
 
-def spectral_min_sign(f: GroupFunction) -> int:
-    """Certified sign of min f_hat over the dual group (even rational functions only).
-
-    This is the fast exact-mode spectral route: a double-precision screen over
-    the character-sum kernel's integer buckets, with the kernel's exact value
-    as the fallback only when a value is too close to zero to call in doubles.
-    """
-    if not f.is_exact or not all(is_rational(v) for v in f.values):
-        raise ValueError("spectral_min_sign expects rational exact values")
-    G = f.group
-    if any(v != f.values[j] for v, j in zip(f.values, G.index_tables[1])):
-        raise ValueError("spectral_min_sign expects an even function")
-    E = G.exponent()
+def _even_rational(f: GroupFunction):
+    """(integer numerators, common denominator) of f's values when f is even
+    with rational exact values; None otherwise."""
+    if not f.is_exact or any(isinstance(v, Cyc) for v in f.values):
+        return None
     nums, den = over_common_denominator(f.values)
+    even = all(n == nums[j] for n, j in zip(nums, f.group.index_tables[1]))
+    return (nums, den) if even else None
+
+
+def _spectral_signs(G: FiniteAbelianGroup, nums, den: int, witness: bool):
+    """(certified sign, exact value or None) of f_hat under counting measure at
+    each character, for the even rational f = nums / den: the double screen over
+    each row's E buckets.  A value is built once, by the kernel's own call (so it
+    prints as fourier_transform's), when the screen cannot call it (every zero)
+    or, with witness, when it is negative."""
+    E = G.exponent()
     nums = [(x, n) for x, n in enumerate(nums) if n]
-    worst = 1
     for row in exponent_table(G.moduli):
         buckets = int_buckets(row, nums, -1, E)
         sgn = screen_sign(buckets, cos_approx(E))
-        if sgn is None:
-            acc, cond = root_sum(enumerate(buckets), E, E)
-            sgn = real_sign(from_int_coords(acc, cond, E, den))
-        if sgn < worst:
-            worst = sgn
-            if worst < 0:
-                return -1
+        value = (from_int_coords(*root_sum(enumerate(buckets), E, E), E, den)
+                 if sgn is None or (witness and sgn < 0) else None)
+        yield (real_sign(value) if sgn is None else sgn), value
+
+
+def spectral_min_sign(f: GroupFunction) -> int:
+    """Certified sign of min f_hat over the dual group (even rational functions
+    only): the minimum over _spectral_signs, stopping at the first negative."""
+    if not f.is_exact or not all(is_rational(v) for v in f.values):
+        raise ValueError("spectral_min_sign expects rational exact values")
+    even = _even_rational(f)
+    if even is None:
+        raise ValueError("spectral_min_sign expects an even function")
+    worst = 1
+    for sgn, _ in _spectral_signs(f.group, *even, witness=False):
+        if sgn < 0:
+            return -1
+        worst = min(worst, sgn)
     return worst
 
 
@@ -363,15 +387,12 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
 
 
 def _translation_invariant(f: GroupFunction, H: Subgroup, scale: float) -> bool:
-    """f(x + h) = f(x) for every x in G and h in H (float mode: at the given scale)."""
-    vals = f.values
-    add = f.group.index_tables[0]
-    for h in H.elements:
-        row = add[h]
-        for x, v in enumerate(vals):
-            if not f.mode.eq(vals[row[x]], v, scale):
-                return False
-    return True
+    """f(x + h) = f(x) for every x in G and h in H.  Exact equality chains, so
+    H's generators suffice; float mode checks every h at the given scale."""
+    hs = [f.group.index(g) for g in H.generators] if f.is_exact else H.elements
+    vals, add = f.values, f.group.index_tables[0]
+    return all(f.mode.eq(vals[add[h][x]], v, scale)
+               for h in hs for x, v in enumerate(vals))
 
 
 def descend_to_quotient(f: GroupFunction, H: Subgroup,

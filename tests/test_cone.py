@@ -20,7 +20,7 @@ from ppdlab.cone import (
 )
 from ppdlab.cyclotomic import cos_ring, expand_in_cos_basis, real_sign, to_complex, unit_root
 from ppdlab.fourier import GroupFunction, counting_haar, fourier_transform
-from ppdlab.groups import abelian_group_catalog, make_group
+from ppdlab.groups import abelian_group_catalog, all_subgroups, make_group
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
 
 Z2 = make_group([2])
@@ -282,6 +282,63 @@ def test_membership_equivalence_random_rational():
             spectral = spectral_min_sign(f) >= 0 if pointwise else None
             assert member == (pointwise and bool(spectral)), (G, vec)
             assert member == evaluate_function(f).is_ppd
+
+
+def _boundary_and_random_vectors(cone, rng):
+    """Rational vectors: random, random with coordinate zeros, diagonally
+    dominant (interior), subgroup indicators (PPD with exact zeros in the
+    transform) and, where the rays are cheap and rational, rays and sums of
+    two rays."""
+    G, d = cone.basis.group, cone.basis.dim
+    vecs = []
+    for _ in range(12):
+        vec = [Fraction(rng.randint(-2, 9), rng.randint(1, 4)) for _ in range(d)]
+        vecs.append(tuple(vec))
+        for j in rng.sample(range(d), min(d, 2)):
+            vec[j] = Fraction(0)
+        vecs.append(tuple(vec))
+        # f(0) above the sum of |f| elsewhere: f_hat > 0, so an interior point
+        vec = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)]
+        vec[0] = sum(v * len(o) for v, o in zip(vec[1:], cone.basis.orbits[1:])) + 1
+        vecs.append(tuple(vec))
+    for H in all_subgroups(G):
+        vecs.append(tuple(Fraction(int(r in H.elements)) for r in cone.basis.orbit_reps))
+    if d <= 6 and G.exponent() in (1, 2, 3, 4, 6):
+        rays = [tuple(Fraction(v) for v in r) for r in extremal_rays(cone).rays]
+        vecs += rays
+        vecs += [tuple(a + b for a, b in zip(r, s)) for r, s in zip(rays, rays[1:])]
+    return vecs
+
+
+def _reference_signs(cone, vec):
+    return [real_sign(q.evaluate(vec)) for q in cone.inequalities]
+
+
+def test_membership_on_integer_rows_matches_evaluate_reference():
+    """is_interior/is_member on integer ring rows against Inequality.evaluate
+    and real_sign, on every presentation through order 16."""
+    rng = random.Random(16)
+    groups = abelian_group_catalog(16)
+    assert len(groups) == 31
+    boundary = 0
+    for G in groups:
+        cone = ppd_cone_hrep(G)
+        for vec in _boundary_and_random_vectors(cone, rng):
+            signs = _reference_signs(cone, vec)
+            f = cone.basis.function_from_vector(vec)
+            assert is_interior(f, cone) == all(s > 0 for s in signs), (G, vec)
+            assert is_member(f, cone) == all(s >= 0 for s in signs), (G, vec)
+            boundary += min(signs) == 0
+    assert boundary > 100
+    # a Cyc-valued vector takes the coefficient-by-coefficient route
+    Z5 = make_group([5])
+    cone = ppd_cone_hrep(Z5)
+    c = unit_root(5, 1) + unit_root(5, -1)  # 2cos(2pi/5), about 0.618
+    for vec in ((Fraction(3), c, Fraction(1)), (Fraction(1), c, -c), (c, c, c)):
+        signs = _reference_signs(cone, vec)
+        f = cone.basis.function_from_vector(vec)
+        assert is_interior(f, cone) == all(s > 0 for s in signs), vec
+        assert is_member(f, cone) == all(s >= 0 for s in signs), vec
 
 
 def test_interior_good_agreement_sampled():

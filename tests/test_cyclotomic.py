@@ -220,6 +220,20 @@ def test_cos_ring_sign_escalates_near_zero(monkeypatch):
         assert real_sign(fib[n + 1] - fib[n] * (unit_root(10, 1) + unit_root(10, -1))) == want
 
 
+def test_cold_import_leaves_mpmath_unloaded():
+    """mpmath is imported by _refined_sign alone, on the first escalation."""
+    import os
+    import subprocess
+    import sys
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cyclotomic.__file__)))
+    code = ("import sys, ppdlab; from ppdlab import cli, sweeps; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=pkg_root))
+    assert out.stdout.strip() == "False"
+
+
 # -- a Fraction reference for realness, sign and equality -----------------------
 
 

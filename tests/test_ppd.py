@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdlab.cone import is_interior, ppd_cone_hrep
-from ppdlab.cyclotomic import real_sign, scalar_eq, unit_root
+from ppdlab.cyclotomic import real_sign, scalar_eq, sign_if_real, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -28,6 +30,7 @@ from ppdlab.groups import (
     subgroup_from_generators,
 )
 from ppdlab.ppd import (
+    _translation_invariant,
     bochner_oracle,
     descend_to_quotient,
     derived_rng,
@@ -515,6 +518,93 @@ def test_stabilizer_descent_roundtrip_sampled():
             # descending by the full stabilizer leaves a trivial stabilizer
             if H.order > 1:
                 assert stabilizer_subgroup(g).order == 1 or g.group.order == 1
+
+
+def _reference_verdict(f):
+    """evaluate_function's verdict rebuilt from fourier_transform and
+    sign_if_real, value by value."""
+    fhat = fourier_transform(f, counting_haar(f.group)).values
+    fs, hs = [sign_if_real(v) for v in f.values], [sign_if_real(v) for v in fhat]
+    witnesses = []
+    for cond, kind, name, vals, signs, ok, what in (
+        ("2.1.1", "element", "f", f.values, fs, (0, 1), "not real nonnegative"),
+        ("2.1.2", "character", "f_hat", fhat, hs, (0, 1), "negative"),
+        ("3.1.4", "element", "f", f.values, fs, (1,), "not strictly positive"),
+        ("3.1.4", "character", "f_hat", fhat, hs, (1,), "not strictly positive"),
+    ):
+        witnesses += [{"condition": cond, "kind": kind, "index": i,
+                       "detail": f"{name}({i}) = {v} {what}"}
+                      for i, (v, sg) in enumerate(zip(vals, signs)) if sg not in ok]
+    failed = {w["condition"] for w in witnesses}
+    is_ppd = not failed & {"2.1.1", "2.1.2"}
+    conditions = {c: c not in failed for c in ("2.1.1", "2.1.2", "3.1.4")}
+    conditions.update({"3.1.1": is_ppd, "3.1.2": True, "3.1.3": True, "3.1.5": True})
+    return {"is_ppd": is_ppd, "is_good": is_ppd and "3.1.4" not in failed,
+            "witnesses": witnesses, "conditions": conditions,
+            "vacuous_conditions": ["3.1.2", "3.1.3", "3.1.5"]}, hs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    moduli=st.sampled_from([(1,), (2,), (3,), (4,), (5,), (7,), (8,), (12,),
+                            (4, 2), (6, 2), (2, 2, 2), (4, 4)]),
+    kind=st.sampled_from(["even", "any", "indicator", "constant"]),
+    data=st.data(),
+)
+def test_rational_verdicts_match_transform_reference(moduli, kind, data):
+    """The bucket route of evaluate_function and spectral_min_sign against the
+    transform, on even and non-even rational f, subgroup indicators and
+    constants (exact zeros in f_hat); E in {5, 7, 8, 12} prints Cyc witnesses."""
+    G = make_group(list(moduli))
+    rational = st.builds(Fraction, st.integers(-6, 12), st.integers(1, 4))
+    if kind == "indicator":
+        subs = all_subgroups(G)
+        H = subs[data.draw(st.integers(0, len(subs) - 1))]
+        c, shift = data.draw(rational), data.draw(st.sampled_from([0, 0, -1, 1]))
+        vals = [c * int(H.contains_index(x)) + shift for x in range(G.order)]
+    elif kind == "constant":
+        vals = [data.draw(rational)] * G.order
+    else:
+        vals = [data.draw(rational) for _ in range(G.order)]
+        if kind == "even":
+            vals = [vals[min(x, G.neg_index(x))] for x in range(G.order)]
+    f = GroupFunction(G, vals)
+    want, signs = _reference_verdict(f)
+    assert evaluate_function(f).to_dict() == want
+    if all(v == vals[G.neg_index(x)] for x, v in enumerate(vals)):
+        assert spectral_min_sign(f) == min(signs)
+    else:
+        with pytest.raises(ValueError):
+            spectral_min_sign(f)
+
+
+def _invariant_under_every_element(f, H):
+    add = f.group.index_tables[0]
+    return all(f.values[add[h][x]] == v for h in H.elements for x, v in enumerate(f.values))
+
+
+def test_translation_invariance_on_generators_matches_full_subgroup():
+    """Exact mode checks H's generators only; it agrees with checking every h in
+    H for every subgroup of every group through order 16."""
+    rng = random.Random(41)
+    checked = invariant = 0
+    for G in abelian_group_catalog(16):
+        for H in all_subgroups(G):
+            Q = quotient(G, H)
+            for _ in range(3):
+                g = GroupFunction(Q.group, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                            for _ in range(Q.group.order)])
+                f = pullback(Q.projection_hom, g)
+                x = rng.randrange(G.order)
+                bumped = list(f.values)
+                bumped[x] += 1
+                noise = [Fraction(rng.randint(0, 1)) for _ in range(G.order)]
+                for case in (f, GroupFunction(G, bumped), GroupFunction(G, noise)):
+                    want = _invariant_under_every_element(case, H)
+                    assert _translation_invariant(case, H, 1.0) == want, (G, H)
+                    checked += 1
+                    invariant += want
+    assert invariant > checked / 3 and checked - invariant > checked / 3
 
 
 def _digest(obj) -> str:
