@@ -15,8 +15,8 @@ coefficients; double description, the self-duality pairing, the printed report
 and the membership of a rational vector (one integer row combination and one
 ring sign per inequality) read those rows and the ray coordinates.  Cyc ray
 values are built for the field report, each coordinate at the conductor that
-Cyc arithmetic along the same path gives it (the lcm of the operands', 1 for a
-rational result), which fixes how it prints.
+Cyc arithmetic along the same path gives it (cyclotomic.conductor_step), which
+fixes how it prints.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from typing import Optional
 
 from .cyclotomic import (
     CosRing,
+    conductor,
+    conductor_step,
     cos_basis_string,
     cos_ring,
     expand_in_cos_basis,
@@ -140,7 +142,7 @@ def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     if any(x is None or any(c.denominator != 1 for c in x) for row in exps for x in row):
         raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{E})]")
     rows = tuple(tuple(tuple(int(c) for c in x) for x in row) for row in exps)
-    conds = tuple(tuple(_conductor(c) for c in q.coeffs) for q in ineqs)
+    conds = tuple(tuple(conductor(c) for c in q.coeffs) for q in ineqs)
     return PolyhedralCone(basis, tuple(ineqs), rows, conds)
 
 
@@ -182,22 +184,18 @@ def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
 # -- integer ring coordinates ------------------------------------------------------
 
 
-def _conductor(x) -> int:
-    return 1 if is_rational(x) else x.field.E
-
-
 def _dot(ring: CosRing, row, vec, conds=None):
     """<row, vec> summed term by term, and with conds (the conductors of the
     entries of row and of vec) the conductor a Cyc sum in that order is stored
-    at: the lcm of the operands', reset to 1 whenever a partial sum is rational."""
+    at (cyclotomic.conductor_step)."""
     total, cond = ring.zero, 1
     for j, (c, v) in enumerate(zip(row, vec)):
         if any(c) and any(v):
             term = ring.mul(c, v)
             total = ring.add(total, term)
             if conds:
-                tc = lcm(conds[0][j], conds[1][j]) if any(term[1:]) else 1
-                cond = lcm(cond, tc) if any(total[1:]) else 1
+                tc = conductor_step(conds[0][j], conds[1][j], term)
+                cond = conductor_step(cond, tc, total)
     return total, cond
 
 
@@ -223,11 +221,10 @@ def _primitive_form(ring: CosRing, vec) -> tuple:
 
 
 def _ray_values(ring: CosRing, coords, conds) -> tuple:
-    """Exact scalars of a canonical ray; coordinate j is stored at
-    lcm(conds[j], conds[lead]), the conductor the division by the leading
-    coordinate leaves it at."""
+    """Exact scalars of a canonical ray, coordinate j stored at the conductor
+    the division by the leading coordinate leaves it at."""
     lead = conds[next(i for i, v in enumerate(coords) if any(v))]
-    return tuple(ring.scalar(v, lcm(c, lead)) for v, c in zip(coords, conds))
+    return tuple(ring.scalar(v, conductor_step(c, lead, v)) for v, c in zip(coords, conds))
 
 
 def canonical_ray(vec, e: int):
@@ -243,7 +240,7 @@ def canonical_ray(vec, e: int):
     ring = cos_ring(e)
     den = lcm(*[c.denominator for exp in exps for c in exp])
     coords = _primitive_form(ring, [tuple(int(c * den) for c in exp) for exp in exps])
-    return _ray_values(ring, coords, [_conductor(v) for v in vec]), coords
+    return _ray_values(ring, coords, [conductor(v) for v in vec]), coords
 
 
 # -- double description --------------------------------------------------------------
@@ -292,10 +289,9 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                 for a, ac, b, bc in zip(rays[ip], conds[ip], rays[im], conds[im]):
                     x, y = ring.mul(vp, b), ring.mul(vm, a)
                     z = ring.sub(x, y)
-                    xc = lcm(cp, bc) if any(x[1:]) else 1
-                    yc = lcm(cm, ac) if any(y[1:]) else 1
                     new.append(z)
-                    new_conds.append(lcm(xc, yc) if any(z[1:]) else 1)
+                    new_conds.append(conductor_step(
+                        conductor_step(cp, bc, x), conductor_step(cm, ac, y), z))
                 g = gcd(*[c for z in new for c in z])
                 new = tuple(tuple(c // g for c in z) for z in new)
                 keep.append((new, tuple(new_conds), common | bit))

@@ -322,6 +322,21 @@ def root_conductor(E: int, k: int) -> int:
     return c if c > 2 else 1
 
 
+def conductor(x: Scalar) -> int:
+    """The conductor x is stored at: 1 for a rational, else its field's E."""
+    return 1 if is_rational(x) else x.field.E
+
+
+def conductor_step(cond: int, term_cond: int, coords) -> int:
+    """The conductor rule every printed value follows: Cyc arithmetic stores a
+    sum or product of operands at conductors cond and term_cond at their lcm,
+    or at 1 when the result is rational, that is when its coordinates coords
+    (power or cos basis; coordinate 0 is the rational part in both) vanish past
+    coordinate 0.  A sum steps once per term.  A zero rational factor makes a
+    product rational, so term_cond == 1 is no shortcut."""
+    return math.lcm(cond, term_cond) if any(coords[1:]) else 1
+
+
 @lru_cache(maxsize=None)
 def int_powers(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """zeta_L^m for m in range(L) as sparse integer power-basis coordinates:

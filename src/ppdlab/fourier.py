@@ -16,11 +16,8 @@ inputs), in power-basis coordinates.  Each row sums the rational numerators
 into E buckets, adds the buckets in ascending k through a cached integer
 table of the powers of zeta_L, then adds each cyclotomic term
 zeta_E^k * value in index order.  A value is built only at the end, stored at
-the conductor a Cyc sum in that order would reach: the lcm of the term
-conductors, reset to 1 whenever a partial sum is rational.  The term
-zeta_E^k has conductor E / gcd(k, E), read as 1 when that is <= 2; a
-cyclotomic term takes the lcm with its value's conductor, or 1 when the term
-is rational.  str() prints that conductor.
+the conductor a Cyc sum in that order would reach (cyclotomic.conductor_step),
+which str() prints.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from typing import Sequence
 from .cyclotomic import (
     Cyc,
     conj_scalar,
+    conductor_step,
     field,
     from_int_coords,
     int_powers,
@@ -185,10 +183,6 @@ class GroupFunction:
         exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
         self.mode = EXACT if exact else FLOAT
 
-    @property
-    def is_exact(self) -> bool:
-        return self.mode.exact
-
     def __call__(self, x) -> object:
         if isinstance(x, int):
             return self.values[x]
@@ -199,7 +193,7 @@ class GroupFunction:
             return NotImplemented
         if self.group != other.group:
             return False
-        if self.is_exact and other.is_exact:
+        if self.mode.exact and other.mode.exact:
             return all(scalar_eq(a, b) for a, b in zip(self.values, other.values))
         return self.values == other.values
 
@@ -226,10 +220,6 @@ class HaarScale:
         self.group = group
         self.scale = scale
         self.mode = EXACT if isinstance(scale, Fraction) else FLOAT
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode.exact
 
     def __eq__(self, other):
         return (
@@ -259,10 +249,6 @@ class ScaledMeasure:
         self.density = density
         self.haar = haar
         self.mode = density.mode & haar.mode
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode.exact
 
     def mass_at(self, i: int):
         return self.density.values[i] * self.haar.scale
@@ -326,8 +312,7 @@ def _exact_character_sums(E: int, table, values, sign: int, scale):
             vec, tc = terms[(sign * row[x]) % E]
             for i, c in enumerate(vec):
                 acc[i] += c
-            if tc > 1:
-                cond = math.lcm(cond, tc) if any(acc[1:]) else 1
+            cond = conductor_step(cond, tc, acc)
         out.append(from_int_coords([a * snum for a in acc], cond, L, den))
     return out
 
@@ -351,9 +336,8 @@ def int_buckets(row, numerators, sign: int, E: int) -> list[int]:
 
 def root_sum(terms, E: int, L: int):
     """(coordinates in Q(zeta_L), conductor) of sum n * zeta_E^k over the pairs
-    (k, n) of terms, added in the order given.  The conductor is the one a Cyc
-    sum in that order is stored at: the lcm of the term conductors since the
-    last rational partial sum."""
+    (k, n) of terms, added in the order given, the conductor stepped term by
+    term (cyclotomic.conductor_step)."""
     powers = int_powers(L)
     step = L // E
     acc = [0] * field(L).degree
@@ -362,21 +346,19 @@ def root_sum(terms, E: int, L: int):
         if n:
             for i, c in powers[(k % E) * step]:
                 acc[i] += n * c
-            tc = root_conductor(E, k)
-            if tc > 1:
-                cond = math.lcm(cond, tc) if any(acc[1:]) else 1
+            cond = conductor_step(cond, root_conductor(E, k), acc)
     return acc, cond
 
 
 def _term_table(v: Cyc, den: int, E: int, L: int):
     """(coordinates in Q(zeta_L) of zeta_E^m * v * den, conductor of that term)
-    for every m in range(E); a rational term has conductor 1."""
+    for every m in range(E)."""
     lift = L // v.field.E
     num = [(j * lift, c.numerator * (den // c.denominator)) for j, c in enumerate(v.vec) if c]
     out = []
     for m in range(E):
         vec = root_sum(((m * (L // E) + e, n) for e, n in num), L, L)[0]
-        out.append((vec, math.lcm(root_conductor(E, m), v.field.E) if any(vec[1:]) else 1))
+        out.append((vec, conductor_step(root_conductor(E, m), v.field.E, vec)))
     return out
 
 

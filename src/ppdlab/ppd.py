@@ -161,7 +161,7 @@ def bochner_oracle(f: GroupFunction) -> bool:
     scale = f.mode.scale(vals)
     if not all(f.mode.eq(v, vals[j], scale) for v, j in zip(vals, neg)):
         return False
-    if not f.is_exact:
+    if not f.mode.exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
         return _psd_exact_rational(vals, diff)
@@ -234,7 +234,7 @@ def _psd_exact_rational(vals, diff) -> bool:
 def _even_rational(f: GroupFunction):
     """(integer numerators, common denominator) of f's values when f is even
     with rational exact values; None otherwise."""
-    if not f.is_exact or any(isinstance(v, Cyc) for v in f.values):
+    if not f.mode.exact or any(isinstance(v, Cyc) for v in f.values):
         return None
     nums, den = over_common_denominator(f.values)
     even = all(n == nums[j] for n, j in zip(nums, f.group.index_tables[1]))
@@ -260,7 +260,7 @@ def _spectral_signs(G: FiniteAbelianGroup, nums, den: int, witness: bool):
 def spectral_min_sign(f: GroupFunction) -> int:
     """Certified sign of min f_hat over the dual group (even rational functions
     only): the minimum over _spectral_signs, stopping at the first negative."""
-    if not f.is_exact or not all(is_rational(v) for v in f.values):
+    if not f.mode.exact or not all(is_rational(v) for v in f.values):
         raise ValueError("spectral_min_sign expects rational exact values")
     even = _even_rational(f)
     if even is None:
@@ -281,7 +281,7 @@ def normalize_function(f: GroupFunction) -> GroupFunction:
     v0 = f.values[0]
     if not f.mode.positive_real(v0):
         raise ValueError(f"cannot normalize: f(0) = {v0} is not positive")
-    if f.is_exact:
+    if f.mode.exact:
         inv = f.mode.inv(v0)
         return GroupFunction(f.group, [v * inv for v in f.values])
     v0 = complex(v0).real
@@ -293,7 +293,7 @@ def normalize_measure(mu: ScaledMeasure) -> ScaledMeasure:
     mass = mu.total_mass()
     if not mu.mode.positive_real(mass):
         raise ValueError(f"cannot normalize measure of mass {mass}")
-    if not mu.is_exact:
+    if not mu.mode.exact:
         new_scale = float(mu.haar.scale) / complex(mass).real
     elif is_rational(mass):
         new_scale = mu.haar.scale / Fraction(mass)
@@ -389,7 +389,7 @@ def stabilizer_subgroup(f: GroupFunction, verify_input: bool = True) -> Subgroup
 def _translation_invariant(f: GroupFunction, H: Subgroup, scale: float) -> bool:
     """f(x + h) = f(x) for every x in G and h in H.  Exact equality chains, so
     H's generators suffice; float mode checks every h at the given scale."""
-    hs = [f.group.index(g) for g in H.generators] if f.is_exact else H.elements
+    hs = [f.group.index(g) for g in H.generators] if f.mode.exact else H.elements
     vals, add = f.values, f.group.index_tables[0]
     return all(f.mode.eq(vals[add[h][x]], v, scale)
                for h in hs for x, v in enumerate(vals))
@@ -459,8 +459,7 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     values = []
     for x in range(G.order):
         exps = [table[a][x] for a in chars]
-        # u = sum_a w_a zeta^exps[a], summed in draw order, fixes the conductor
-        # of |u|^2 = sum_a,a' w_a w_a' zeta^(exps[a] - exps[a'])
+        # |u|^2 takes the conductor of u = sum_a w_a zeta^exps[a] in draw order
         cond = root_sum(zip(exps, ints), E, E)[1]
         buckets = [0] * E
         for m, w in zip(exps, ints):

@@ -2,12 +2,13 @@
 
 Functions serialize as {"group": "Z4xZ2", "values": [[re, im], ...]} and
 measures add {"haar_scale": "1/4"}.  In exact mode, numeric entries must be
-integers or rational strings like "3/4"; float mode accepts any real number
-or rational string.
+integers or rational strings like "3/4"; float mode accepts any finite real
+number or rational string.  Booleans, NaN and infinities are rejected.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import to_complex, unit_root
@@ -26,6 +27,8 @@ def parse_rational(v) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r}")
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite value: {v!r}")
         if v != int(v):
             raise ValueError(
                 f"non-integer float {v!r} in exact mode; write it as a rational string"
@@ -56,8 +59,16 @@ def _parse_value(entry, mode: str):
 
 
 def _real(v) -> float:
-    """A float-mode number: rational strings like "3/4" parse as in exact mode."""
-    return float(parse_rational(v) if isinstance(v, str) else v)
+    """A finite float-mode number: rational strings like "3/4" parse as in exact mode."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"not a real value: {v!r}")
+    try:
+        x = float(parse_rational(v) if isinstance(v, str) else v)
+    except OverflowError:  # an int or rational past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite value: {v!r}")
+    return x
 
 
 def _format_value(v, exact: bool):
@@ -80,25 +91,20 @@ def function_from_dict(d: dict, mode: str = "exact") -> GroupFunction:
 def function_to_dict(f: GroupFunction) -> dict:
     return {
         "group": format_group(f.group),
-        "values": [_format_value(v, f.is_exact) for v in f.values],
+        "values": [_format_value(v, f.mode.exact) for v in f.values],
     }
 
 
 def measure_from_dict(d: dict, mode: str = "exact") -> ScaledMeasure:
     f = function_from_dict(d, mode)
     raw = d.get("haar_scale", "1")
-    if mode == "exact":
-        scale = parse_rational(raw)
-    elif isinstance(raw, (int, float, str)):
-        scale = _real(raw)
-    else:
-        raise ValueError(f"not a real value: {raw!r}")
+    scale = parse_rational(raw) if mode == "exact" else _real(raw)
     return ScaledMeasure(f.group, f, HaarScale(f.group, scale))
 
 
 def measure_to_dict(mu: ScaledMeasure) -> dict:
     d = function_to_dict(mu.density)
-    if mu.is_exact:
+    if mu.mode.exact:
         d["haar_scale"] = rational_to_str(mu.haar.scale)
     else:
         d["haar_scale"] = float(mu.haar.scale)

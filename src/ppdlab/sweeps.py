@@ -343,7 +343,7 @@ def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
             f = cone.basis.function_from_vector(vec)
             cases += 1
             interior = is_interior(f, cone)
-            good = evaluate_function(f).is_good
+            good = min(vec) > 0 and spectral_min_sign(f) > 0
             if interior != good:
                 disagreements.append(
                     {"group": format_group(G), "vector": [str(v) for v in vec]}

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -61,6 +62,21 @@ MALFORMED = {
     "group 5": ({"group": 5, "values": [[1, 0]]}, "exact", ("check", "convolve")),
     "float haar_scale [1]": ({"group": "Z2", "values": [[1, 0], [1, 0]],
                               "haar_scale": [1]}, "float", ("convolve",)),
+    # json writes these floats as Infinity and NaN, the booleans as true
+    "value Infinity exact": ({"group": "Z2", "values": [math.inf, 1]}, "exact",
+                             ("check", "convolve")),
+    "value Infinity float": ({"group": "Z2", "values": [math.inf, 1]}, "float",
+                             ("check", "convolve")),
+    "value NaN float": ({"group": "Z2", "values": [math.nan, 1]}, "float",
+                        ("check", "convolve")),
+    "value true float": ({"group": "Z2", "values": [True, 1]}, "float",
+                         ("check", "convolve")),
+    "value null float": ({"group": "Z2", "values": [[None, 0], [1, 0]]}, "float",
+                         ("check", "convolve")),
+    "value 10**400 float": ({"group": "Z2", "values": [10**400, 1]}, "float",
+                            ("check", "convolve")),
+    "haar_scale Infinity float": ({"group": "Z2", "values": [[1, 0], [1, 0]],
+                                   "haar_scale": math.inf}, "float", ("convolve",)),
 }
 
 

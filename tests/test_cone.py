@@ -6,7 +6,6 @@ import pytest
 
 from ppdlab.cone import (
     EvenBasis,
-    _conductor,
     _dot,
     _transform_coords,
     brute_force_rays,
@@ -18,7 +17,14 @@ from ppdlab.cone import (
     ppd_cone_hrep,
     self_duality_check,
 )
-from ppdlab.cyclotomic import cos_ring, expand_in_cos_basis, real_sign, to_complex, unit_root
+from ppdlab.cyclotomic import (
+    conductor,
+    cos_ring,
+    expand_in_cos_basis,
+    real_sign,
+    to_complex,
+    unit_root,
+)
 from ppdlab.fourier import GroupFunction, counting_haar, fourier_transform
 from ppdlab.groups import abelian_group_catalog, all_subgroups, make_group
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
@@ -179,7 +185,7 @@ def test_ring_evaluation_carries_the_cyc_conductor():
                 for _ in range(cone.basis.dim)
             )
             vrow = tuple(tuple(int(c) for c in expand_in_cos_basis(v, e)) for v in vec)
-            vconds = tuple(_conductor(v) for v in vec)
+            vconds = tuple(conductor(v) for v in vec)
             q = rng.randrange(len(rows))
             value, cond = _dot(ring, rows[q], vrow, (conds[q], vconds))
             want = cone.inequalities[q].evaluate(vec)

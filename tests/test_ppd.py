@@ -198,7 +198,7 @@ def test_bochner_oracle_float_mode():
 
 def test_bochner_oracle_exact_irrational_values():
     f = sample_ppd(make_group([5]), seed=77)
-    assert f.is_exact
+    assert f.mode.exact
     assert bochner_oracle(f)
 
 

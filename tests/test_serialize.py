@@ -52,7 +52,7 @@ def test_function_roundtrip_exact():
 def test_function_gaussian_rational_entries():
     d = {"group": "Z2", "values": [[1, 0], ["1/2", "1/3"]]}
     f = function_from_dict(d, mode="exact")
-    assert f.is_exact
+    assert f.mode.exact
     expected = Fraction(1, 2) + Fraction(1, 3) * unit_root(4, 1)
     assert scalar_eq(f.values[1], expected)
 
@@ -64,7 +64,7 @@ def test_function_scalar_shorthand_and_float_mode():
         {"group": "Z2", "values": [[0.25, 0.5], 1]}, mode="float"
     )
     assert g.values == (0.25 + 0.5j, 1 + 0j)
-    assert not g.is_exact
+    assert not g.mode.exact
 
 
 def test_function_from_dict_errors():
