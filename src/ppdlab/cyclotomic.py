@@ -2,16 +2,19 @@
 
 An exact scalar is either a plain ``int``/``Fraction`` or a :class:`Cyc`:
 an element of Q(zeta_E) stored in the power basis ``1, zeta, ..., zeta^(d-1)``
-(d = phi(E)) with coordinates reduced modulo the E-th cyclotomic polynomial.
-Arithmetic contracts rational results back to ``Fraction``, so the two kinds
-mix freely and a reduced nonzero ``Cyc`` is never rational.
+(d = phi(E)), reduced modulo the E-th cyclotomic polynomial, as a tuple of
+integer numerators ``num`` over one positive ``den`` in lowest terms.
+Arithmetic, conjugation, lifts and comparisons run on those integers through
+each field's integer power table; str() and repr() print every coordinate as
+``Fraction(n, den)``.  Rational results contract back to ``Fraction``, so the
+two kinds mix freely and a reduced nonzero ``Cyc`` is never rational.
 
-sign_if_real decides realness and sign once per value on integer numerators:
-a cached integer conjugation table, then one double screen (screen_sign, shared
-with CosRing) that shifts wide integers down rather than overflow and escalates
-to mpmath (imported on first use) only near zero.  Exact zeros are recognized
-structurally (a reduced value is zero iff every coordinate is), so refinement
-terminates.
+sign_if_real decides realness and sign once per value on integer numerators
+(a rational's from its numerator): conjugation on the numerators, then one
+double screen (screen_sign, shared with CosRing) that shifts wide integers
+down rather than overflow and escalates to mpmath (imported on first use)
+only near zero.  Exact zeros are recognized structurally (a reduced value is
+zero iff every coordinate is), so refinement terminates.
 """
 
 from __future__ import annotations
@@ -92,30 +95,26 @@ def cyclotomic_polynomial(E: int) -> tuple[int, ...]:
 class CycField:
     """Cached arithmetic tables for Q(zeta_E) in the power basis."""
 
-    __slots__ = ("E", "degree", "pow_vec", "conj_int", "roots_complex")
+    __slots__ = ("E", "degree", "pow_vec", "powers", "roots_complex")
 
     def __init__(self, E: int):
         self.E = E
         phi = cyclotomic_polynomial(E)
         d = len(phi) - 1
         self.degree = d
-        # x^d = -(phi - x^d); iterate to get x^k mod phi for every needed power
-        tail = tuple(Fraction(-c) for c in phi[:d])
-        pows: list[tuple[Fraction, ...]] = []
-        cur = [Fraction(0)] * d
-        cur[0] = Fraction(1)
-        limit = max(E, 2 * d - 1)
-        for _ in range(limit):
+        # x^d = -(phi - x^d); iterate to get the integer coordinates of x^k mod phi
+        tail = tuple(-c for c in phi[:d])
+        pows: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (d - 1)
+        for _ in range(E):
             pows.append(tuple(cur))
             lead = cur[d - 1]
-            nxt = [Fraction(0)] + cur[: d - 1]
+            cur = [0] + cur[: d - 1]
             if lead:
-                nxt = [a + lead * t for a, t in zip(nxt, tail)]
-            cur = nxt
+                cur = [a + lead * t for a, t in zip(cur, tail)]
         self.pow_vec = pows
-        # zeta^-j for j < d as sparse integer coordinates (i, c), c != 0
-        self.conj_int = tuple(tuple((i, int(c)) for i, c in enumerate(pows[-j % E]) if c)
-                              for j in range(d))
+        # zeta^m for m in range(E) as sparse pairs (i, c), c != 0
+        self.powers = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in pows)
         self.roots_complex = tuple(
             cmath.exp(2j * cmath.pi * j / E) for j in range(d)
         )
@@ -134,114 +133,99 @@ def _as_fraction(x: Rational) -> Fraction:
 
 
 class Cyc:
-    """A non-rational element of Q(zeta_E); rational results contract to Fraction."""
+    """A non-rational element of Q(zeta_E): integer power-basis numerators num
+    over one positive den, in lowest terms; rational results contract to Fraction."""
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, fld: CycField, vec: tuple[Fraction, ...]):
+    def __init__(self, fld: CycField, num: tuple[int, ...], den: int):
         self.field = fld
-        self.vec = vec
+        self.num = num
+        self.den = den
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def make(fld: CycField, vec) -> Scalar:
-        vec = tuple(vec)
-        if not any(vec[1:]):
-            return vec[0]
-        return Cyc(fld, vec)
+    def reduced(fld: CycField, num, den: int) -> Scalar:
+        """num / den (den > 0) in lowest terms; a rational value as Fraction."""
+        if not any(num[1:]):
+            return Fraction(num[0], den)
+        g = math.gcd(den, *num)
+        if g != 1:
+            return Cyc(fld, tuple(n // g for n in num), den // g)
+        return Cyc(fld, tuple(num), den)
 
-    def lift_vec(self, E2: int) -> tuple[Fraction, ...]:
-        """Coordinates of this value inside Q(zeta_E2); requires E | E2."""
-        f2 = field(E2)
-        step = E2 // self.field.E
-        out = [Fraction(0)] * f2.degree
-        for j, c in enumerate(self.vec):
-            if c:
-                for i, b in enumerate(f2.pow_vec[j * step]):
-                    if b:
-                        out[i] += c * b
-        return tuple(out)
+    @staticmethod
+    def make(fld: CycField, vec) -> Scalar:
+        """The value with rational power-basis coordinates vec."""
+        return Cyc.reduced(fld, *over_common_denominator(vec))
+
+    @property
+    def vec(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    def lift_num(self, E2: int) -> list[int]:
+        """Numerators over den of this value inside Q(zeta_E2); requires E | E2."""
+        return power_coords(enumerate(self.num), self.field.E, E2)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _pair(self, other):
+    def _lifted(self, other: "Cyc"):
+        """(field, numerators of self, of other) at the lcm of the conductors."""
+        if other.field is self.field:
+            return self.field, self.num, other.num
+        E = math.lcm(self.field.E, other.field.E)
+        return field(E), self.lift_num(E), other.lift_num(E)
+
+    def _add(self, other, sign: int):
         if isinstance(other, Cyc):
-            if other.field is self.field:
-                return self.field, self.vec, other.vec
-            E = math.lcm(self.field.E, other.field.E)
-            return field(E), self.lift_vec(E), other.lift_vec(E)
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            vec = (q,) + (Fraction(0),) * (self.field.degree - 1)
-            return self.field, self.vec, vec
-        return None
+            fld, a, b = self._lifted(other)
+            d = other.den
+        elif isinstance(other, (int, Fraction)):
+            fld, a, b, d = self.field, self.num, (other.numerator,), other.denominator
+        else:
+            return NotImplemented
+        den = math.lcm(self.den, d)
+        s = den // self.den
+        out = [x * s for x in a] if s != 1 else list(a)
+        s = sign * (den // d)
+        for i, y in enumerate(b):
+            out[i] += y * s
+        return Cyc.reduced(fld, out, den)
 
     def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        fld, a, b = p
-        return Cyc.make(fld, tuple(x + y for x, y in zip(a, b)))
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.field, tuple(-c for c in self.vec))
+        return Cyc(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        fld, a, b = p
-        return Cyc.make(fld, tuple(x - y for x, y in zip(a, b)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Fraction(0)
-            q = _as_fraction(other)
-            return Cyc(self.field, tuple(c * q for c in self.vec))
+            n = other.numerator
+            return Cyc.reduced(self.field, [c * n for c in self.num],
+                               self.den * other.denominator) if n else Fraction(0)
         if not isinstance(other, Cyc):
             return NotImplemented
-        fld, a, b = self._pair(other)
-        d = fld.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                for i, b2 in enumerate(fld.pow_vec[k]):
-                    if b2:
-                        out[i] += c * b2
-        return Cyc.make(fld, out)
+        fld, a, b = self._lifted(other)
+        return Cyc.reduced(fld, _int_product(fld, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        # solve z*w = 1 as a rational linear system in the power basis
+        # solve (num * zeta^j) w = den as a rational linear system in the power basis
         fld = self.field
         d = fld.degree
-        cols = []
-        for j in range(d):
-            basis = Cyc.make(fld, fld.pow_vec[j])
-            prod = self * basis
-            if isinstance(prod, Cyc):
-                cols.append(list(prod.lift_vec(fld.E)))
-            else:
-                col = [Fraction(0)] * d
-                col[0] = _as_fraction(prod)
-                cols.append(col)
-        rhs = [Fraction(0)] * d
-        rhs[0] = Fraction(1)
+        cols = [_int_product(fld, self.num, fld.pow_vec[j]) for j in range(d)]
+        rhs = [self.den] + [0] * (d - 1)
         sol = solve([[cols[j][i] for j in range(d)] for i in range(d)], rhs)
         if sol is None:
             raise ZeroDivisionError("cyclotomic inverse of zero")
@@ -260,28 +244,26 @@ class Cyc:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> Scalar:
-        fld = self.field
-        out = [Fraction(0)] * fld.degree
-        for j, c in enumerate(self.vec):
-            if c:
-                for i, b in fld.conj_int[j]:
-                    out[i] += c * b
-        return Cyc.make(fld, out)
+        # an integer involution: the result stays non-rational and in lowest terms
+        return Cyc(self.field, tuple(_conj_num(self)), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return False  # reduced non-rational value
-        if isinstance(other, Cyc):
-            _, a, b = self._pair(other)
-            return a == b
-        return NotImplemented
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        if other.field is self.field:
+            return self.den == other.den and self.num == other.num
+        _, a, b = self._lifted(other)
+        return all(x * other.den == y * self.den for x, y in zip(a, b))
 
     def __hash__(self):
         raise TypeError("Cyc values are not hashable")
 
     def to_complex(self) -> complex:
+        den = self.den
         return sum(
-            float(c) * r for c, r in zip(self.vec, self.field.roots_complex) if c
+            (n / den) * r for n, r in zip(self.num, self.field.roots_complex) if n
         )
 
     def __repr__(self):
@@ -298,6 +280,35 @@ class Cyc:
                 else:
                     terms.append(f"{c}*z{self.field.E}^{j}")
         return " + ".join(terms) if terms else "0"
+
+
+def _int_product(fld: CycField, a, b) -> list[int]:
+    """Power-basis coordinates of the product of integer coordinates a and b."""
+    conv = [0] * (2 * fld.degree - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return power_coords(enumerate(conv), fld.E, fld.E)
+
+
+def power_coords(terms, E: int, L: int) -> list[int]:
+    """Integer coordinates in Q(zeta_L) of sum n * zeta_E^k over the pairs
+    (k, n) of terms, E | L."""
+    fld = field(L)
+    powers, step = fld.powers, L // E
+    out = [0] * fld.degree
+    for k, n in terms:
+        if n:
+            for i, c in powers[(k % E) * step]:
+                out[i] += n * c
+    return out
+
+
+def _conj_num(x: "Cyc") -> list[int]:
+    """The numerators of conj(x) over x.den: zeta^j goes to zeta^-j."""
+    return power_coords(((-j, n) for j, n in enumerate(x.num)), x.field.E, x.field.E)
 
 
 # -- public scalar helpers ---------------------------------------------------
@@ -338,16 +349,6 @@ def conductor_step(cond: int, term_cond: int, coords) -> int:
 
 
 @lru_cache(maxsize=None)
-def int_powers(L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """zeta_L^m for m in range(L) as sparse integer power-basis coordinates:
-    the pairs (i, c) with c != 0."""
-    return tuple(
-        tuple((i, int(c)) for i, c in enumerate(vec) if c)
-        for vec in field(L).pow_vec[:L]
-    )
-
-
-@lru_cache(maxsize=None)
 def _power_descent(F: int, L: int):
     """(N, den): N @ x / den are the coordinates in Q(zeta_F), F | L, of the
     value with power-basis coordinates x in Q(zeta_L), when it lies in Q(zeta_F)."""
@@ -358,13 +359,11 @@ def _power_descent(F: int, L: int):
 def from_int_coords(x, F: int, L: int, den: int) -> Scalar:
     """x / den, for integer power-basis coordinates x in Q(zeta_L), stored at
     conductor F (F | L, the value in Q(zeta_F)); a rational value as Fraction."""
-    if not any(x[1:]):
-        return Fraction(x[0], den)
-    if F != L:
+    if F != L and any(x[1:]):
         mat, d = _power_descent(F, L)
         x = _mat_vec(mat, x)
         den *= d
-    return Cyc(field(F), tuple(Fraction(c, den) for c in x))
+    return Cyc.reduced(field(F), x, den)
 
 
 def is_rational(x: Scalar) -> bool:
@@ -382,16 +381,10 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _real_numerators(x: Cyc) -> Optional[list[int]]:
-    """x's coordinates over their common denominator, or None when x is not
-    real, i.e. when they differ from their image under conjugation."""
-    nums = over_common_denominator(x.vec)[0]
-    conj = [0] * len(nums)
-    for n, row in zip(nums, x.field.conj_int):
-        if n:
-            for i, c in row:
-                conj[i] += n * c
-    return nums if conj == nums else None
+def _real_numerators(x: Cyc) -> Optional[tuple[int, ...]]:
+    """x.num, or None when x is not real, i.e. when its numerators differ
+    from those of its conjugate."""
+    return x.num if tuple(_conj_num(x)) == x.num else None
 
 
 def is_real_scalar(x: Scalar) -> bool:
@@ -405,7 +398,9 @@ def to_complex(x) -> complex:
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    return a == b  # ints and Fractions compare directly; a reduced Cyc is never rational
+    if isinstance(a, Cyc) or isinstance(b, Cyc):
+        return a == b  # a reduced Cyc is never rational
+    return a.numerator == b.numerator and a.denominator == b.denominator  # lowest terms
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +427,11 @@ def screen_sign(coords, weights) -> Optional[int]:
 
 def sign_if_real(x: Scalar) -> Optional[int]:
     """Certified sign (-1, 0, +1) of an exact scalar, or None when it is not
-    real; a real Cyc has the sign of sum n_j cos(2*pi*j/E) over its numerators."""
+    real; a rational has its numerator's sign, a real Cyc that of
+    sum n_j cos(2*pi*j/E) over its numerators."""
     if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
+        n = x.numerator
+        return (n > 0) - (n < 0)
     nums = _real_numerators(x)
     if nums is None:
         return None
@@ -458,11 +455,9 @@ def _refined_sign(x: Cyc) -> int:
         with mpmath.workdps(dps):
             total = mpmath.mpf(0)
             mass = mpmath.mpf(0)
-            for j, c in enumerate(x.vec):
-                if c:
-                    term = mpmath.cos(2 * mpmath.pi * j / E) * mpmath.mpf(
-                        c.numerator
-                    ) / mpmath.mpf(c.denominator)
+            for j, n in enumerate(x.num):
+                if n:
+                    term = mpmath.cos(2 * mpmath.pi * j / E) * mpmath.mpf(n) / x.den
                     total += term
                     mass += abs(term) + 1
             bound = mass * mpmath.mpf(10) ** (4 - dps)
@@ -477,7 +472,7 @@ def real_abs(x: Scalar) -> Scalar:
 
 def scalar_inv(x: Scalar) -> Scalar:
     if isinstance(x, (int, Fraction)):
-        return Fraction(1) / _as_fraction(x)
+        return Fraction(x.denominator, x.numerator)
     return x.inverse()
 
 
@@ -506,7 +501,7 @@ def _cos_frame(L: int, e: int):
         for j in range(1, cos_basis_size(e))
     ]
     inv, den = left_inverse(cols)
-    return [[int(c) for c in row] for row in zip(*cols)], inv, den
+    return [list(row) for row in zip(*cols)], inv, den
 
 
 def expand_in_cos_basis(x: Scalar, e: int):
@@ -519,7 +514,7 @@ def expand_in_cos_basis(x: Scalar, e: int):
         return [_as_fraction(x)] + [Fraction(0)] * (m - 1)
     L = math.lcm(x.field.E, e)
     rows, inv, den = _cos_frame(L, e)
-    target, t_den = over_common_denominator(x.vec if x.field.E == L else x.lift_vec(L))
+    target, t_den = (list(x.num) if x.field.E == L else x.lift_num(L)), x.den
     coeffs = _mat_vec(inv, target)
     if _mat_vec(rows, coeffs) != [den * t for t in target]:
         return None
@@ -595,12 +590,15 @@ class CosRing:
         return _refined_sign(self.scalar(a, self.e)) if s is None else s
 
     def scalar(self, a, F: int) -> Scalar:
-        """a as an exact scalar stored at conductor F (F | e, a in Q(zeta_F))."""
+        """a (rational coordinates) as an exact scalar stored at conductor F
+        (F | e, a in Q(zeta_F))."""
         if not any(a[1:]):
             return Fraction(a[0])
-        x = _mat_vec(_cos_frame(self.e, self.e)[0], a)
-        value = from_int_coords(x, F, self.e, 1)
-        if F != self.e and list(value.lift_vec(self.e)) != x:
+        nums, den = over_common_denominator(a)
+        x = _mat_vec(_cos_frame(self.e, self.e)[0], nums)
+        value = from_int_coords(x, F, self.e, den)
+        if F != self.e and any(n * den != c * value.den
+                               for n, c in zip(value.lift_num(self.e), x)):
             raise ArithmeticError(f"value does not descend to conductor {F}")
         return value
 

@@ -33,8 +33,8 @@ from .cyclotomic import (
     conductor_step,
     field,
     from_int_coords,
-    int_powers,
     is_real_scalar,
+    power_coords,
     real_abs,
     real_sign,
     root_conductor,
@@ -120,6 +120,8 @@ class Mode:
     def at_least(self, a, b, scale: float) -> bool:
         """a >= b for real a, b; in float mode up to FLOAT_TOL * scale."""
         if self.exact:
+            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+                return a.numerator * b.denominator >= b.numerator * a.denominator
             return real_sign(a - b) >= 0
         return not (to_complex(a) - to_complex(b)).real < -FLOAT_TOL * scale
 
@@ -202,7 +204,8 @@ class GroupFunction:
 
 
 class HaarScale:
-    """Haar measure = scale * counting measure; scale is a positive rational or float."""
+    """Haar measure = scale * counting measure; scale is a positive rational or
+    a positive finite float."""
 
     __slots__ = ("group", "scale", "mode")
 
@@ -213,8 +216,8 @@ class HaarScale:
             if scale <= 0:
                 raise ValueError(f"Haar scale must be positive, got {scale}")
         elif isinstance(scale, float):
-            if not scale > 0:
-                raise ValueError(f"Haar scale must be positive, got {scale}")
+            if not 0 < scale < math.inf:
+                raise ValueError(f"Haar scale must be positive and finite, got {scale}")
         else:
             raise TypeError(f"unsupported Haar scale type {type(scale)}")
         self.group = group
@@ -277,11 +280,21 @@ def inverse_transform(mu: ScaledMeasure) -> GroupFunction:
     return GroupFunction(dual_group(mu.group), out)
 
 
-def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode):
-    """scale * sum_a values[a] * zeta_E^(sign * <a, b>) for every index b; the
-    pairing is symmetric, so row b of the exponent table serves both directions."""
+def transform_rows(f: GroupFunction, rows) -> list:
+    """fourier_transform(f, counting_haar(f.group)).values[b] for each index b
+    in rows, summing those rows alone."""
+    return _character_sums(f.group, f.values, -1, Fraction(1), f.mode, rows)
+
+
+def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode,
+                    rows=None):
+    """scale * sum_a values[a] * zeta_E^(sign * <a, b>) for every index b, or
+    for each b in rows; the pairing is symmetric, so row b of the exponent
+    table serves both directions."""
     E = G.exponent()
     table = exponent_table(G.moduli)
+    if rows is not None:
+        table = [table[b] for b in rows]
     if mode.exact:
         return _exact_character_sums(E, table, values, sign, scale)
     roots = _complex_roots(E)
@@ -318,12 +331,9 @@ def _exact_character_sums(E: int, table, values, sign: int, scale):
 
 
 def common_denominator(values) -> int:
-    """The lcm of the denominators of exact values and of Cyc coordinates."""
+    """The lcm of the denominators of exact values, a Cyc's being its den."""
     # a list, not a generator, as in cyclotomic.over_common_denominator
-    return math.lcm(*[
-        c.denominator for v in values
-        for c in (v.vec if isinstance(v, Cyc) else (v,))
-    ])
+    return math.lcm(*[v.den if isinstance(v, Cyc) else v.denominator for v in values])
 
 
 def int_buckets(row, numerators, sign: int, E: int) -> list[int]:
@@ -338,9 +348,9 @@ def root_sum(terms, E: int, L: int):
     """(coordinates in Q(zeta_L), conductor) of sum n * zeta_E^k over the pairs
     (k, n) of terms, added in the order given, the conductor stepped term by
     term (cyclotomic.conductor_step)."""
-    powers = int_powers(L)
-    step = L // E
-    acc = [0] * field(L).degree
+    fld = field(L)
+    powers, step = fld.powers, L // E
+    acc = [0] * fld.degree
     cond = 1
     for k, n in terms:
         if n:
@@ -354,10 +364,11 @@ def _term_table(v: Cyc, den: int, E: int, L: int):
     """(coordinates in Q(zeta_L) of zeta_E^m * v * den, conductor of that term)
     for every m in range(E)."""
     lift = L // v.field.E
-    num = [(j * lift, c.numerator * (den // c.denominator)) for j, c in enumerate(v.vec) if c]
+    scale = den // v.den
+    num = [(j * lift, c * scale) for j, c in enumerate(v.num) if c]
     out = []
     for m in range(E):
-        vec = root_sum(((m * (L // E) + e, n) for e, n in num), L, L)[0]
+        vec = power_coords(((m * (L // E) + e, n) for e, n in num), L, L)
         out.append((vec, conductor_step(root_conductor(E, m), v.field.E, vec)))
     return out
 

@@ -20,6 +20,7 @@ and only f_hat values a witness prints are built.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .cyclotomic import (
     from_int_coords,
     is_rational,
     over_common_denominator,
+    power_coords,
     real_sign,
     scalar_inv,
     screen_sign,
@@ -435,6 +437,10 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     the function and its transform strictly positive.  PPD samples are pulled
     back from a proper quotient part of the time so nontrivial stabilizers
     show up downstream.
+
+    Values are built on integers, once per exponent tuple (<a_i, x>) over the
+    drawn characters: |u|^2(x) and u's conductor depend on x only through it.
+    The shifts join coordinate 0 over one common denominator.
     """
     rng = derived_rng(seed, strictness, G.moduli)
     if (
@@ -455,24 +461,29 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     k = rng.randint(1, min(3, G.order))
     chars = [rng.randrange(G.order) for _ in range(k)]
     weights = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(k)]
-    ints, den = over_common_denominator(weights)
-    values = []
-    for x in range(G.order):
-        exps = [table[a][x] for a in chars]
-        # |u|^2 takes the conductor of u = sum_a w_a zeta^exps[a] in draw order
-        cond = root_sum(zip(exps, ints), E, E)[1]
-        buckets = [0] * E
-        for m, w in zip(exps, ints):
-            for m2, w2 in zip(exps, ints):
-                buckets[(m - m2) % E] += w * w2
-        values.append(from_int_coords(root_sum(enumerate(buckets), E, E)[0],
-                                      cond, E, den * den))
+    a = b = Fraction(0)
     if strictness == "good":
+        # +a keeps f strictly positive; +b*delta_0 shifts the whole transform up by b
         a = Fraction(rng.randint(1, 3), rng.randint(1, 3))
         b = Fraction(rng.randint(1, 3), rng.randint(1, 3))
-        # +a keeps f strictly positive; +b*delta_0 shifts the whole transform up by b
-        values = [v + a for v in values]
-        values[0] = values[0] + b
+    ints, den = over_common_denominator(weights)
+    # |u|^2 + a + b*delta_0 on integers over one denominator D, once per exps
+    D = math.lcm(den * den, a.denominator, b.denominator)
+    sa, sb = (q.numerator * (D // q.denominator) for q in (a, b))
+    scale, shift = D // (den * den), (sa + sb, sa)
+    values, memo = [], {}
+    for x, exps in enumerate(zip(*[table[c] for c in chars])):
+        key = exps if x else None  # f(0) alone carries b
+        if key not in memo:
+            buckets = [0] * E
+            for m, w in zip(exps, ints):
+                for m2, w2 in zip(exps, ints):
+                    buckets[(m - m2) % E] += w * w2 * scale
+            buckets[0] += shift[x > 0]
+            # |u|^2 takes the conductor of u = sum_a w_a zeta^exps[a] in draw order
+            memo[key] = from_int_coords(power_coords(enumerate(buckets), E, E),
+                                        root_sum(zip(exps, ints), E, E)[1], E, D)
+        values.append(memo[key])
     return GroupFunction(G, values)
 
 

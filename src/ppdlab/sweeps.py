@@ -108,8 +108,8 @@ def structure_sweep(max_order: int = 16, samples: int = 1000,
             rng = derived_rng(seed, "structure", (G.moduli, j))
             f = sample_ppd(G, seed=rng.randrange(2**31))
             cases += 1
-            v0 = f.values[0]
-            if any(real_sign(v0 - v) < 0 for v in f.values):
+            v0, scale = f.values[0], f.mode.scale(f.values)
+            if not all(f.mode.at_least(v0, v, scale) for v in f.values):
                 failures.append({"group": format_group(G), "kind": "max", "case": j})
                 continue
             try:

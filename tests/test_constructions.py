@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ppdlab.constructions import (
     CorestrictionReport,
     PreconditionError,
+    _corestrict_raw,
     coset_average,
     corestrict,
     corestrict_measure,
@@ -17,7 +19,7 @@ from ppdlab.constructions import (
     restrict,
     restrict_measure,
 )
-from ppdlab.cyclotomic import real_sign, scalar_eq
+from ppdlab.cyclotomic import real_sign, scalar_eq, to_complex
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -25,14 +27,18 @@ from ppdlab.fourier import (
     counting_haar,
     fourier_transform,
     inverse_transform,
+    measure_from_function,
     pullback,
+    transform_rows,
 )
 from ppdlab.groups import (
     abelian_group_catalog,
     all_subgroups,
     annihilator,
     dual_hom,
+    format_group,
     hom_apply,
+    hom_index_map,
     make_group,
     quotient,
     subgroup_from_generators,
@@ -131,6 +137,51 @@ def test_corestriction_consistency_sweep_small():
                 report = corestriction_consistency(f, H)
                 assert report.max_abs_gap == 0, (G, H.elements, s)
                 assert report.fourier_route.values[0] == 1
+
+
+# sha256 of the printed values below, recorded with Fraction-coordinate Cyc
+# arithmetic: per group through order 8 and seed 0 to 2, the sampled PPD and
+# good functions and the normalized dual, then per subgroup both routes of
+# corestriction_consistency, its gap and gap positions, and corestrict
+PRINTED_VALUES_SHA256 = "64dde5b93b90997122061d3cbd4907194c192484d9f8bec5cfc8870ebef639d5"
+
+
+def test_printed_construction_values_golden():
+    h = hashlib.sha256()
+    for seed in range(3):
+        for G in abelian_group_catalog(8):
+            f = sample_good(G, seed)
+            lines = [[str(v) for v in sample_ppd(G, seed).values], [str(v) for v in f.values],
+                     [str(v) for v in normalized_dual(normalize_function(f)).values]]
+            for H in all_subgroups(G):
+                r = corestriction_consistency(f, H)
+                lines += [H.elements, [str(v) for v in r.fourier_route.values],
+                          [str(v) for v in r.average_route.values], str(r.max_abs_gap),
+                          r.gap_positions, [str(v) for v in corestrict(f, H).values]]
+            h.update(f"{seed}|{format_group(G)}|{lines}\n".encode())
+    assert h.hexdigest() == PRINTED_VALUES_SHA256
+
+
+def test_restricted_rows_match_pullback_of_full_transform():
+    """The corestriction route sums f_hat on the annihilator rows alone; value
+    by value, printed form included, that is pullback(dual_hom(pi), f_hat), and
+    the route equals the inverse transform of that pullback, in both modes."""
+    for G in abelian_group_catalog(12):
+        exact = sample_good(G, seed=5)
+        floats = GroupFunction(G, [complex(to_complex(v)) for v in exact.values])
+        for f in (exact, floats):
+            fhat = fourier_transform(f, counting_haar(G))
+            for H in all_subgroups(G):
+                pihat = dual_hom(quotient(G, H).projection_hom)
+                want = pullback(pihat, fhat)
+                got = transform_rows(f, hom_index_map(pihat))
+                assert [str(v) for v in got] == [str(v) for v in want.values]
+                assert all(scalar_eq(a, b) if f.mode.exact else a == b
+                           for a, b in zip(got, want.values))
+                Qd = want.group
+                route = inverse_transform(measure_from_function(
+                    want, HaarScale(Qd, want.mode.inv(Qd.order))))
+                assert repr(_corestrict_raw(f, H)) == repr(route)
 
 
 def test_corestriction_value_bounded_by_one():

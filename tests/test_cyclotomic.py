@@ -297,10 +297,11 @@ def _ref_eq(a, b) -> bool:
 
 
 @st.composite
-def _exact_scalars(draw):
-    """An int, a Fraction, or a Cyc at a conductor in 3..24: raw (mostly not
-    real), made real as x + conj(x), or shifted off the reals by a unit root."""
-    E = draw(st.sampled_from(range(3, 25)))
+def _exact_scalars(draw, conductors=range(3, 25)):
+    """An int, a Fraction, or a Cyc at one of the conductors (3..24): raw
+    (mostly not real), made real as x + conj(x), or shifted off the reals by a
+    unit root."""
+    E = draw(st.sampled_from(conductors))
     coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     vec = draw(st.lists(coord, min_size=field(E).degree, max_size=field(E).degree))
     x = Cyc.make(field(E), vec)
@@ -340,7 +341,7 @@ def test_scalar_eq_matches_fraction_reference(a, data):
     elif kind == "lifted" and not is_rational(a):
         # the same value stored at a multiple of its conductor
         E2 = a.field.E * data.draw(st.sampled_from([2, 3]))
-        b = Cyc(field(E2), tuple(_ref_coords(a, E2)))
+        b = Cyc.make(field(E2), _ref_coords(a, E2))
     elif kind == "as_fraction":
         b = Fraction(a) if is_rational(a) else a.vec[0]
     elif kind == "as_int" and is_rational(a):
@@ -357,7 +358,7 @@ def test_int_fraction_cyc_equality():
     assert scalar_eq(3, Fraction(3)) and scalar_eq(Fraction(6, 2), 3)
     assert not scalar_eq(Fraction(1, 2), 1) and not scalar_eq(0, Fraction(1, 3))
     assert not scalar_eq(c, 1) and not scalar_eq(Fraction(1), c)
-    assert scalar_eq(c, Cyc(field(10), tuple(_ref_coords(c, 10))))
+    assert scalar_eq(c, Cyc.make(field(10), _ref_coords(c, 10)))
 
 
 def _fibonacci(n: int) -> list[int]:
@@ -419,3 +420,81 @@ def test_signs_of_wide_coordinates(monkeypatch):
         assert ring.sign(a) == (-1) ** n
         assert real_sign(ring.scalar(a, 10)) == (-1) ** n
     assert len(refined) == 6
+
+
+# -- integer-numerator arithmetic against the Fraction reference -----------------
+
+
+def _ref_mul(a, b, E: int) -> list[Fraction]:
+    """Coordinates of a * b in Q(zeta_E): convolve, then reduce each power by hand."""
+    ca, cb = _ref_coords(a, E), _ref_coords(b, E)
+    conv = [Fraction(0)] * (2 * len(ca) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            conv[i + j] += x * y
+    out = [Fraction(0)] * len(ca)
+    for k, c in enumerate(conv):
+        for i, p in enumerate(_ref_power(k, E)):
+            out[i] += c * p
+    return out
+
+
+def _ref_str(x) -> str:
+    if is_rational(x):
+        return str(x)
+    E = x.field.E
+    terms = [str(c) if j == 0 else f"z{E}^{j}" if c == 1 else f"{c}*z{E}^{j}"
+             for j, c in enumerate(_ref_coords(x, E)) if c]
+    return " + ".join(terms)
+
+
+def _conductor(x) -> int:
+    return 1 if is_rational(x) else x.field.E
+
+
+def _assert_reduced(x, E: int):
+    """A rational result is a Fraction or int; a Cyc sits at conductor E with
+    int numerators over a positive den, in lowest terms, not all past 0 zero."""
+    if is_rational(x):
+        return
+    assert x.field.E == E
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1 and any(x.num[1:])
+
+
+_SMALL_CONDUCTORS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_exact_scalars(_SMALL_CONDUCTORS), b=_exact_scalars(_SMALL_CONDUCTORS),
+       k=st.sampled_from([2, 3]))
+def test_cyc_arithmetic_matches_fraction_reference(a, b, k):
+    """+, -, *, conjugate, inverse, ==, str, repr, to_complex and lifts of
+    integer-numerator values, across conductors, against Fraction coordinates."""
+    E = math.lcm(_conductor(a), _conductor(b))
+    ca, cb = _ref_coords(a, E), _ref_coords(b, E)
+    for got, want in [(a + b, [x + y for x, y in zip(ca, cb)]),
+                      (a - b, [x - y for x, y in zip(ca, cb)]),
+                      (b - a, [y - x for x, y in zip(ca, cb)]),
+                      (a * b, _ref_mul(a, b, E))]:
+        assert _ref_coords(got, E) == want
+        _assert_reduced(got, E)
+        assert str(got) == _ref_str(got)
+    assert (a == b) == _ref_eq(a, b) == (b == a)
+    if is_rational(a):
+        return
+    Ea = a.field.E
+    assert _ref_coords(a.conjugate(), Ea) == _ref_conj(a)
+    _assert_reduced(a.conjugate(), Ea)
+    _assert_reduced(-a, Ea)
+    inv = a.inverse()
+    _assert_reduced(inv, Ea)
+    assert _ref_mul(a, inv, Ea) == _ref_coords(Fraction(1), Ea)
+    # stored at a multiple of its conductor, the same value lifts and compares equal
+    assert a.lift_num(Ea * k) == [c * a.den for c in _ref_coords(a, Ea * k)]
+    lifted = Cyc.make(field(Ea * k), _ref_coords(a, Ea * k))
+    assert lifted == a and a == lifted and not (lifted == a + Fraction(1, 5))
+    # floats are those of the Fraction coordinates, bit for bit
+    assert to_complex(a) == sum(float(c) * r for c, r in
+                                zip(_ref_coords(a, Ea), a.field.roots_complex) if c)
+    assert repr(a) == f"Cyc({Ea}, {[str(c) for c in _ref_coords(a, Ea)]})"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -476,6 +477,17 @@ def test_group_mismatch_errors():
     nu = ScaledMeasure(Z4, GroupFunction(Z4, [1, 1, 1, 1]), counting_haar(Z4))
     with pytest.raises(ValueError):
         convolve(mu, nu)
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_haar_scale_rejects_non_finite_and_non_positive_floats(scale):
+    with pytest.raises(ValueError):
+        HaarScale(Z2, scale)
+
+
+def test_haar_scale_finite_float_transforms_finitely():
+    fhat = fourier_transform(GroupFunction(Z2, [1.0, 0.5]), HaarScale(Z2, 0.5))
+    assert all(abs(v - w) < 1e-12 for v, w in zip(fhat.values, [0.75, 0.25]))
 
 
 @settings(max_examples=40, deadline=None)
