@@ -4,8 +4,9 @@ An exact scalar is either a plain ``int``/``Fraction`` or a :class:`Cyc`:
 an element of Q(zeta_E) stored in the power basis ``1, zeta, ..., zeta^(d-1)``
 (d = phi(E)), reduced modulo the E-th cyclotomic polynomial, as a tuple of
 integer numerators ``num`` over one positive ``den`` in lowest terms.
-Arithmetic, conjugation, lifts and comparisons run on those integers through
-each field's integer power table; str() and repr() print every coordinate as
+Arithmetic, conjugation, inverses (the other Galois conjugates over the
+norm), lifts and comparisons run on those integers through each field's
+integer power table; str() and repr() print every coordinate as
 ``Fraction(n, den)``.  Rational results contract back to ``Fraction``, so the
 two kinds mix freely and a reduced nonzero ``Cyc`` is never rational.
 
@@ -26,7 +27,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Optional, Union
 
-from .intlinalg import left_inverse, solve
+from .intlinalg import left_inverse
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyc"]
@@ -221,15 +222,18 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        # solve (num * zeta^j) w = den as a rational linear system in the power basis
+        # 1/x = den * c / N: c is the product of the other Galois conjugates of
+        # num, and N = num * c, a product of squared absolute values, is a
+        # positive integer (E > 2 here, so the conjugates pair off)
         fld = self.field
-        d = fld.degree
-        cols = [_int_product(fld, self.num, fld.pow_vec[j]) for j in range(d)]
-        rhs = [self.den] + [0] * (d - 1)
-        sol = solve([[cols[j][i] for j in range(d)] for i in range(d)], rhs)
-        if sol is None:
+        E = fld.E
+        conj = (power_coords(((k * j, n) for j, n in enumerate(self.num)), E, E)
+                for k in range(2, E) if math.gcd(k, E) == 1)
+        cof = reduce(lambda a, b: _int_product(fld, a, b), conj, fld.pow_vec[0])
+        norm = _int_product(fld, self.num, cof)[0]
+        if not norm:
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        return Cyc.make(fld, sol)
+        return Cyc.reduced(fld, [c * self.den for c in cof], norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

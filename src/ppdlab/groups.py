@@ -394,6 +394,7 @@ def identity_hom(G: FiniteAbelianGroup) -> Homomorphism:
     ))
 
 
+@lru_cache(maxsize=None)
 def dual_hom(phi: Homomorphism) -> Homomorphism:
     """Adjoint map on characters: <dual_hom(phi)(b), x> = <b, phi(x)>."""
     hom_validate(phi)

@@ -1,15 +1,14 @@
-"""Small exact matrix utilities: Smith normal form, kernels, and elimination.
+"""Small exact integer matrix utilities: the Smith normal form, and the
+kernels and left inverses read off it.
 
-The integer routines work on lists of lists of Python ints and are sized for
-the tiny matrices that arise when presenting subgroups and quotients of
-groups of order at most 64.  rref is the one exact Gauss-Jordan elimination;
-it runs over Q and over cyclotomic fields alike.
+The routines work on lists of lists of Python ints and are sized for the tiny
+matrices that arise when presenting subgroups and quotients of small groups
+and when changing bases between cyclotomic fields.  The Smith form is the one
+exact elimination here; every exact linear solve goes through kernel_basis or
+left_inverse, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -119,57 +118,16 @@ def kernel_basis(A):
     return out
 
 
-def rref(rows, width: int):
-    """Reduced row echelon form over a field whose zero is falsy (Fraction, Cyc).
-
-    Pivots are sought in the first width columns only, so augmented columns
-    ride along.  Returns the reduced rows, pivot rows first with pivot 1, and
-    the pivot columns.  Integer entries become Fractions as rows are scaled.
-    """
-    mat = [list(r) for r in rows]
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if i != r and f:
-                mat[i] = [x - f * y for x, y in zip(row, mat[r])]
-        pivots.append(c)
-    return mat, pivots
-
-
-def solve(mat, rhs):
-    """A solution x of mat @ x = rhs, free unknowns 0; None when there is none."""
-    m = len(mat[0]) if mat else 0
-    red, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)], m)
-    if any(row[m] for row in red[len(pivots):]):
-        return None
-    x = [Fraction(0)] * m
-    for row, c in zip(red, pivots):
-        x[c] = row[m]
-    return x
-
-
 def left_inverse(cols) -> tuple[list[list[int]], int]:
     """(N, den) with N @ B = den * I, for the integer matrix B of full column
-    rank given by its columns: one elimination of [B^T | I]."""
-    n, m = len(cols), len(cols[0])
-    red, pivots = rref([list(c) + [int(i == j) for j in range(n)]
-                        for i, c in enumerate(cols)], m)
-    if len(pivots) < n:
+    rank given by its n columns: N = V @ diag(den / d_i) @ U[:n] from the Smith
+    form U @ B @ V = D, den = d_n the last invariant factor."""
+    n = len(cols)
+    U, D, V = smith_normal_form([list(row) for row in zip(*cols)])
+    if len(D) < n or not all(D[i][i] for i in range(n)):
         raise ValueError("columns are linearly dependent")
-    N = [[Fraction(0)] * m for _ in range(n)]
-    for row, c in zip(red, pivots):
-        for i in range(n):
-            N[i][c] = row[m + i]
-    den = lcm(*[x.denominator for row in N for x in row])
-    return [[int(x * den) for x in row] for row in N], den
+    den = D[n - 1][n - 1]
+    return mat_mul(V, [[den // D[i][i] * u for u in U[i]] for i in range(n)]), den
 
 
 def int_inverse(U) -> list[list[int]]:

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import floordiv, truediv
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .cyclotomic import (
     over_common_denominator,
     power_coords,
     real_sign,
-    scalar_inv,
     screen_sign,
     to_complex,
 )
@@ -150,10 +150,11 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
 def bochner_oracle(f: GroupFunction) -> bool:
     """Positive semidefiniteness of M[x, y] = f(x - y), decided without Fourier.
 
-    Exact mode uses fraction-free symmetric elimination over the integers for
-    rational values and field-exact elimination otherwise; float mode uses a
-    symmetric eigensolver with tolerance 1e-9 * ||M||.  A real f that is not
-    even gives a non-symmetric M, so it is not positive-definite.
+    Exact mode runs one fraction-free elimination (_psd_exact): on the integer
+    numerators of rational values over one denominator, or on the exact values
+    themselves when some are irrational.  Float mode uses a symmetric
+    eigensolver with tolerance 1e-9 * ||M||.  A real f that is not even gives a
+    non-symmetric M, so it is not positive-definite.
     """
     add, neg = f.group.index_tables
     diff = [[row[j] for j in neg] for row in add]  # diff[x][y] = x - y
@@ -166,35 +167,41 @@ def bochner_oracle(f: GroupFunction) -> bool:
     if not f.mode.exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
-        return _psd_exact_rational(vals, diff)
-    return _psd_exact_field([[vals[i] for i in row] for row in diff])
+        vals, sign, div = over_common_denominator(vals)[0], _int_sign, floordiv
+    else:
+        sign, div = real_sign, truediv
+    return _psd_exact([[vals[i] for i in row] for row in diff], sign, div)
 
 
-def _psd_exact_field(M) -> bool:
-    """Schur-complement elimination with exact real-cyclotomic scalars."""
-    n = len(M)
-    M = [list(row) for row in M]
-    active = list(range(n))
+def _int_sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _psd_exact(A, sign, div) -> bool:
+    """Bareiss diagonal-pivot elimination of the symmetric matrix A (modified
+    in place), exact scalars with their certified sign and exact division:
+    each step divides by the previous pivot exactly, and a positive previous
+    pivot keeps the sign of every diagonal entry of the Schur complement."""
+    active = list(range(len(A)))
+    prev = 1
     while active:
         pivot = None
         for i in active:
-            s = real_sign(M[i][i])
+            s = sign(A[i][i])
             if s < 0:
                 return False
             if s > 0 and pivot is None:
                 pivot = i
         if pivot is None:
-            return all(not M[i][j] for i in active for j in active)
+            return not any(A[i][j] for i in active for j in active)
+        rowp = A[pivot]
+        p = rowp[pivot]
         rest = [i for i in active if i != pivot]
-        p = M[pivot][pivot]
-        pinv = scalar_inv(p)
         for i in rest:
-            ci = M[i][pivot] * pinv
-            if not ci:
-                continue
+            rowi, Aip = A[i], A[i][pivot]
             for j in rest:
-                M[i][j] = M[i][j] - ci * M[pivot][j]
-        active = rest
+                rowi[j] = div(rowi[j] * p - Aip * rowp[j], prev)
+        prev, active = p, rest
     return True
 
 
@@ -203,34 +210,6 @@ def _psd_float(vals, diff) -> bool:
     norm = np.linalg.norm(M, 2) or 1.0
     eigs = np.linalg.eigvalsh(M)
     return bool(eigs.min() >= -PSD_EIG_TOL * norm)
-
-
-def _psd_exact_rational(vals, diff) -> bool:
-    """Fraction-free diagonal-pivot elimination of M[x][y] = vals[diff[x][y]];
-    integers throughout, the |G| values scaled once."""
-    nums = over_common_denominator(vals)[0]
-    A = [[nums[i] for i in row] for row in diff]
-    active = list(range(len(A)))
-    prev = 1
-    while active:
-        pivot = None
-        for i in active:
-            d = A[i][i]
-            if d < 0:
-                return False
-            if d > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            return all(A[i][j] == 0 for i in active for j in active)
-        rowp = A[pivot]
-        p = rowp[pivot]
-        rest = [i for i in active if i != pivot]
-        for i in rest:
-            rowi, Aip = A[i], A[i][pivot]
-            for j in rest:
-                rowi[j] = (rowi[j] * p - Aip * rowp[j]) // prev
-        prev, active = p, rest
-    return True
 
 
 def _even_rational(f: GroupFunction):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab import cyclotomic
+from ppdlab import cyclotomic, intlinalg
 from ppdlab.cyclotomic import (
     Cyc,
     cos_basis_string,
@@ -195,6 +195,25 @@ def test_cos_ring_cos_table_and_descent():
     assert str(ring.scalar((-1, 1), 10)) == "z10^2 + -1*z10^3"
     assert str(ring.scalar((-1, 1), 5)) == "-1 + -1*z5^2 + -1*z5^3"
     assert str(cos_ring(16).scalar((0, 0, 1, 0), 8)) == "z8^1 + -1*z8^3"
+
+
+def test_cached_frames_are_left_inverses():
+    """Every cos frame _cos_frame(L, e) and power descent _power_descent(F, L),
+    e and F dividing L <= 48: N @ B == den * I with den > 0, B the frame's
+    columns in the power basis of Q(zeta_L)."""
+    for L in range(1, 49):
+        pv = field(L).pow_vec
+        for d in cyclotomic.divisors(L):
+            rows, inv, den = cyclotomic._cos_frame(L, d)
+            m = cyclotomic.cos_basis_size(d)
+            assert den > 0 and intlinalg.mat_mul(inv, rows) == _scaled_identity(m, den)
+            N, den = cyclotomic._power_descent(d, L)
+            B = [list(r) for r in zip(*(pv[k * (L // d)] for k in range(field(d).degree)))]
+            assert den > 0 and intlinalg.mat_mul(N, B) == _scaled_identity(field(d).degree, den)
+
+
+def _scaled_identity(n: int, den: int) -> list[list[int]]:
+    return [[den * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_cos_ring_sign_escalates_near_zero(monkeypatch):

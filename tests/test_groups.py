@@ -1,12 +1,11 @@
 import itertools
-from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdlab import intlinalg
-from ppdlab.cyclotomic import scalar_eq, unit_root
 from ppdlab.groups import (
     Homomorphism,
     abelian_group_catalog,
@@ -265,6 +264,17 @@ def test_dual_hom_adjoint_identity():
             assert (lhs - rhs) % 1 == 0
 
 
+def test_dual_hom_is_cached():
+    G = make_group([4, 2])
+    for H in all_subgroups(G):
+        phi = quotient(G, H).projection_hom
+        assert dual_hom(phi) is dual_hom(phi)
+    bad = Homomorphism(make_group([2]), make_group([4]), ((1,),))  # not well defined
+    for _ in range(2):  # an error is raised again, not cached
+        with pytest.raises(ValueError):
+            dual_hom(bad)
+
+
 def test_subgroup_realization_roundtrip():
     for G in abelian_group_catalog(12):
         for H in all_subgroups(G):
@@ -310,75 +320,34 @@ def test_smith_normal_form_properties():
                     assert D[i][j] == 0
 
 
-def _dot(row, x):
-    return sum((a * v for a, v in zip(row, x)), Fraction(0))
-
-
-def _nullspace(rows, width: int) -> list[tuple]:
-    """A basis of {x : row . x = 0 for every row}, one vector per free column of rref."""
-    red, pivots = intlinalg.rref(rows, width)
-    out = []
-    for fc in (c for c in range(width) if c not in pivots):
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        out.append(tuple(vec))
-    return out
-
-
-def _check_elimination(A, b, x0):
-    """solve, rref and the nullspace built on rref agree with A x = b over the
-    field of the entries."""
-    n, m = len(A), len(A[0])
-    rank = len(intlinalg.rref(A, m)[1])
-    null = _nullspace(A, m)
-    assert len(null) == m - rank
-    for vec in null:
-        assert all(scalar_eq(_dot(row, vec), 0) for row in A)
-    # a consistent right-hand side is solved
-    x = intlinalg.solve(A, [_dot(row, x0) for row in A])
-    assert x is not None
-    assert all(scalar_eq(_dot(row, x), _dot(row, x0)) for row in A)
-    # b is inconsistent exactly when some y with y A = 0 has y . b != 0
-    AT = [[A[i][j] for i in range(n)] for j in range(m)]
-    inconsistent = any(
-        not scalar_eq(_dot(y, b), 0) for y in _nullspace(AT, n)
-    )
-    x = intlinalg.solve(A, b)
-    assert (x is None) == inconsistent
-    if x is not None:
-        assert all(scalar_eq(_dot(row, x), v) for row, v in zip(A, b))
-
-
-_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+def _det(M) -> int:
+    """Leibniz determinant of a small integer matrix, for an elimination-free rank test."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_rref_over_rationals(n, m, data):
-    # a few zero-heavy rows make rank-deficient and inconsistent systems common
-    entry = st.one_of(st.just(Fraction(0)), _small_q)
-    A = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_left_inverse_of_integer_matrices(n, m, data):
+    """N @ B == den * I with den > 0 for every integer B of full column rank;
+    dependent columns (the Gram determinant vanishes) raise ValueError."""
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    cols = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
     if n > 1 and data.draw(st.booleans()):
-        A[-1] = [2 * a - c for a, c in zip(A[0], A[1 % n])]
-    b = [data.draw(_small_q) for _ in range(n)]
-    x0 = [data.draw(_small_q) for _ in range(m)]
-    _check_elimination(A, b, x0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from([5, 8]), st.integers(1, 3), st.integers(1, 3), st.data())
-def test_rref_over_cyclotomic_fields(E, n, m, data):
-    coeff = st.integers(-1, 1)
-
-    def entry():
-        return sum((data.draw(coeff) * unit_root(E, k) for k in range(3)), Fraction(0))
-
-    A = [[entry() for _ in range(m)] for _ in range(n)]
-    if n > 1 and data.draw(st.booleans()):
-        A[-1] = [unit_root(E, 1) * a for a in A[0]]
-    _check_elimination(A, [entry() for _ in range(n)], [entry() for _ in range(m)])
+        cols[-1] = [2 * a - c for a, c in zip(cols[0], cols[1])]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+    if _det(gram) == 0:
+        with pytest.raises(ValueError):
+            intlinalg.left_inverse(cols)
+        return
+    N, den = intlinalg.left_inverse(cols)
+    assert den > 0
+    B = [list(row) for row in zip(*cols)]
+    assert intlinalg.mat_mul(N, B) == [[den * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_int_inverse_rejects_non_unimodular():

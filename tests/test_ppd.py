@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdlab.cone import is_interior, ppd_cone_hrep
-from ppdlab.cyclotomic import real_sign, scalar_eq, sign_if_real, unit_root
+from ppdlab.cyclotomic import is_rational, real_sign, scalar_eq, sign_if_real, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -200,6 +200,34 @@ def test_bochner_oracle_exact_irrational_values():
     f = sample_ppd(make_group([5]), seed=77)
     assert f.mode.exact
     assert bochner_oracle(f)
+
+
+def test_bochner_oracle_field_branch_matches_transform_signs():
+    """The elimination on exact irrational values agrees with the signs of
+    f_hat, for sampled PPD f through order 12 and f - t * delta_0: t = 0, t = -1,
+    t = min f_hat (a singular PSD matrix), min f_hat + 1/64 and t = f(0) (a zero
+    diagonal with nonzero entries off it)."""
+    outcomes = set()
+    for G in abelian_group_catalog(12):
+        # the real subfield of Q(zeta_E) is Q only for E in 1, 2, 3, 4, 6
+        f = next((f for f in (sample_ppd(G, seed=s) for s in range(12))
+                  if not all(is_rational(v) for v in f.values)), None)
+        assert (f is None) == (G.exponent() in (1, 2, 3, 4, 6))
+        if f is None:
+            continue
+        fhat = fourier_transform(f, counting_haar(G)).values
+        low = fhat[0]
+        for v in fhat:
+            if real_sign(v - low) < 0:
+                low = v
+        for t in (0, -1, low, low + Fraction(1, 64), f.values[0]):
+            g = GroupFunction(G, [v - t if i == 0 else v for i, v in enumerate(f.values)])
+            assert not all(is_rational(v) for v in g.values)
+            ghat = fourier_transform(g, counting_haar(G)).values
+            want = all(real_sign(v) >= 0 for v in ghat)
+            assert bochner_oracle(g) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_normalize_function():
