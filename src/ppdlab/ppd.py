@@ -24,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import floordiv, truediv
+from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .cyclotomic import (
     over_common_denominator,
     power_coords,
     real_sign,
+    scalar_inv,
     screen_sign,
     to_complex,
 )
@@ -167,21 +169,24 @@ def bochner_oracle(f: GroupFunction) -> bool:
     if not f.mode.exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
-        vals, sign, div = over_common_denominator(vals)[0], _int_sign, floordiv
+        vals, sign = over_common_denominator(vals)[0], _int_sign
+        divider = lambda d: lambda x: x // d
     else:
-        sign, div = real_sign, truediv
-    return _psd_exact([[vals[i] for i in row] for row in diff], sign, div)
+        sign, divider = real_sign, lambda d: partial(mul, scalar_inv(d))
+    return _psd_exact([[vals[i] for i in row] for row in diff], sign, divider)
 
 
 def _int_sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
-def _psd_exact(A, sign, div) -> bool:
+def _psd_exact(A, sign, divider) -> bool:
     """Bareiss diagonal-pivot elimination of the symmetric matrix A (modified
     in place), exact scalars with their certified sign and exact division:
-    each step divides by the previous pivot exactly, and a positive previous
-    pivot keeps the sign of every diagonal entry of the Schur complement."""
+    each step divides by the previous pivot exactly, through divider(prev),
+    the map x -> x / prev built once per step (one inverse of an irrational
+    pivot, not one per entry), and a positive previous pivot keeps the sign
+    of every diagonal entry of the Schur complement."""
     active = list(range(len(A)))
     prev = 1
     while active:
@@ -197,10 +202,11 @@ def _psd_exact(A, sign, div) -> bool:
         rowp = A[pivot]
         p = rowp[pivot]
         rest = [i for i in active if i != pivot]
+        div = divider(prev) if rest else None
         for i in rest:
             rowi, Aip = A[i], A[i][pivot]
             for j in rest:
-                rowi[j] = div(rowi[j] * p - Aip * rowp[j], prev)
+                rowi[j] = div(rowi[j] * p - Aip * rowp[j])
         prev, active = p, rest
     return True
 
@@ -262,6 +268,9 @@ def normalize_function(f: GroupFunction) -> GroupFunction:
     v0 = f.values[0]
     if not f.mode.positive_real(v0):
         raise ValueError(f"cannot normalize: f(0) = {v0} is not positive")
+    if f.mode.exact and all(is_rational(v) for v in f.values):
+        nums = over_common_denominator(f.values)[0]  # v_i / f(0) = n_i / n_0
+        return GroupFunction(f.group, [Fraction(n, nums[0]) for n in nums])
     if f.mode.exact:
         inv = f.mode.inv(v0)
         return GroupFunction(f.group, [v * inv for v in f.values])

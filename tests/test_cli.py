@@ -276,6 +276,14 @@ def test_gaussian_non_spd_exit_2(tmp_path):
     assert main(["gaussian", "--check", "corestriction", "--form", "1,2;0,1"]) == 2
 
 
+@pytest.mark.parametrize("half_width", ["inf", "1e308", "nan", "-1"])
+def test_gaussian_bad_grid_exit_2(half_width, capsys):
+    # a width that is not finite or whose span overflows is bad input, not a NaN report
+    assert main(["gaussian", "--check", "selfdual", "--half-width", half_width]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: half_width")
+
+
 def test_gaussian_goodness_unconverged_lattice_sum_exit_2(capsys):
     # a flat form makes the lattice sum run past its radius bound
     assert main(["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"]) == 2

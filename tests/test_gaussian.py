@@ -36,6 +36,11 @@ def test_grid_validation():
         GridQuadrature(8.0, 15)
     with pytest.raises(ValueError):
         GridQuadrature(8.0, 17)
+    # non-finite widths, and widths whose span 2 * half_width overflows
+    for bad in (math.inf, -math.inf, math.nan, 1e308, 9e307):
+        with pytest.raises(ValueError):
+            GridQuadrature(bad, 512)
+    GridQuadrature(8e307, 512)
 
 
 def test_closed_form_identity_selfdual():
@@ -72,6 +77,36 @@ def test_numeric_fourier_general_1d():
     dual, amp = gaussian_fourier_closed_form(Q)
     closed = amp * np.exp(-math.pi * dual.matrix[0, 0] * xi**2)
     assert np.abs(vals - closed).max() < 1e-8
+
+
+@pytest.mark.parametrize("R, N", [(8.0, 512), (6.0, 96), (7.5, 250), (8.0, 1000),
+                                  (5.0, 16)])
+def test_default_grid_fft_matches_dense_sum(R, N):
+    # the FFT path (default frequencies) against the dense trapezoid sum at
+    # the same frequencies; N = 96, 250 and 1000 are not powers of two
+    q = GridQuadrature(R, N)
+    for f in (QuadraticFormSPD([[1.0]]), QuadraticFormSPD([[3.0]]),
+              lambda p: np.exp(-math.pi * (np.asarray(p)[:, 0] - 0.4) ** 2)):
+        xi, vals = numeric_fourier(f, q, dim=1)
+        default_xi = np.linspace(-N / (4 * R), N / (4 * R), N + 1)
+        xi_d, dense = numeric_fourier(f, q, dim=1, xi_points=default_xi)
+        assert np.array_equal(xi, default_xi) and np.array_equal(xi, xi_d)
+        assert np.abs(vals - dense).max() <= 1e-13
+
+
+def test_selfdual_on_a_fine_default_grid():
+    # 65536 points: the dense kernel would hold 65537^2 complex entries
+    assert gaussian_selfdual_check(GridQuadrature(8.0, 65536)) < 1e-8
+
+
+def test_numeric_fourier_rejects_other_dimensions_before_sampling():
+    def never_called(p):
+        raise AssertionError("sampled f for an unsupported dimension")
+
+    for dim in (0, 2, 3):
+        with pytest.raises(ValueError, match="dimension"):
+            numeric_fourier(never_called, GridQuadrature(), dim=dim,
+                            xi_points=[[0.0, 0.0]])
 
 
 def test_numeric_fourier_linearity():

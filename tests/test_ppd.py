@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdlab.cone import is_interior, ppd_cone_hrep
-from ppdlab.cyclotomic import is_rational, real_sign, scalar_eq, sign_if_real, unit_root
+from ppdlab.cyclotomic import Cyc, is_rational, real_sign, scalar_eq, sign_if_real, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -228,6 +228,37 @@ def test_bochner_oracle_field_branch_matches_transform_signs():
             assert bochner_oracle(g) == want
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_bochner_oracle_field_branch_inverts_each_pivot_once(monkeypatch):
+    # one Cyc inverse per pivot step at most: the first step divides by 1
+    for G in (make_group([12]), make_group([11]), make_group([5, 2])):
+        f = next(f for f in (sample_ppd(G, seed=s) for s in range(12))
+                 if not all(is_rational(v) for v in f.values))
+        calls = []
+        inverse = Cyc.inverse
+        monkeypatch.setattr(Cyc, "inverse", lambda x: calls.append(x) or inverse(x))
+        assert bochner_oracle(f)
+        monkeypatch.undo()
+        assert len(calls) <= G.order - 1
+
+
+def test_normalize_function_on_numerators_matches_inverse_reference():
+    # rational values take Fraction(n_i, n_0) over one denominator; the
+    # reference multiplies by the inverse of f(0)
+    checked = 0
+    for G in abelian_group_catalog(16):
+        for seed in range(3):
+            for f in (sample_ppd(G, seed), sample_good(G, seed)):
+                if not all(is_rational(v) for v in f.values):
+                    continue
+                inv = Fraction(1) / Fraction(f.values[0])
+                want = [v * inv for v in f.values]
+                got = normalize_function(f).values
+                assert list(got) == want
+                assert all(type(g) is Fraction and g.denominator > 0 for g in got)
+                checked += 1
+    assert checked > 20
 
 
 def test_normalize_function():
