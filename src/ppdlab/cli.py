@@ -55,17 +55,13 @@ from .sweeps import cone_atlas, corestriction_sweep, full_sweep
 MAX_ORDER_ENV = "PPDLAB_MAX_ORDER"
 
 
-class InputError(Exception):
-    pass
-
-
 def _effective_max_order(requested: int) -> int:
     cap = os.environ.get(MAX_ORDER_ENV)
     if cap is not None:
         try:
             return min(requested, int(cap))
         except ValueError:
-            raise InputError(f"bad {MAX_ORDER_ENV} value {cap!r}")
+            raise ValueError(f"bad {MAX_ORDER_ENV} value {cap!r}")
     return requested
 
 
@@ -74,7 +70,7 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _emit(payload, out: str | None) -> None:
@@ -93,15 +89,11 @@ def _parse_form(text: str) -> QuadraticFormSPD:
         ]
         return QuadraticFormSPD(np.array(rows))
     except ValueError as exc:
-        raise InputError(f"bad quadratic form {text!r}: {exc}")
+        raise ValueError(f"bad quadratic form {text!r}: {exc}")
 
 
 def cmd_check(args) -> int:
-    data = _load_json(args.function)
-    try:
-        f = function_from_dict(data, mode=args.mode)
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+    f = function_from_dict(_load_json(args.function), mode=args.mode)
     verdict = evaluate_function(f)
     _emit(verdict.to_dict(), args.out)
     wanted = verdict.is_good if args.good else verdict.is_ppd
@@ -111,7 +103,7 @@ def cmd_check(args) -> int:
 def _required_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
-        raise InputError("--seed is mandatory for sampled sweeps")
+        raise ValueError("--seed is mandatory for sampled sweeps")
     return seed
 
 
@@ -144,14 +136,11 @@ def cmd_verify_4_1(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    try:
-        G = parse_group(args.group)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    G = parse_group(args.group)
     if G.order > _order_or(args, HREP_ORDER_BOUND):
-        raise InputError(f"group order {G.order} exceeds the configured bound")
+        raise ValueError(f"group order {G.order} exceeds the configured bound")
     if args.csv and not args.rays:
-        raise InputError("--csv needs --rays")
+        raise ValueError("--csv needs --rays")
     cone = ppd_cone_hrep(G)
     payload = {"group": args.group, "dimension": cone.basis.dim}
     if args.rays:
@@ -188,27 +177,17 @@ def _subgroup_from_args(G, text):
     try:
         gens = parse_generators(text, G)
         return subgroup_from_generators(G, gens)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad generators {text!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad generators {text!r}: {exc}")
 
 
 def cmd_restrict(args) -> int:
+    """restrict or corestrict, as args.command names."""
     f = function_from_dict(_load_json(args.function), mode=args.mode)
     H = _subgroup_from_args(f.group, args.generators)
+    op = restrict if args.command == "restrict" else corestrict
     try:
-        out = restrict(f, H)
-    except PreconditionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    _emit(function_to_dict(out), args.out)
-    return 0
-
-
-def cmd_corestrict(args) -> int:
-    f = function_from_dict(_load_json(args.function), mode=args.mode)
-    H = _subgroup_from_args(f.group, args.generators)
-    try:
-        out = corestrict(f, H)
+        out = op(f, H)
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -219,13 +198,9 @@ def cmd_corestrict(args) -> int:
 def cmd_product(args) -> int:
     u = function_from_dict(_load_json(args.left), mode=args.mode)
     v = function_from_dict(_load_json(args.right), mode=args.mode)
+    product = external_product if args.external else pointwise_product
     try:
-        if args.external:
-            w = external_product(u, v)
-        else:
-            if u.group != v.group:
-                raise InputError("pointwise product needs functions on one group")
-            w = pointwise_product(u, v)
+        w = product(u, v)
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -237,7 +212,7 @@ def cmd_convolve(args) -> int:
     mu = measure_from_dict(_load_json(args.left), mode=args.mode)
     nu = measure_from_dict(_load_json(args.right), mode=args.mode)
     if mu.group != nu.group:
-        raise InputError("convolution needs measures on one group")
+        raise ValueError("convolution needs measures on one group")
     _emit(measure_to_dict(convolve(mu, nu)), args.out)
     return 0
 
@@ -261,10 +236,10 @@ def cmd_gaussian(args) -> int:
         try:
             report = gaussian_goodness_probe(form)
         except ArithmeticError as exc:  # lattice sum out of reach for this form
-            raise InputError(f"goodness probe failed for form {args.form!r}: {exc}")
+            raise ValueError(f"goodness probe failed for form {args.form!r}: {exc}")
         _emit({"check": "goodness", **report.to_dict()}, args.out)
         return 0 if report.all_checks_pass else 1
-    raise InputError(f"unknown gaussian check {args.check!r}")
+    raise ValueError(f"unknown gaussian check {args.check!r}")
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("corestrict", help="corestrict a good function to a quotient")
     co.add_argument("function")
     co.add_argument("--generators", required=True)
-    co.set_defaults(func=cmd_corestrict)
+    co.set_defaults(func=cmd_restrict)
 
     pr = sub.add_parser("product", help="pointwise or external product")
     pr.add_argument("left")
@@ -374,10 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # bad input; a missing key is a KeyError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import is_rational, to_complex
+from .cyclotomic import to_complex
 from .fourier import (
     GroupFunction,
     HaarScale,
@@ -35,7 +35,7 @@ from .groups import (
     make_group,
     quotient,
 )
-from .ppd import evaluate_function, normalize_function
+from .ppd import evaluate_function, normalize_function, normalize_measure
 
 
 class PreconditionError(ValueError):
@@ -268,14 +268,9 @@ def restrict_measure(mu: ScaledMeasure, H: Subgroup) -> ScaledMeasure:
     if H.parent != mu.group:
         raise ValueError("subgroup belongs to a different group")
     H_abs, incl = H.as_group()
-    dens = pullback(incl, mu.density)
-    mode = dens.mode
-    total = sum(mode.value(v) for v in dens.values)
-    if mode.exact and not is_rational(total):
-        inv = mode.inv(total)
-        dens = GroupFunction(H_abs, [v * inv for v in dens.values])
-        return ScaledMeasure(H_abs, dens, counting_haar(H_abs))
-    return ScaledMeasure(H_abs, dens, HaarScale(H_abs, mode.inv(total.real)))
+    return normalize_measure(
+        ScaledMeasure(H_abs, pullback(incl, mu.density), counting_haar(H_abs))
+    )
 
 
 def corestrict_measure(mu: ScaledMeasure, H: Subgroup) -> ScaledMeasure:
@@ -283,7 +278,5 @@ def corestrict_measure(mu: ScaledMeasure, H: Subgroup) -> ScaledMeasure:
     _require_good_measure(mu, "corestrict_measure")
     if H.parent != mu.group:
         raise ValueError("subgroup belongs to a different group")
-    from .ppd import normalize_measure
-
     Q = quotient(mu.group, H)
     return normalize_measure(pushforward(Q.projection_hom, mu))

@@ -14,7 +14,7 @@ the dense trapezoid sum, one complex exponential per (xi, x) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,13 +149,9 @@ class CorestrictionProbeReport:
     grid: dict
 
     def to_dict(self):
-        return {
-            "schur_matrix": [list(r) for r in self.schur_matrix],
-            "max_gap_routes": self.max_gap_routes,
-            "max_gap_marginal_vs_closed": self.max_gap_marginal_vs_closed,
-            "max_gap_dual_route_vs_closed": self.max_gap_dual_route_vs_closed,
-            "grid": dict(self.grid),
-        }
+        out = asdict(self)
+        del out["test_points"]
+        return out
 
 
 def schur_complement(A: np.ndarray, k: int) -> np.ndarray:
@@ -181,7 +177,11 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     if n != 2 or k != 1:
         raise ValueError("probe implemented for the 2d -> 1d split")
     A = Q.matrix
-    xs = np.linspace(-test_halfwidth, test_halfwidth, test_points)
+    test_grid = np.linspace(-test_halfwidth, test_halfwidth, test_points)
+    # an even count leaves the origin off the grid: compare on the grid with
+    # x = 0 joined, where both normalized routes and the closed form are 1
+    origin = test_grid.searchsorted(0.0)
+    xs = test_grid if 0.0 in test_grid else np.insert(test_grid, origin, 0.0)
 
     # route (i): quadrature marginal over the second coordinate
     axis = q.axis()
@@ -190,7 +190,7 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     fv = Q(pts).reshape(len(xs), len(axis))
     marginal = fv @ w
-    marginal = marginal / marginal[xs.searchsorted(0.0)]
+    marginal = marginal / marginal[origin]
 
     # route (ii): restrict the dual Gaussian and transform back
     dual_form, amp = gaussian_fourier_closed_form(Q)
@@ -202,7 +202,7 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     _, udual = numeric_fourier(restricted, q, dim=1, xi_points=xs)
     # the restricted dual is even, so the inverse transform equals the forward one
     udual = udual.real
-    udual = udual / udual[xs.searchsorted(0.0)]
+    udual = udual / udual[origin]
 
     schur = schur_complement(A, k)
     closed = np.exp(-math.pi * schur[0, 0] * xs**2)
@@ -215,7 +215,7 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
         gap_routes,
         gap_i,
         gap_ii,
-        tuple(xs.tolist()),
+        tuple(test_grid.tolist()),
         q.meta(),
     )
 
@@ -235,16 +235,7 @@ class SeriesProbeReport:
     grid: dict
 
     def to_dict(self):
-        return {
-            "terms": self.terms,
-            "restricted_mass": self.restricted_mass,
-            "restricted_mass_closed": self.restricted_mass_closed,
-            "total_mass": self.total_mass,
-            "total_mass_closed": self.total_mass_closed,
-            "swap_symmetry_gap": self.swap_symmetry_gap,
-            "partial_sums_ppd": self.partial_sums_ppd,
-            "grid": dict(self.grid),
-        }
+        return asdict(self)
 
 
 def counterexample_probe(n_terms: int,
@@ -355,14 +346,7 @@ class GaussianGoodnessReport:
         )
 
     def to_dict(self):
-        return {
-            "strictly_positive": self.strictly_positive,
-            "transform_strictly_positive": self.transform_strictly_positive,
-            "marginals_integrable": self.marginals_integrable,
-            "lattice_restriction_sum": self.lattice_restriction_sum,
-            "extremality_note": self.extremality_note,
-            "all_checks_pass": self.all_checks_pass,
-        }
+        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
 
 
 def lattice_sum(Q: QuadraticFormSPD) -> float:

@@ -279,7 +279,12 @@ def normalize_function(f: GroupFunction) -> GroupFunction:
 
 
 def normalize_measure(mu: ScaledMeasure) -> ScaledMeasure:
-    """Rescale the Haar part so the total mass is 1."""
+    """Rescale the Haar part so the total mass is 1.
+
+    A Haar scale is rational or a float, so an irrational exact mass folds its
+    inverse into the density instead.  Normalized duals and restricted
+    measures are normalized here too.
+    """
     mass = mu.total_mass()
     if not mu.mode.positive_real(mass):
         raise ValueError(f"cannot normalize measure of mass {mass}")
@@ -327,25 +332,16 @@ def _assert_measure_ppd(mu: ScaledMeasure) -> None:
 
 def normalized_dual(f: GroupFunction, require_good: bool = True) -> GroupFunction:
     """Transform taken at the unique Haar scale making f * m a probability measure."""
-    mode = f.mode
     if require_good:
         verdict = evaluate_function(f)
         if not verdict.is_good:
             raise ValueError(
                 f"normalized_dual needs a good input: {[w.to_dict() for w in verdict.witnesses]}"
             )
-        if not mode.eq(f.values[0], 1):
+        if not f.mode.eq(f.values[0], 1):
             raise ValueError(f"normalized_dual needs a normalized input, f(0)={f.values[0]}")
-    mass = sum(mode.value(v) for v in f.values)
-    if not mode.positive_real(mass):
-        raise ValueError(f"total mass {mass} is not positive")
-    if mode.exact and not is_rational(mass):
-        # irrational mass: multiply by the exact inverse after transforming
-        inv = mode.inv(mass)
-        fhat = fourier_transform(f, counting_haar(f.group))
-        out = GroupFunction(fhat.group, [v * inv for v in fhat.values])
-    else:
-        out = fourier_transform(f, HaarScale(f.group, mode.inv(mass.real)))
+    mu = normalize_measure(measure_from_function(f, counting_haar(f.group)))
+    out = fourier_transform(mu.density, mu.haar)
     if require_good:
         overdict = evaluate_function(out)
         if not overdict.is_good:

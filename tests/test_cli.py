@@ -90,6 +90,96 @@ def test_malformed_input_exit_2(case, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), (case, command)
 
 
+NOT_PPD = {"group": "Z4", "values": [1, 2, 1, 2]}
+
+# Every bad-input path of the CLI and the exit-1 precondition lines: (argv,
+# PPDLAB_MAX_ORDER or None, the whole stderr, the exit code).  "{name}" in an
+# argv item or the stderr text is the path of that input file.
+ERROR_PATHS = {
+    "missing file": (["check", "{missing}"], None,
+                     "error: cannot read {missing}: [Errno 2] No such file or "
+                     "directory: '{missing}'", 2),
+    "broken json": (["check", "{broken}"], None,
+                    "error: cannot read {broken}: Expecting property name enclosed "
+                    "in double quotes: line 1 column 2 (char 1)", 2),
+    "bad group literal": (["check", "{a5}"], None, "error: bad group literal 'A5'", 2),
+    "missing key": (["check", "{nokey}"], None, "error: 'values'", 2),
+    "cone bad group literal": (["cone", "A5"], None, "error: bad group literal 'A5'", 2),
+    "bad max order env": (["cone", "Z4"], "x", "error: bad PPDLAB_MAX_ORDER value 'x'", 2),
+    "sweep without seed": (["sweep", "--max-order", "4", "--samples", "2"], None,
+                           "error: --seed is mandatory for sampled sweeps", 2),
+    "verify-4-1 without seed": (["verify-4-1", "--max-order", "4", "--samples", "2"],
+                                None, "error: --seed is mandatory for sampled sweeps", 2),
+    "order bound": (["cone", "Z20"], None,
+                    "error: group order 20 exceeds the configured bound", 2),
+    "order bound env": (["cone", "Z8"], "4",
+                        "error: group order 8 exceeds the configured bound", 2),
+    "csv needs rays": (["cone", "Z4", "--csv", "{csv}"], None,
+                       "error: --csv needs --rays", 2),
+    "restrict generators wrong rank": (
+        ["restrict", "{good}", "--generators", "[[1, 2]]"], None,
+        "error: bad generators '[[1, 2]]': generator [1, 2] has wrong rank for Z4", 2),
+    "restrict generators not json": (
+        ["restrict", "{good}", "--generators", "notjson"], None,
+        "error: bad generators 'notjson': Expecting value: line 1 column 1 (char 0)", 2),
+    "corestrict generators wrong rank": (
+        ["corestrict", "{good}", "--generators", "[[1, 2]]"], None,
+        "error: bad generators '[[1, 2]]': generator [1, 2] has wrong rank for Z4", 2),
+    "corestrict generators not json": (
+        ["corestrict", "{good}", "--generators", "notjson"], None,
+        "error: bad generators 'notjson': Expecting value: line 1 column 1 (char 0)", 2),
+    "quadratic form not SPD": (
+        ["gaussian", "--check", "corestriction", "--form", "1,2;2,1"], None,
+        "error: bad quadratic form '1,2;2,1': leading principal minor 2 is not "
+        "positive; not SPD", 2),
+    "quadratic form not numbers": (
+        ["gaussian", "--check", "corestriction", "--form", "a,b"], None,
+        "error: bad quadratic form 'a,b': could not convert string to float: 'a'", 2),
+    "goodness probe failure": (
+        ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
+        "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "
+        "not converge within the radius bound", 2),
+    "pointwise group mismatch": (["product", "{z2}", "{z3}"], None,
+                                 "error: pointwise product needs functions on one group", 2),
+    "convolution group mismatch": (["convolve", "{mu2}", "{mu3}"], None,
+                                   "error: convolution needs measures on one group", 2),
+    "restrict precondition": (["restrict", "{indicator}", "--generators", "[[2]]"], None,
+                              "restrict needs a good input; failed conditions ['3.1.4']", 1),
+    "corestrict precondition": (
+        ["corestrict", "{not_ppd}", "--generators", "[[2]]"], None,
+        "corestrict needs a good input; failed conditions ['2.1.2', '3.1.4']", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths_pin_stderr_and_exit(case, tmp_path, monkeypatch, capsys):
+    argv, cap, err, code = ERROR_PATHS[case]
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "broken": str(broken),
+        "csv": str(tmp_path / "rays.csv"),
+        "a5": write(tmp_path, "a5.json", {"group": "A5", "values": [[1, 0]]}),
+        "nokey": write(tmp_path, "nokey.json", {"group": "Z2"}),
+        "good": write(tmp_path, "good.json", GOOD),
+        "indicator": write(tmp_path, "indicator.json", INDICATOR),
+        "not_ppd": write(tmp_path, "not_ppd.json", NOT_PPD),
+        "z2": write(tmp_path, "z2.json", {"group": "Z2", "values": [[1, 0], ["1/2", 0]]}),
+        "z3": write(tmp_path, "z3.json", {"group": "Z3", "values": [1, 0, 0]}),
+        "mu2": write(tmp_path, "mu2.json", {"group": "Z2", "values": [1, 1], "haar_scale": "1"}),
+        "mu3": write(tmp_path, "mu3.json", {"group": "Z3", "values": [1, 1, 1], "haar_scale": "1"}),
+    }
+    if cap is None:
+        monkeypatch.delenv("PPDLAB_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("PPDLAB_MAX_ORDER", cap)
+    assert main([a.format(**paths) for a in argv]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == err.format(**paths) + "\n"
+
+
 def test_cone_rays_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "rays.csv"
     out_path = tmp_path / "cone.json"

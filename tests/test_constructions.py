@@ -19,7 +19,7 @@ from ppdlab.constructions import (
     restrict,
     restrict_measure,
 )
-from ppdlab.cyclotomic import real_sign, scalar_eq, to_complex
+from ppdlab.cyclotomic import real_sign, scalar_eq, to_complex, unit_root
 from ppdlab.fourier import (
     GroupFunction,
     HaarScale,
@@ -317,6 +317,22 @@ def test_restrict_measure_full_group_is_normalization():
     for i in range(H_abs.order):
         x = hom_apply(incl, H_abs.element(i))
         assert nu.density.values[i] == mu.density.values[G.index(x)]
+
+
+def test_restrict_measure_irrational_mass_golden():
+    # c = cos(2 pi / 5): the total on the full group is irrational and folds
+    # into the density; on <2> the total is 3 and the Haar scale absorbs it
+    c = (unit_root(5, 1) + unit_root(5, 4)) / 2
+    mu = ScaledMeasure(Z4, GroupFunction(Z4, [2, c, 1, c]), HaarScale(Z4, Fraction(1, 3)))
+    full = restrict_measure(mu, subgroup_from_generators(Z4, [(1,)]))
+    assert repr(full) == (
+        "ScaledMeasure(Z4, [Cyc(5, ['6/5', '0', '2/5', '2/5']), "
+        "Cyc(5, ['-2/5', '0', '-3/10', '-3/10']), Cyc(5, ['3/5', '0', '1/5', '1/5']), "
+        "Cyc(5, ['-2/5', '0', '-3/10', '-3/10'])], 1)"
+    )
+    assert full.total_mass() == 1
+    half = restrict_measure(mu, H02)
+    assert repr(half) == "ScaledMeasure(Z2, [2, 1], 1/3)"
 
 
 def test_corestrict_measure_matches_function_corestriction_dual():

@@ -160,6 +160,14 @@ def test_corestriction_normalized_at_zero():
     xs = np.array(report.test_points)
     # both routes were normalized: gap at 0 must be exactly 0
     assert 0.0 in xs
+    # an even count leaves x = 0 off the test grid; both routes are still
+    # normalized at the origin, so they match the closed form there too
+    for n in (21, 20, 60):
+        report = gaussian_corestriction_check(Q, 1, test_points=n)
+        assert len(report.test_points) == n
+        assert report.max_gap_routes < 1e-9
+        assert report.max_gap_marginal_vs_closed < 1e-9
+        assert report.max_gap_dual_route_vs_closed < 1e-9
 
 
 def test_schur_complement_values():

@@ -313,6 +313,29 @@ def test_normalized_dual_golden_two_point():
         assert g.values[1] == (1 - t) / (1 + t)
 
 
+# c = (zeta_5 + zeta_5^4) / 2 = cos(2 pi / 5), so masses built from it are
+# irrational and the inverse of the total folds into the values
+COS_2PI_5 = (unit_root(5, 1) + unit_root(5, 4)) / 2
+
+
+def test_normalized_dual_irrational_mass_folds_into_the_values():
+    g = normalized_dual(GroupFunction(Z2, [Fraction(1), COS_2PI_5]))
+    assert [str(v) for v in g.values] == ["1", "7 + 4*z5^2 + 4*z5^3"]
+    assert repr(g.values) == "(Fraction(1, 1), Cyc(5, ['7', '0', '4', '4']))"
+
+
+def test_normalize_measure_irrational_mass_folds_into_density():
+    c = COS_2PI_5
+    mu = ScaledMeasure(Z4, GroupFunction(Z4, [2, c, 1, c]), HaarScale(Z4, Fraction(1, 3)))
+    nu = normalize_measure(mu)
+    assert repr(nu) == (
+        "ScaledMeasure(Z4, [Cyc(5, ['18/5', '0', '6/5', '6/5']), "
+        "Cyc(5, ['-6/5', '0', '-9/10', '-9/10']), Cyc(5, ['9/5', '0', '3/5', '3/5']), "
+        "Cyc(5, ['-6/5', '0', '-9/10', '-9/10'])], 1/3)"
+    )
+    assert nu.total_mass() == 1
+
+
 def test_normalized_dual_rejects_constant_one():
     with pytest.raises(ValueError):
         normalized_dual(F(Z4, 1, 1, 1, 1))
