@@ -55,21 +55,28 @@ from .sweeps import cone_atlas, corestriction_sweep, full_sweep
 MAX_ORDER_ENV = "PPDLAB_MAX_ORDER"
 
 
+def _non_negative(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
 def _effective_max_order(requested: int) -> int:
     cap = os.environ.get(MAX_ORDER_ENV)
     if cap is not None:
         try:
-            return min(requested, int(cap))
+            return min(requested, _non_negative(int(cap), MAX_ORDER_ENV))
         except ValueError:
             raise ValueError(f"bad {MAX_ORDER_ENV} value {cap!r}")
     return requested
 
 
 def _load_json(path: str) -> dict:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}")
 
 
@@ -109,12 +116,15 @@ def _required_seed(args) -> int:
 
 def _order_or(args, default: int) -> int:
     requested = getattr(args, "max_order", None)
-    return _effective_max_order(default if requested is None else requested)
+    if requested is None:
+        requested = default
+    return _effective_max_order(_non_negative(requested, "--max-order"))
 
 
 def cmd_sweep(args) -> int:
     max_order = _order_or(args, 8)
-    report = full_sweep(max_order=max_order, samples=args.samples,
+    report = full_sweep(max_order=max_order,
+                        samples=_non_negative(args.samples, "--samples"),
                         seed=_required_seed(args))
     _emit(report, args.out)
     bad = (
@@ -129,7 +139,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify_4_1(args) -> int:
     max_order = _order_or(args, 8)
     report = corestriction_sweep(
-        max_order=max_order, samples=args.samples, seed=_required_seed(args)
+        max_order=max_order, samples=_non_negative(args.samples, "--samples"),
+        seed=_required_seed(args)
     )
     _emit(report, args.out)
     return 1 if report["failures"] else 0
@@ -348,7 +359,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError) as exc:  # bad input; a missing key is a KeyError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,11 +442,3 @@ def plancherel_check(f: GroupFunction, m: HaarScale):
     lhs = scale * sum(abs(to_complex(v)) ** 2 for v in f.values)
     rhs = float(mhat.scale) * sum(abs(to_complex(v)) ** 2 for v in fhat.values)
     return abs(lhs - rhs)
-
-
-def functions_equal(f: GroupFunction, g: GroupFunction) -> bool:
-    if f.group != g.group:
-        return False
-    mode = f.mode & g.mode
-    scale = mode.scale(f.values + g.values)
-    return all(mode.eq(a, b, scale) for a, b in zip(f.values, g.values))

@@ -31,6 +31,8 @@ class QuadraticFormSPD:
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"need a square matrix, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix has a non-finite entry")
         scale = max(1.0, float(np.abs(A).max()))
         if float(np.abs(A - A.T).max()) > SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric")

@@ -109,9 +109,6 @@ class FiniteAbelianGroup:
     def neg(self, x: Element) -> Element:
         return tuple((-a) % n for a, n in zip(x, self.moduli))
 
-    def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % n for a, b, n in zip(x, y, self.moduli))
-
     @property
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(add, neg): add[i][j] is the index of element(i) + element(j) and
@@ -119,11 +116,6 @@ class FiniteAbelianGroup:
         if self._tables is None:
             self._tables = _index_tables(self.moduli)
         return self._tables
-
-    def add_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.order and 0 <= j < self.order):
-            raise IndexError(f"element index {(i, j)} out of range for {self}")
-        return self.index_tables[0][i][j]
 
     def neg_index(self, i: int) -> int:
         if not 0 <= i < self.order:
@@ -193,24 +185,17 @@ def pairing(G: FiniteAbelianGroup, a: Element, x: Element) -> complex:
 class Subgroup:
     """Extensionally stored subgroup of a small finite abelian group."""
 
-    __slots__ = ("parent", "elements", "generators", "_member_set")
+    __slots__ = ("parent", "elements", "generators")
 
     def __init__(self, parent: FiniteAbelianGroup, elements: Sequence[int],
                  generators: Sequence[Element]):
         self.parent = parent
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators)
-        self._member_set = frozenset(self.elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains_index(self, i: int) -> bool:
-        return i in self._member_set
-
-    def contains(self, x: Element) -> bool:
-        return self.parent.index(x) in self._member_set
 
     def element_tuples(self) -> list[Element]:
         return [self.parent.element(i) for i in self.elements]
@@ -300,10 +285,6 @@ def _greedy_generators(G: FiniteAbelianGroup, members: frozenset[int]) -> tuple:
     return tuple(gens)
 
 
-def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
-    return subgroup_from_generators(G, [])
-
-
 def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     """Complete duplicate-free subgroup list, ordered by (size, element list)."""
     if G.order > SUBGROUP_ORDER_BOUND:
@@ -388,12 +369,6 @@ def hom_index_map(phi: Homomorphism) -> tuple[int, ...]:
     return tuple(B.index(hom_apply(phi, A.element(i))) for i in range(A.order))
 
 
-def identity_hom(G: FiniteAbelianGroup) -> Homomorphism:
-    return Homomorphism(G, G, tuple(
-        tuple(1 if i == j else 0 for j in range(G.rank)) for i in range(G.rank)
-    ))
-
-
 @lru_cache(maxsize=None)
 def dual_hom(phi: Homomorphism) -> Homomorphism:
     """Adjoint map on characters: <dual_hom(phi)(b), x> = <b, phi(x)>."""
@@ -447,10 +422,6 @@ class QuotientGroup:
         self.projection_hom = projection_hom
         self.coset_reps = coset_reps
         self.projection = projection
-
-    @property
-    def num_cosets(self) -> int:
-        return self.group.order
 
     def __repr__(self):
         return f"QuotientGroup({self.parent} / {list(self.subgroup.elements)})"

@@ -471,14 +471,6 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     return GroupFunction(G, values)
 
 
-def sample_function(G: FiniteAbelianGroup, seed: int,
-                    strictness: str = "ppd") -> GroupFunction:
-    """Seeded draw from the requested class: strictness is "ppd" or "good"."""
-    if strictness not in ("ppd", "good"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    return _sample(G, seed, strictness)
-
-
 def sample_ppd(G: FiniteAbelianGroup, seed: int) -> GroupFunction:
     """Deterministic PPD sample; PPD by construction."""
     return _sample(G, seed, "ppd")

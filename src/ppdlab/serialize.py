@@ -37,11 +37,6 @@ def parse_rational(v) -> Fraction:
     raise ValueError(f"not a rational value: {v!r}")
 
 
-def rational_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _parse_value(entry, mode: str):
     if isinstance(entry, (int, float, str)):
         re_part, im_part = entry, 0
@@ -73,7 +68,7 @@ def _real(v) -> float:
 
 def _format_value(v, exact: bool):
     if exact and isinstance(v, (int, Fraction)):
-        return [rational_to_str(Fraction(v)), "0"]
+        return [str(Fraction(v)), "0"]
     c = to_complex(v)
     return [c.real, c.imag]
 
@@ -105,7 +100,7 @@ def measure_from_dict(d: dict, mode: str = "exact") -> ScaledMeasure:
 def measure_to_dict(mu: ScaledMeasure) -> dict:
     d = function_to_dict(mu.density)
     if mu.mode.exact:
-        d["haar_scale"] = rational_to_str(mu.haar.scale)
+        d["haar_scale"] = str(Fraction(mu.haar.scale))
     else:
         d["haar_scale"] = float(mu.haar.scale)
     return d
@@ -124,5 +119,7 @@ def parse_generators(text, G: FiniteAbelianGroup):
             g = [g]
         if not isinstance(g, list) or len(g) != G.rank:
             raise ValueError(f"generator {g!r} has wrong rank for {format_group(G)}")
-        out.append(tuple(int(x) for x in g))
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in g):
+            raise ValueError(f"generator {g!r} has a residue that is not an integer")
+        out.append(tuple(g))
     return out

@@ -2,9 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ppdlab
 from ppdlab.cli import main
 
 
@@ -104,8 +108,19 @@ ERROR_PATHS = {
                     "in double quotes: line 1 column 2 (char 1)", 2),
     "bad group literal": (["check", "{a5}"], None, "error: bad group literal 'A5'", 2),
     "missing key": (["check", "{nokey}"], None, "error: 'values'", 2),
+    "file not utf-8": (["check", "{nonutf8}"], None,
+                       "error: cannot read {nonutf8}: 'utf-8' codec can't decode byte "
+                       "0xff in position 0: invalid start byte", 2),
     "cone bad group literal": (["cone", "A5"], None, "error: bad group literal 'A5'", 2),
     "bad max order env": (["cone", "Z4"], "x", "error: bad PPDLAB_MAX_ORDER value 'x'", 2),
+    "negative max order env": (["cone-atlas"], "-1",
+                               "error: bad PPDLAB_MAX_ORDER value '-1'", 2),
+    "negative max order": (["cone-atlas", "--max-order", "-1"], None,
+                           "error: --max-order must be non-negative, got -1", 2),
+    "sweep negative samples": (["sweep", "--samples", "-3", "--seed", "1"], None,
+                               "error: --samples must be non-negative, got -3", 2),
+    "verify-4-1 negative samples": (["verify-4-1", "--samples", "-3", "--seed", "1"], None,
+                                    "error: --samples must be non-negative, got -3", 2),
     "sweep without seed": (["sweep", "--max-order", "4", "--samples", "2"], None,
                            "error: --seed is mandatory for sampled sweeps", 2),
     "verify-4-1 without seed": (["verify-4-1", "--max-order", "4", "--samples", "2"],
@@ -122,6 +137,30 @@ ERROR_PATHS = {
     "restrict generators not json": (
         ["restrict", "{good}", "--generators", "notjson"], None,
         "error: bad generators 'notjson': Expecting value: line 1 column 1 (char 0)", 2),
+    "restrict generators infinity": (
+        ["restrict", "{good}", "--generators", "[[Infinity]]"], None,
+        "error: bad generators '[[Infinity]]': generator [inf] has a residue "
+        "that is not an integer", 2),
+    "restrict generators null": (
+        ["restrict", "{good}", "--generators", "[[null]]"], None,
+        "error: bad generators '[[null]]': generator [None] has a residue "
+        "that is not an integer", 2),
+    "restrict generators nested": (
+        ["restrict", "{good}", "--generators", "[[[1]]]"], None,
+        "error: bad generators '[[[1]]]': generator [[1]] has a residue "
+        "that is not an integer", 2),
+    "restrict generators fraction": (
+        ["restrict", "{good}", "--generators", "[[1.5]]"], None,
+        "error: bad generators '[[1.5]]': generator [1.5] has a residue "
+        "that is not an integer", 2),
+    "restrict generators integral float": (
+        ["restrict", "{good}", "--generators", "[[2.0]]"], None,
+        "error: bad generators '[[2.0]]': generator [2.0] has a residue "
+        "that is not an integer", 2),
+    "restrict generators bool": (
+        ["restrict", "{good}", "--generators", "[[true]]"], None,
+        "error: bad generators '[[true]]': generator [True] has a residue "
+        "that is not an integer", 2),
     "corestrict generators wrong rank": (
         ["corestrict", "{good}", "--generators", "[[1, 2]]"], None,
         "error: bad generators '[[1, 2]]': generator [1, 2] has wrong rank for Z4", 2),
@@ -135,6 +174,12 @@ ERROR_PATHS = {
     "quadratic form not numbers": (
         ["gaussian", "--check", "corestriction", "--form", "a,b"], None,
         "error: bad quadratic form 'a,b': could not convert string to float: 'a'", 2),
+    "quadratic form nan corestriction": (
+        ["gaussian", "--check", "corestriction", "--form", "nan,0;0,1", "--k", "1"], None,
+        "error: bad quadratic form 'nan,0;0,1': matrix has a non-finite entry", 2),
+    "quadratic form nan goodness": (
+        ["gaussian", "--check", "goodness", "--form", "nan,0;0,1"], None,
+        "error: bad quadratic form 'nan,0;0,1': matrix has a non-finite entry", 2),
     "goodness probe failure": (
         ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
         "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "
@@ -156,7 +201,10 @@ def test_error_paths_pin_stderr_and_exit(case, tmp_path, monkeypatch, capsys):
     argv, cap, err, code = ERROR_PATHS[case]
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
+    nonutf8 = tmp_path / "nonutf8.json"
+    nonutf8.write_bytes(b"\xff\xfe")
     paths = {
+        "nonutf8": str(nonutf8),
         "missing": str(tmp_path / "missing.json"),
         "broken": str(broken),
         "csv": str(tmp_path / "rays.csv"),
@@ -316,25 +364,24 @@ def test_sweep_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_determinism_across_processes(tmp_path):
-    """Byte-identical reports even under different hash randomization."""
-    import os
-    import subprocess
-    import sys
+def _child_env(**extra):
+    """Environment for a `python -m ppdlab.cli` child that runs from "/".
 
-    import ppdlab
-
-    # The child runs from "/", where a relative PYTHONPATH entry such as
-    # "src" resolves to nothing; point it at the directory that holds the
-    # imported package, ahead of whatever path the parent already had.
+    There a relative PYTHONPATH entry such as "src" resolves to nothing, so
+    put the directory that holds the imported package ahead of whatever path
+    the parent already had."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(ppdlab.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = pkg_root + (os.pathsep + inherited if inherited else "")
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
+
+def test_sweep_determinism_across_processes(tmp_path):
+    """Byte-identical reports even under different hash randomization."""
     outs = []
     for i, hash_seed in enumerate(("1", "271828")):
         out = tmp_path / f"p{i}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        env = _child_env(PYTHONHASHSEED=hash_seed)
         subprocess.run(
             [sys.executable, "-m", "ppdlab.cli", "--out", str(out), "sweep",
              "--max-order", "4", "--samples", "3", "--seed", "11"],
@@ -344,6 +391,23 @@ def test_sweep_determinism_across_processes(tmp_path):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """`ppdlab cone Z12 --rays | head -1`: the reader is gone before the report
+    is written, which fails quietly with exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppdlab.cli", "cone", "Z12", "--rays"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env(), cwd="/",
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_gaussian_commands(tmp_path, capsys):

@@ -42,7 +42,6 @@ from ppdlab.groups import (
     make_group,
     quotient,
     subgroup_from_generators,
-    trivial_subgroup,
 )
 from ppdlab.ppd import (
     evaluate_function,
@@ -81,7 +80,7 @@ def test_restrict_full_and_trivial():
     for i in range(H_abs.order):
         x = hom_apply(incl, H_abs.element(i))
         assert scalar_eq(r.values[i], GOOD_Z4.values[Z4.index(x)])
-    t = trivial_subgroup(Z4)
+    t = subgroup_from_generators(Z4, [])
     rt = restrict(GOOD_Z4, t)
     assert rt.group.order == 1 and rt.values == (Fraction(1),)
 
@@ -98,7 +97,7 @@ def test_corestrict_golden():
 
 
 def test_corestrict_trivial_cases():
-    t = trivial_subgroup(Z4)
+    t = subgroup_from_generators(Z4, [])
     g = corestrict(GOOD_Z4, t)
     # quotient by {0} is G itself (possibly re-presented); compare through reps
     Q = quotient(Z4, t)
@@ -114,7 +113,7 @@ def test_coset_average_golden():
     assert g.values == (Fraction(1), Fraction(4, 5))
     ones = F(Z4, 1, 1, 1, 1)
     assert coset_average(ones, H02).values == (Fraction(1), Fraction(1))
-    t = trivial_subgroup(Z4)
+    t = subgroup_from_generators(Z4, [])
     scaled = F(Z4, 2, 1, 1, 1)
     avg = coset_average(scaled, t)
     assert avg.values[0] == 1 and avg.values[1] == Fraction(1, 2)

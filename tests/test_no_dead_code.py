@@ -1,8 +1,10 @@
 """Guard against code no caller needs.
 
-Every function, method and class defined in the package must be referenced
-somewhere in the package or the tests, as a name, an attribute or an import;
-every module-level import of a source module must be used in that module.
+`ppdlab.__all__` is the public API. Every other function, method and class
+defined in the package must be referenced, as a name, an attribute or an
+import, by a module of the package other than `__init__.py`: a test or an
+import alias in `__init__.py` is not a caller. Every module-level import of a
+source module must be used in that module.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ppdlab").glob("*.py"))
-CORPUS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+INIT = ROOT / "src" / "ppdlab" / "__init__.py"
 
 
 def _count(name: str, text: str) -> int:
@@ -32,10 +34,22 @@ def _references(tree) -> Counter:
     return refs
 
 
+def _public_names() -> set[str]:
+    """The string entries of the `__all__` list assigned in `__init__.py`."""
+    for node in ast.parse(INIT.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    raise AssertionError("__init__.py assigns no __all__")
+
+
 def test_every_definition_has_a_caller():
     refs = Counter()
-    for path in CORPUS:
-        refs += _references(ast.parse(path.read_text()))
+    for path in SOURCES:
+        if path != INIT:
+            refs += _references(ast.parse(path.read_text()))
+    public = _public_names()
     unused = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -44,7 +58,7 @@ def test_every_definition_has_a_caller():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if not refs[name]:
+            if name not in public and not refs[name]:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 

@@ -431,7 +431,7 @@ def test_sampled_ppd_three_by_three_minors():
         for _ in range(10):
             x = rng.randrange(G.order)
             y = rng.randrange(G.order)
-            xy = G.add_index(x, y)
+            xy = G.index_tables[0][x][y]
             u0, ux, uy, uxy = (
                 f.values[0],
                 f.values[x],
@@ -643,7 +643,7 @@ def test_rational_verdicts_match_transform_reference(moduli, kind, data):
         subs = all_subgroups(G)
         H = subs[data.draw(st.integers(0, len(subs) - 1))]
         c, shift = data.draw(rational), data.draw(st.sampled_from([0, 0, -1, 1]))
-        vals = [c * int(H.contains_index(x)) + shift for x in range(G.order)]
+        vals = [c * int(x in H.elements) + shift for x in range(G.order)]
     elif kind == "constant":
         vals = [data.draw(rational)] * G.order
     else:

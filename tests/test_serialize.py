@@ -12,7 +12,6 @@ from ppdlab.serialize import (
     measure_to_dict,
     parse_generators,
     parse_rational,
-    rational_to_str,
 )
 
 Z4 = make_group([4])
@@ -31,9 +30,14 @@ def test_parse_rational():
         parse_rational(None)
 
 
-def test_rational_to_str():
-    assert rational_to_str(Fraction(3)) == "3"
-    assert rational_to_str(Fraction(-1, 4)) == "-1/4"
+def test_exact_values_and_haar_scale_print_as_fractions():
+    Z2 = make_group([2])
+    f = GroupFunction(Z2, [Fraction(3), Fraction(-1, 4)])
+    assert function_to_dict(f)["values"] == [["3", "0"], ["-1/4", "0"]]
+    mu = ScaledMeasure(Z2, f, HaarScale(Z2, Fraction(1, 2)))
+    d = measure_to_dict(mu)
+    assert d["values"] == [["3", "0"], ["-1/4", "0"]]
+    assert d["haar_scale"] == "1/2"
 
 
 def test_function_roundtrip_exact():
