@@ -34,6 +34,7 @@ from .constructions import (
 )
 from .fourier import convolve
 from .gaussian import (
+    DerivedFormError,
     GridQuadrature,
     QuadraticFormSPD,
     counterexample_probe,
@@ -240,12 +241,17 @@ def cmd_gaussian(args) -> int:
         return 0
     form = _parse_form(args.form)
     if args.check == "corestriction":
-        report = gaussian_corestriction_check(form, args.k, q)
+        try:
+            report = gaussian_corestriction_check(form, args.k, q)
+        except DerivedFormError as exc:
+            raise ValueError(f"bad quadratic form {args.form!r}: {exc}")
         _emit({"check": "corestriction", **report.to_dict()}, args.out)
         return 0 if report.max_gap_routes < args.tol else 1
     if args.check == "goodness":
         try:
             report = gaussian_goodness_probe(form)
+        except DerivedFormError as exc:
+            raise ValueError(f"bad quadratic form {args.form!r}: {exc}")
         except ArithmeticError as exc:  # lattice sum out of reach for this form
             raise ValueError(f"goodness probe failed for form {args.form!r}: {exc}")
         _emit({"check": "goodness", **report.to_dict()}, args.out)

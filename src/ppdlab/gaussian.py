@@ -7,8 +7,10 @@ exp(-2*pi*i x.xi) is det(A)^(-1/2) exp(-pi xi^T A^(-1) xi).
 Quadrature is plain trapezoid on [-R, R] grids; for rapidly decaying smooth
 integrands this converges superexponentially, so the default grid (R=8,
 N=512) sits far below the 1e-8 verification tolerances.  Transforms at the
-default frequencies run as one FFT in O(N log N); explicit frequencies take
-the dense trapezoid sum, one complex exponential per (xi, x) pair.
+default frequencies run as one FFT in O(N log N); explicit frequencies fold
+the weighted samples into even and odd halves about x = 0 and take the
+cosine sum of the even half minus i times the sine sum of the odd half over
+the N/2 + 1 points x >= 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-14
 BOUNDARY_DECAY = 1e-14
+FOLD_BLOCK = 1 << 13  # phase entries per block of the folded trapezoid sum
+
+
+class DerivedFormError(ValueError):
+    """A matrix derived from a valid form (its inverse, a Schur complement)
+    is not a valid form itself."""
 
 
 class QuadraticFormSPD:
@@ -38,7 +46,9 @@ class QuadraticFormSPD:
             raise ValueError("matrix is not symmetric")
         n = A.shape[0]
         for k in range(1, n + 1):
-            if np.linalg.det(A[:k, :k]) <= 0:
+            with np.errstate(all="ignore"):  # a minor may overflow to inf
+                minor = np.linalg.det(A[:k, :k])
+            if not minor > 0:
                 raise ValueError(
                     f"leading principal minor {k} is not positive; not SPD"
                 )
@@ -82,13 +92,22 @@ class GridQuadrature:
         return {"half_width": self.half_width, "points": self.points}
 
 
+def _derived_form(matrix, name: str) -> QuadraticFormSPD:
+    try:
+        return QuadraticFormSPD(matrix)
+    except ValueError as exc:
+        raise DerivedFormError(f"{name}: {exc}") from None
+
+
 def gaussian_fourier_closed_form(Q: QuadraticFormSPD):
     """Dual form A^{-1} and amplitude det(A)^{-1/2}."""
     A = Q.matrix
-    inv = np.linalg.inv(A)
-    inv = (inv + inv.T) / 2
-    amplitude = 1.0 / math.sqrt(np.linalg.det(A))
-    return QuadraticFormSPD(inv), amplitude
+    with np.errstate(all="ignore"):  # the checks below reject what overflows
+        inv = np.linalg.inv(A)
+        inv = (inv + inv.T) / 2
+        dual = _derived_form(inv, "its inverse")
+        amplitude = 1.0 / math.sqrt(np.linalg.det(A))
+    return dual, amplitude
 
 
 def _check_boundary_decay(f, q: GridQuadrature) -> float:
@@ -105,7 +124,9 @@ def numeric_fourier(f, q: GridQuadrature, dim: int = 1, xi_points=None,
 
     Returns (xi_points, values).  Rejects grids whose boundary truncates the
     integrand above the 1e-14 decay threshold unless enforce_decay is off.
-    Explicit xi_points take the dense trapezoid sum.  At the default
+    Explicit xi_points take the folded trapezoid sum (`_folded_sum`): the
+    cosine sum of the even half of the weighted samples minus i times the
+    sine sum of the odd half, over the grid points x >= 0.  At the default
     xi_k = (k - N/2) / (2R), x_j * xi_k = (j - N/2)(k - N/2) / N, so the sum
     is one length-N FFT: both ends carry the phase (-1)^(k - N/2), so w_N f(R)
     folds into sample 0; rolling by N/2 puts x = 0 at index 0, and output k
@@ -126,8 +147,39 @@ def numeric_fourier(f, q: GridQuadrature, dim: int = 1, xi_points=None,
         spectrum = np.fft.fft(np.roll(vals[:N], N // 2))
         return xi, spectrum[(np.arange(N + 1) - N // 2) % N]
     xi = np.asarray(xi_points, dtype=float).reshape(-1)
-    kernel = np.exp(-2j * math.pi * np.outer(xi, axis))
-    return xi, kernel @ vals
+    if np.iscomplexobj(vals):  # the fold runs on real samples
+        return xi, (_folded_sum(vals.real, axis, xi)
+                    + 1j * _folded_sum(vals.imag, axis, xi))
+    return xi, _folded_sum(vals, axis, xi)
+
+
+def _folded_sum(vals, axis, xi):
+    """sum_j vals_j exp(-2 pi i xi x_j) for each xi, for real vals on a grid
+    with an odd point count that is symmetric about its middle point x_0 = 0.
+
+    vals_j + vals_-j and vals_j - vals_-j pair with cos and -i sin of the
+    phase at x_j (j >= 0; x_0 pairs with itself at half weight), so the sum
+    takes half the points and no complex exponential.  linspace leaves
+    x_-j = -x_j + s_j with s_j of rounding size; the first-order term
+    2 pi xi s_j vals_-j (sin - i cos) keeps the sum that of the grid as
+    given.  Rows go in blocks of at most FOLD_BLOCK phase entries.
+    """
+    m = len(axis) // 2
+    x, neg = axis[m:], vals[m::-1]
+    even, odd = vals[m:] + neg, vals[m:] - neg
+    skew = (x + axis[m::-1]) * neg  # zero on an exactly symmetric grid
+    even[0] /= 2  # x_0 pairs with itself
+    skew[0] /= 2
+    out = np.empty(len(xi), dtype=complex)
+    rows = max(1, FOLD_BLOCK // len(x))
+    for i in range(0, len(xi), rows):
+        block = xi[i:i + rows]
+        phase = (2 * math.pi) * np.outer(block, x)
+        sin = np.sin(phase)
+        cos = np.cos(phase, out=phase)
+        out.real[i:i + rows] = cos @ even + (2 * math.pi) * block * (sin @ skew)
+        out.imag[i:i + rows] = (-2 * math.pi) * block * (cos @ skew) - sin @ odd
+    return out
 
 
 def gaussian_selfdual_check(q: GridQuadrature = GridQuadrature()):
@@ -151,9 +203,13 @@ class CorestrictionProbeReport:
     grid: dict
 
     def to_dict(self):
-        out = asdict(self)
-        del out["test_points"]
-        return out
+        return {
+            "schur_matrix": self.schur_matrix,
+            "max_gap_routes": self.max_gap_routes,
+            "max_gap_marginal_vs_closed": self.max_gap_marginal_vs_closed,
+            "max_gap_dual_route_vs_closed": self.max_gap_dual_route_vs_closed,
+            "grid": dict(self.grid),
+        }
 
 
 def schur_complement(A: np.ndarray, k: int) -> np.ndarray:
@@ -179,34 +235,30 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     if n != 2 or k != 1:
         raise ValueError("probe implemented for the 2d -> 1d split")
     A = Q.matrix
+    dual_form, amp = gaussian_fourier_closed_form(Q)
+    schur = _derived_form(schur_complement(A, k), "its Schur complement").matrix
     test_grid = np.linspace(-test_halfwidth, test_halfwidth, test_points)
     # an even count leaves the origin off the grid: compare on the grid with
     # x = 0 joined, where both normalized routes and the closed form are 1
     origin = test_grid.searchsorted(0.0)
     xs = test_grid if 0.0 in test_grid else np.insert(test_grid, origin, 0.0)
 
-    # route (i): quadrature marginal over the second coordinate
-    axis = q.axis()
-    w = q.weights()
-    X, Y = np.meshgrid(xs, axis, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    fv = Q(pts).reshape(len(xs), len(axis))
-    marginal = fv @ w
+    # route (i): quadrature marginal over the second coordinate, the form
+    # a00 x^2 + (a01 + a10) x y + a11 y^2 broadcast over (test point, axis)
+    x, y = xs[:, None], q.axis()[None, :]
+    fv = np.exp(-math.pi * (A[0, 0] * x**2 + (A[0, 1] + A[1, 0]) * x * y
+                            + A[1, 1] * y**2))
+    marginal = fv @ q.weights()
     marginal = marginal / marginal[origin]
 
     # route (ii): restrict the dual Gaussian and transform back
-    dual_form, amp = gaussian_fourier_closed_form(Q)
-    B11 = dual_form.matrix[:k, :k]
-    restricted = lambda p: amp * np.exp(
-        -math.pi * np.einsum("...i,ij,...j->...", np.atleast_2d(p), B11,
-                             np.atleast_2d(p))
-    )
+    b11 = dual_form.matrix[0, 0]
+    restricted = lambda p: amp * np.exp(-math.pi * b11 * p[:, 0] ** 2)
     _, udual = numeric_fourier(restricted, q, dim=1, xi_points=xs)
     # the restricted dual is even, so the inverse transform equals the forward one
     udual = udual.real
     udual = udual / udual[origin]
 
-    schur = schur_complement(A, k)
     closed = np.exp(-math.pi * schur[0, 0] * xs**2)
 
     gap_routes = float(np.abs(marginal - udual).max())
@@ -272,9 +324,7 @@ def counterexample_probe(n_terms: int,
     # partial sum with (x, y) swapped
     spots = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
     direct = _series_values(spots[:, [1, 0]], n_terms)
-    swapped = np.array(
-        [_series_transform_value(xy, n_terms, q) for xy in spots]
-    )
+    swapped = _series_transform(spots, n_terms, q)
     swap_gap = float(np.abs(direct - swapped).max())
 
     return SeriesProbeReport(
@@ -300,32 +350,34 @@ def _series_values(points: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
-def _gauss1d_transform(a: float, xi: float, q: GridQuadrature) -> complex:
-    """Quadrature of exp(-pi a y^2) exp(-2 pi i y xi) dy, width-matched grid.
+def _series_transform(spots: np.ndarray, n_terms: int,
+                      q: GridQuadrature) -> np.ndarray:
+    """Transform of the partial sum at each spot, as products of 1-d
+    quadratures of exp(-pi a y^2) exp(-2 pi i y xi): a = n^2 on the first
+    coordinate and 1/n^2 on the second.
 
     Substituting u = y sqrt(a) gives the standard Gaussian at frequency
-    xi/sqrt(a); the point count is raised as needed to resolve it.
+    xi/sqrt(a); the point count is raised as needed to resolve it.  The
+    quadratures that share a point count run as one folded trapezoid sum.
     """
-    s = math.sqrt(a)
-    nu = abs(xi) / s
-    n_pts = max(q.points, int(4 * q.half_width * (nu + 4)) + 1)
-    if n_pts % 2:
-        n_pts += 1
-    grid = GridQuadrature(q.half_width, n_pts)
-    u = grid.axis()
-    w = grid.weights()
-    vals = np.exp(-math.pi * u**2) * np.exp(-2j * math.pi * u * (xi / s))
-    return complex(vals @ w) / s
-
-
-def _series_transform_value(xi, n_terms: int, q: GridQuadrature) -> float:
-    """Transform of the partial sum at one point; 1-d quadratures per factor."""
-    total = 0.0
-    for n in range(1, n_terms + 1):
-        ix = _gauss1d_transform(float(n**2), float(xi[0]), q)
-        iy = _gauss1d_transform(1.0 / n**2, float(xi[1]), q)
-        total += (ix * iy).real / n**2
-    return total
+    squares = np.array([float(n**2) for n in range(1, n_terms + 1)])
+    scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
+    # row per spot: frequencies of the x factors of terms 1..n, then the y factors
+    nu = (np.repeat(spots, n_terms, axis=1) / scale).ravel()
+    groups = {}
+    for i, v in enumerate(nu.tolist()):
+        n_pts = max(q.points, int(4 * q.half_width * (abs(v) + 4)) + 1)
+        groups.setdefault(n_pts + n_pts % 2, []).append(i)
+    quad = np.empty(len(nu), dtype=complex)
+    for n_pts, rows in groups.items():
+        grid = GridQuadrature(q.half_width, n_pts)
+        u = grid.axis()
+        quad[rows] = _folded_sum(np.exp(-math.pi * u**2) * grid.weights(), u, nu[rows])
+    re = quad.real.reshape(len(spots), 2, n_terms) / scale.reshape(2, n_terms)
+    im = quad.imag.reshape(len(spots), 2, n_terms) / scale.reshape(2, n_terms)
+    # the real part of the product of the x and y factors of each term
+    terms = (re[:, 0] * re[:, 1] - im[:, 0] * im[:, 1]) / squares
+    return np.array([sum(row) for row in terms])
 
 
 # -- goodness probe -------------------------------------------------------------------

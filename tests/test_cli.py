@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -180,6 +181,22 @@ ERROR_PATHS = {
     "quadratic form nan goodness": (
         ["gaussian", "--check", "goodness", "--form", "nan,0;0,1"], None,
         "error: bad quadratic form 'nan,0;0,1': matrix has a non-finite entry", 2),
+    "derived inverse overflow corestriction": (
+        ["gaussian", "--check", "corestriction", "--form", "1e308,0;0,1e308", "--k", "1"],
+        None, "error: bad quadratic form '1e308,0;0,1e308': its inverse: leading "
+        "principal minor 2 is not positive; not SPD", 2),
+    "derived inverse overflow goodness": (
+        ["gaussian", "--check", "goodness", "--form", "1e308,0;0,1e308"], None,
+        "error: bad quadratic form '1e308,0;0,1e308': its inverse: leading "
+        "principal minor 2 is not positive; not SPD", 2),
+    "derived inverse subnormal corestriction": (
+        ["gaussian", "--check", "corestriction", "--form", "1e-320,0;0,1", "--k", "1"],
+        None, "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a "
+        "non-finite entry", 2),
+    "derived inverse subnormal goodness": (
+        ["gaussian", "--check", "goodness", "--form", "1e-320,0;0,1"], None,
+        "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a "
+        "non-finite entry", 2),
     "goodness probe failure": (
         ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
         "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "
@@ -436,6 +453,17 @@ def test_gaussian_bad_grid_exit_2(half_width, capsys):
     assert main(["gaussian", "--check", "selfdual", "--half-width", half_width]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: half_width")
+
+
+@pytest.mark.parametrize("check", ["corestriction", "goodness"])
+@pytest.mark.parametrize("form", ["1e308,0;0,1e308", "1e-320,0;0,1"])
+def test_gaussian_derived_form_error_raises_no_float_warning(check, form, capsys):
+    # an extreme but finite form fails on its inverse: one error line, and the
+    # overflow or underflow on the way is no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian", "--check", check, "--form", form]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad quadratic form {form!r}: ")
 
 
 def test_gaussian_goodness_unconverged_lattice_sum_exit_2(capsys):

@@ -1,9 +1,12 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ppdlab.gaussian import (
+    FOLD_BLOCK,
+    DerivedFormError,
     GridQuadrature,
     QuadraticFormSPD,
     counterexample_probe,
@@ -15,6 +18,9 @@ from ppdlab.gaussian import (
     numeric_fourier,
     schur_complement,
 )
+from ppdlab.gaussian import _series_transform
+
+SERIES_SPOTS = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
 
 
 def test_quadratic_form_validation():
@@ -79,6 +85,12 @@ def test_numeric_fourier_general_1d():
     assert np.abs(vals - closed).max() < 1e-8
 
 
+def _dense_transform(f, q, xi):
+    """The unfolded trapezoid sum: one complex exponential per (xi, x) pair."""
+    axis = q.axis()
+    return np.exp(-2j * math.pi * np.outer(xi, axis)) @ (f(axis[:, None]) * q.weights())
+
+
 @pytest.mark.parametrize("R, N", [(8.0, 512), (6.0, 96), (7.5, 250), (8.0, 1000),
                                   (5.0, 16)])
 def test_default_grid_fft_matches_dense_sum(R, N):
@@ -89,9 +101,99 @@ def test_default_grid_fft_matches_dense_sum(R, N):
               lambda p: np.exp(-math.pi * (np.asarray(p)[:, 0] - 0.4) ** 2)):
         xi, vals = numeric_fourier(f, q, dim=1)
         default_xi = np.linspace(-N / (4 * R), N / (4 * R), N + 1)
-        xi_d, dense = numeric_fourier(f, q, dim=1, xi_points=default_xi)
+        xi_d, folded = numeric_fourier(f, q, dim=1, xi_points=default_xi)
+        dense = _dense_transform(f, q, default_xi)
         assert np.array_equal(xi, default_xi) and np.array_equal(xi, xi_d)
         assert np.abs(vals - dense).max() <= 1e-13
+        assert np.abs(folded - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("R, N", [(8.0, 512), (7.5, 250)])
+def test_folded_transform_matches_dense_sum(R, N):
+    # an even f and a shifted Gaussian, whose odd half carries the sine sum;
+    # on the default grid the rows run in more than one block, and the
+    # (7.5, 250) axis is symmetric about 0 only up to rounding
+    q = GridQuadrature(R, N)
+    xi = np.linspace(-3.0, 3.0, 61)
+    if N == 512:
+        assert (N // 2 + 1) * len(xi) > FOLD_BLOCK
+    else:
+        assert np.abs(q.axis() + q.axis()[::-1]).max() > 0
+    for f in (QuadraticFormSPD([[3.0]]),
+              lambda p: np.exp(-math.pi * (np.asarray(p)[:, 0] - 0.4) ** 2)):
+        xi_out, vals = numeric_fourier(f, q, dim=1, xi_points=xi)
+        dense = _dense_transform(f, q, xi)
+        assert np.array_equal(xi_out, xi)
+        assert np.abs(vals - dense).max() <= 1e-15 * np.abs(dense).max()
+    # the shifted Gaussian's transform is not real: the sine sum is live
+    assert np.abs(vals.imag).max() > 0.1
+
+
+def test_folded_transform_of_a_complex_function():
+    # a modulated Gaussian: the real and imaginary samples fold separately
+    q = GridQuadrature()
+    f = lambda p: np.exp((-math.pi * p[:, 0] + 2j * math.pi * 0.3) * p[:, 0])
+    xi = np.linspace(-3.0, 3.0, 61)
+    _, vals = numeric_fourier(f, q, dim=1, xi_points=xi)
+    dense = _dense_transform(f, q, xi)
+    assert np.abs(vals - dense).max() <= 1e-15 * np.abs(dense).max()
+    assert np.abs(vals - np.exp(-math.pi * (xi - 0.3) ** 2)).max() < 1e-14
+
+
+def _per_term_series_transform(spot, n_terms, q):
+    """The series transform at one spot, one quadrature per (term, axis)."""
+    def gauss1d(a, xi):
+        s = math.sqrt(a)
+        n_pts = max(q.points, int(4 * q.half_width * (abs(xi) / s + 4)) + 1)
+        grid = GridQuadrature(q.half_width, n_pts + n_pts % 2)
+        u = grid.axis()
+        vals = np.exp(-math.pi * u**2) * np.exp(-2j * math.pi * u * (xi / s))
+        return complex(vals @ grid.weights()) / s
+
+    total = 0.0
+    for n in range(1, n_terms + 1):
+        ix = gauss1d(float(n**2), float(spot[0]))
+        iy = gauss1d(1.0 / n**2, float(spot[1]))
+        total += (ix * iy).real / n**2
+    return total
+
+
+@pytest.mark.parametrize("n_terms", [10, 30, 100])
+def test_batched_series_transform_matches_per_term_quadrature(n_terms):
+    q = GridQuadrature()
+    batched = _series_transform(SERIES_SPOTS, n_terms, q)
+    reference = np.array([_per_term_series_transform(spot, n_terms, q)
+                          for spot in SERIES_SPOTS])
+    assert np.abs(batched - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("form", [[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+@pytest.mark.parametrize("test_points", [20, 21, 60])
+def test_corestriction_gaps_at_round_off(form, test_points):
+    report = gaussian_corestriction_check(QuadraticFormSPD(form), 1,
+                                          test_points=test_points)
+    assert report.max_gap_routes < 1e-14
+    assert report.max_gap_marginal_vs_closed < 1e-14
+    assert report.max_gap_dual_route_vs_closed < 1e-14
+
+
+def test_corestriction_to_dict_drops_test_points():
+    report = gaussian_corestriction_check(QuadraticFormSPD([[2.0, 1.0], [1.0, 2.0]]), 1)
+    reference = asdict(report)
+    del reference["test_points"]
+    assert report.to_dict() == reference
+    assert list(report.to_dict()) == list(reference)
+
+
+def test_derived_forms_name_the_matrix():
+    # the form is valid; its inverse overflows or underflows the checks
+    for form, message in (([[1e308, 0.0], [0.0, 1e308]], "leading principal minor 2"),
+                          ([[1e-320, 0.0], [0.0, 1.0]], "non-finite entry")):
+        Q = QuadraticFormSPD(form)
+        for probe in (gaussian_fourier_closed_form, gaussian_goodness_probe,
+                      lambda Q: gaussian_corestriction_check(Q, 1)):
+            with pytest.raises(DerivedFormError, match=f"^its inverse: .*{message}"):
+                probe(Q)
 
 
 def test_selfdual_on_a_fine_default_grid():
