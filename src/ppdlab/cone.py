@@ -7,16 +7,22 @@ the good functions are exactly the strict interior.  Extremal rays come from
 an incremental double-description pass in integer coordinates over the basis
 {1, 2cos(2pi j/e)} of Z[2cos(2pi/e)] (e the group exponent), where every
 coefficient and ray coordinate lives: each new ray is divided by its integer
-content, tight sets are bitmasks, signs are certified, insertion order is
-fixed, and every output ray passes a fraction-free tightness-rank test.
-Canonical rays are primitive with the first nonzero coordinate a positive
-integer.  The H-rep is built once per group, with the integer rows of its
-coefficients; double description, the self-duality pairing, the printed report
-and the membership of a rational vector (one integer row combination and one
-ring sign per inequality) read those rows and the ray coordinates.  Cyc ray
-values are built for the field report, each coordinate at the conductor that
-Cyc arithmetic along the same path gives it (cyclotomic.conductor_step), which
-fixes how it prints.
+content, tight sets are bitmasks, pairs sharing fewer than d - 2 tight
+inequalities are skipped before the adjacency scan, signs are certified,
+insertion order is fixed, and every output ray passes the tightness-rank
+test: the rank of its tight rows is certified as d - 1 over F_p (a ring map
+of Z[2cos(2pi/e)] onto F_p, p = 1 mod e), with fraction-free elimination over
+the ring as the fallback when that rank falls short.  The products of every
+row with every ray that this check certifies are kept, and the self-duality
+pairing reads the transforms off them.  Canonical rays are primitive with the
+first nonzero coordinate a positive integer.  The H-rep is built once per
+group, with the integer rows of its coefficients; double description, the
+printed report and the membership of a rational vector (one integer row
+combination and one ring sign per inequality) read those rows and the ray
+coordinates.  Cyc ray values are built for the field report, each coordinate
+at the conductor that Cyc arithmetic along the same path gives it
+(cyclotomic.conductor_step), which fixes how it prints; the report expands
+and rebuilds each distinct stored value once.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ class PolyhedralCone:
     rays: Optional[tuple[tuple, ...]] = None
     ray_tight: Optional[tuple[frozenset, ...]] = None
     ray_coords: Optional[tuple[tuple, ...]] = None  # canonical ring coordinates
+    ray_products: Optional[tuple[tuple, ...]] = None  # per ray, <row, ray> for every row
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +288,11 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
         for ip in (i for i, s in enumerate(signs) if s > 0):
             for im in minus:
                 common = tights[ip] & tights[im]
-                if any(k != ip and k != im and t & common == common
-                       for k, t in enumerate(tights)):
+                # adjacent rays share at least d - 2 tight inequalities
+                # (Fukuda & Prodon 1996): test that before the O(rays) scan
+                if common.bit_count() < d - 2 or any(
+                        k != ip and k != im and t & common == common
+                        for k, t in enumerate(tights)):
                     continue
                 (vp, cp), (vm, cm) = vals[ip], vals[im]
                 new, new_conds = [], []
@@ -301,8 +311,8 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     for r, c, t in zip(rays, conds, tights):
         canon[_primitive_form(ring, r)] = (c, t)  # a later duplicate wins
     coords = tuple(sorted(canon))
-    for key in coords:
-        _verify_extremal(ring, rows, key, canon[key][1], d)
+    mod = _mod_rows(ring.e, rows)
+    products = tuple(_verify_extremal(ring, rows, mod, k, canon[k][1], d) for k in coords)
     n = len(rows)
     return replace(
         cone,
@@ -311,19 +321,93 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
             frozenset(i for i in range(n) if canon[k][1] >> i & 1) for k in coords
         ),
         ray_coords=coords,
+        ray_products=products,
     )
 
 
-def _verify_extremal(ring: CosRing, rows, vec, tight: int, d: int) -> None:
-    for i, row in enumerate(rows):
-        s = ring.sign(_dot(ring, row, vec)[0])
+def _verify_extremal(ring: CosRing, rows, mod, vec, tight: int, d: int) -> tuple:
+    """Certify a canonical ray; returns <row, vec> for every row.
+
+    Every product gets a certified sign: none is negative and the zero ones
+    are the tight set, so vec annihilates the tight rows and their rank is at
+    most d - 1.  A minor maps to the minor of the image, so the rank of their
+    image over F_p (mod = _mod_rows(e, rows)) is at most their rank, and
+    rank_p = d - 1 proves rank = d - 1.  Only when rank_p falls short does
+    _ring_rank decide.
+    """
+    products = tuple(_dot(ring, row, vec)[0] for row in rows)
+    for i, v in enumerate(products):
+        s = ring.sign(v)
         if s < 0:
             raise AssertionError("ray violates an inequality")
         if (s == 0) != bool(tight >> i & 1):
             raise AssertionError("tight set inconsistent with ray values")
-    tight_rows = [row for i, row in enumerate(rows) if tight >> i & 1]
-    if _ring_rank(ring, tight_rows, d) != d - 1:
+    tight_idx = [i for i in range(len(rows)) if tight >> i & 1]
+    p, mod_rows = mod
+    if (_mod_rank([mod_rows[i] for i in tight_idx], p, d) != d - 1
+            and _ring_rank(ring, [rows[i] for i in tight_idx], d) != d - 1):
         raise AssertionError("ray fails the tightness-rank extremality test")
+    return products
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 17: the bases 2..17 decide every
+    n < 341550071728321, far past the primes _mod_basis takes."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _mod_basis(e: int) -> tuple[int, tuple[int, ...]]:
+    """The first prime p = 1 (mod e) above 2^30, and the images in F_p of the
+    basis 1, 2cos(2pi j/e) under 2cos(2pi j/e) -> w^j + w^-j, w a primitive
+    e-th root of unity mod p: a ring map from Z[2cos(2pi/e)] onto F_p."""
+    step = 2 * e  # p = 1 (mod 2e) is odd and 1 (mod e)
+    p = (2**30 // step + 1) * step + 1
+    while not _is_prime(p):
+        p += step
+    w = next(w for w in (pow(g, (p - 1) // e, p) for g in range(2, p))
+             if all(pow(w, k, p) != 1 for k in range(1, e) if e % k == 0))
+    m = cos_ring(e).m
+    return p, (1,) + tuple((pow(w, j, p) + pow(w, e - j, p)) % p for j in range(1, m))
+
+
+def _mod_rows(e: int, rows):
+    """(p, rows) with every ring entry mapped to F_p by _mod_basis(e)."""
+    p, images = _mod_basis(e)
+    return p, [tuple(sum(c * b for c, b in zip(x, images)) % p for x in row)
+               for row in rows]
+
+
+def _mod_rank(rows, p: int, width: int) -> int:
+    """Rank over F_p of rows with entries in [0, p), by Gaussian elimination."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        prow = [x * inv % p for x in mat[r]]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
+        r += 1
+    return r
 
 
 def _ring_rank(ring: CosRing, rows, width: int) -> int:
@@ -454,24 +538,30 @@ def field_of_definition_check(cone: PolyhedralCone) -> FieldReport:
 
     Each entry gets an explicit integer expansion over the basis
     {1, 2cos(2pi j/e)}, re-evaluated and compared against the original value.
+    Entries that store the same value (the same conductor, numerators and
+    denominator) share one expansion and one check.
     """
     if cone.rays is None:
         raise ValueError("V-representation not computed yet")
     e = cone.basis.group.exponent()
     entries = []
+    certified: dict[tuple, tuple] = {}
 
-    def record(location, value):
+    def certify(location, value):
         exp = expand_in_cos_basis(value, e)
         if exp is None:
-            entries.append(FieldEntry(location, repr(value), "<not in field>", False))
-            return
-        integral = all(c.denominator == 1 for c in exp)
+            return repr(value), "<not in field>", False
         rebuilt = cos_ring(e).scalar(exp, e)
         if not scalar_eq(rebuilt, value + Fraction(0)):
             raise AssertionError(f"expansion failed to reproduce {location}")
-        entries.append(
-            FieldEntry(location, str(value), cos_basis_string(exp, e), integral)
-        )
+        return str(value), cos_basis_string(exp, e), all(c.denominator == 1 for c in exp)
+
+    def record(location, value):
+        key = ((value.numerator, value.denominator) if is_rational(value)
+               else (value.field.E, value.num, value.den))
+        if key not in certified:
+            certified[key] = certify(location, value)
+        entries.append(FieldEntry(location, *certified[key]))
 
     for i, ineq in enumerate(cone.inequalities):
         for j, c in enumerate(ineq.coeffs):
@@ -496,16 +586,13 @@ class SelfDualityReport:
 
 def _transform_coords(cone: PolyhedralCone) -> tuple[tuple, ...]:
     """Per ray, its transform under counting measure at the orbit representatives,
-    in ring coordinates: the dual inequality rows evaluated on the ray."""
-    if cone.ray_coords is None:
+    in ring coordinates: the dual inequality rows evaluated on the ray, read
+    off the products extremal_rays certified."""
+    if cone.ray_products is None:
         raise ValueError("V-representation not computed yet")
-    ring = cos_ring(cone.basis.group.exponent())
-    dual = {q.orbit_rep: row for q, row in zip(cone.inequalities, cone.rows)
-            if q.kind == "dual"}
-    return tuple(
-        tuple(_dot(ring, dual[a], ray)[0] for a in cone.basis.orbit_reps)
-        for ray in cone.ray_coords
-    )
+    dual = {q.orbit_rep: i for i, q in enumerate(cone.inequalities) if q.kind == "dual"}
+    cols = [dual[a] for a in cone.basis.orbit_reps]
+    return tuple(tuple(products[i] for i in cols) for products in cone.ray_products)
 
 
 def self_duality_check(cone: PolyhedralCone) -> SelfDualityReport:

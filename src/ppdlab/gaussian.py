@@ -106,7 +106,8 @@ def gaussian_fourier_closed_form(Q: QuadraticFormSPD):
         inv = np.linalg.inv(A)
         inv = (inv + inv.T) / 2
         dual = _derived_form(inv, "its inverse")
-        amplitude = 1.0 / math.sqrt(np.linalg.det(A))
+        # from log det: det(A) itself overflows for a valid form such as 1e160*I
+        amplitude = math.exp(-0.5 * np.linalg.slogdet(A)[1])
     return dual, amplitude
 
 

@@ -197,6 +197,11 @@ ERROR_PATHS = {
         ["gaussian", "--check", "goodness", "--form", "1e-320,0;0,1"], None,
         "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a "
         "non-finite entry", 2),
+    "corestriction with a determinant past the float range": (
+        # det(A) = 1e320 overflows, yet the amplitude 1e-160 is finite: the
+        # dual route then fails on the grid, not on a NaN gap
+        ["gaussian", "--check", "corestriction", "--form", "1e160,0;0,1e160", "--k", "1"],
+        None, "error: insufficient decay at the grid boundary: 1.000e+00 > 1e-14", 2),
     "goodness probe failure": (
         ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
         "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "
@@ -464,6 +469,14 @@ def test_gaussian_derived_form_error_raises_no_float_warning(check, form, capsys
         warnings.simplefilter("error")
         assert main(["gaussian", "--check", check, "--form", form]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad quadratic form {form!r}: ")
+
+
+def test_gaussian_goodness_with_a_determinant_past_the_float_range(capsys):
+    # det(A) = 1e320 overflows; the transform amplitude 1e-160 is still positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian", "--check", "goodness", "--form", "1e160,0;0,1e160"]) == 0
+    assert json.loads(capsys.readouterr().out)["transform_strictly_positive"] is True
 
 
 def test_gaussian_goodness_unconverged_lattice_sum_exit_2(capsys):

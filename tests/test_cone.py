@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import ppdlab.cone as cone_module
 from ppdlab.cone import (
     EvenBasis,
+    FieldEntry,
+    FieldReport,
     _dot,
+    _mod_basis,
+    _mod_rank,
+    _mod_rows,
+    _ring_rank,
     _transform_coords,
     brute_force_rays,
     canonical_ray,
@@ -18,10 +25,13 @@ from ppdlab.cone import (
     self_duality_check,
 )
 from ppdlab.cyclotomic import (
+    Cyc,
     conductor,
+    cos_basis_string,
     cos_ring,
     expand_in_cos_basis,
     real_sign,
+    scalar_eq,
     to_complex,
     unit_root,
 )
@@ -124,6 +134,74 @@ def test_extremal_rays_tightness_rank():
     cone = extremal_rays(ppd_cone_hrep(Z4))
     for tight in cone.ray_tight:
         assert len(tight) >= cone.basis.dim - 1
+
+
+def test_mod_rank_is_a_lower_bound_on_the_ring_rank():
+    """_mod_basis maps Z[2cos(2pi/e)] onto F_p as a ring, so the rank of the
+    image of a matrix never exceeds its rank; rows with entries divisible by p
+    make it fall short."""
+    rng = random.Random(11)
+    for e in (5, 7, 8, 9, 11, 12, 16):
+        ring = cos_ring(e)
+        p, images = _mod_basis(e)
+        assert p % e == 1 and p > 2**30
+        assert all(p % k for k in range(2, math.isqrt(p) + 1)), p  # a field
+        image = lambda x: sum(c * b for c, b in zip(x, images)) % p
+
+        def element():
+            return tuple(rng.randint(-3, 3) for _ in range(ring.m))
+
+        for _ in range(20):
+            a, b = element(), element()
+            assert image(ring.mul(a, b)) == image(a) * image(b) % p, e
+        short = 0
+        for trial in range(30):
+            width = rng.randint(2, 6)
+            rows = [tuple(element() for _ in range(width)) for _ in range(rng.randint(1, 7))]
+            if trial % 3 == 1:  # rank at most 2: two rows and ring combinations of them
+                x, y = rows[0], rng.choice(rows)
+                rows = [x, y] + [
+                    tuple(ring.add(ring.mul(s, u), ring.mul(t, v)) for u, v in zip(x, y))
+                    for s, t in ((element(), element()) for _ in range(rng.randint(1, 3)))]
+            if trial % 3 == 2:  # every entry of one row divisible by p
+                rows[0] = tuple(tuple(p * c for c in x) for x in rows[0])
+            mod_rank = _mod_rank(_mod_rows(e, rows)[1], p, width)
+            ring_rank = _ring_rank(ring, rows, width)
+            assert mod_rank <= ring_rank, (e, rows)
+            short += mod_rank < ring_rank
+        assert short, e
+
+
+def test_rank_fallback_gives_the_same_rays(monkeypatch):
+    """When the modular rank falls short, _ring_rank decides every ray, and
+    double description returns what it returns with the modular certificate."""
+    want = {n: extremal_rays(ppd_cone_hrep(make_group([n]))) for n in (8, 12)}
+    calls = []
+
+    def counted_ring_rank(*args):
+        calls.append(args)
+        return _ring_rank(*args)
+
+    monkeypatch.setattr(cone_module, "_mod_rank", lambda rows, p, width: 0)
+    monkeypatch.setattr(cone_module, "_ring_rank", counted_ring_rank)
+    for n, cone in want.items():
+        before = len(calls)
+        got = extremal_rays(ppd_cone_hrep(make_group([n])))
+        assert len(calls) - before == len(cone.rays), n
+        assert got.ray_coords == cone.ray_coords, n
+        assert got.ray_tight == cone.ray_tight, n
+        assert got.rays == cone.rays, n
+        assert got.ray_products == cone.ray_products, n
+
+
+def test_ray_products_are_every_row_on_every_ray():
+    for moduli in ([7], [8], [4, 2], [12]):
+        cone = extremal_rays(ppd_cone_hrep(make_group(moduli)))
+        ring = cos_ring(cone.basis.group.exponent())
+        assert cone.ray_products == tuple(
+            tuple(_dot(ring, row, coords)[0] for row in cone.rows)
+            for coords in cone.ray_coords
+        ), moduli
 
 
 def test_double_description_matches_bruteforce_z2_to_z6():
@@ -385,6 +463,38 @@ def test_field_of_definition_z5():
     report = field_of_definition_check(cone)
     assert report.all_integral
     assert any("2cos(2pi*1/5)" in entry.expansion for entry in report.entries)
+
+
+def _field_entries_reference(cone):
+    """The per-entry field report: every value expanded and rebuilt on its own."""
+    e = cone.basis.group.exponent()
+    entries = []
+    values = [(f"inequality[{i}].coeff[{j}]", c)
+              for i, q in enumerate(cone.inequalities) for j, c in enumerate(q.coeffs)]
+    values += [(f"ray[{r}].coord[{j}]", c)
+               for r, ray in enumerate(cone.rays) for j, c in enumerate(ray)]
+    for location, value in values:
+        exp = expand_in_cos_basis(value, e)
+        assert scalar_eq(cos_ring(e).scalar(exp, e), value + Fraction(0)), location
+        entries.append(FieldEntry(location, str(value), cos_basis_string(exp, e),
+                                  all(c.denominator == 1 for c in exp)))
+    return entries
+
+
+def test_field_report_certifies_each_stored_value_once():
+    """Z14 and Z16 store some values at two conductors, which print apart; the
+    report keyed on the stored form equals the per-entry report."""
+    for moduli in ([14], [16]):
+        cone = extremal_rays(ppd_cone_hrep(make_group(moduli)))
+        e = cone.basis.group.exponent()
+        conductors = {}
+        for v in [c for q in cone.inequalities for c in q.coeffs] + [
+                c for ray in cone.rays for c in ray]:
+            if isinstance(v, Cyc):
+                conductors.setdefault(tuple(expand_in_cos_basis(v, e)), set()).add(v.field.E)
+        assert any(len(fs) > 1 for fs in conductors.values()), moduli
+        reference = FieldReport(e, tuple(_field_entries_reference(cone)))
+        assert field_of_definition_check(cone).to_dict() == reference.to_dict(), moduli
 
 
 def test_field_of_definition_z8_z12():

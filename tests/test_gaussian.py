@@ -63,6 +63,13 @@ def test_closed_form_scaling_1d():
     assert dual.matrix[0, 0] == pytest.approx(0.25)
 
 
+def test_closed_form_amplitude_when_the_determinant_overflows():
+    # det = 1e320 is past the float range; the amplitude comes from log det
+    dual, amp = gaussian_fourier_closed_form(QuadraticFormSPD([[1e160, 0.0], [0.0, 1e160]]))
+    assert amp == pytest.approx(1e-160, rel=1e-12, abs=0)
+    assert np.allclose(dual.matrix, np.diag([1e-160, 1e-160]), rtol=1e-15, atol=0)
+
+
 def test_double_transform_returns_original():
     Q = QuadraticFormSPD([[2, 1], [1, 2]])
     dual, amp = gaussian_fourier_closed_form(Q)
