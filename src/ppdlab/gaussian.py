@@ -10,7 +10,12 @@ N=512) sits far below the 1e-8 verification tolerances.  Transforms at the
 default frequencies run as one FFT in O(N log N); explicit frequencies fold
 the weighted samples into even and odd halves about x = 0 and take the
 cosine sum of the even half minus i times the sine sum of the odd half over
-the N/2 + 1 points x >= 0.
+the N/2 + 1 points x >= 0.  When the samples are even and the grid is exactly
+symmetric about 0 (the default grid; every probe's integrand is even), every
+sine term is an exact zero and only the cosine sum is taken.
+
+A grid holds at most MAX_GRID_POINTS subintervals, which bounds every sample
+array, the corestriction marginal and the counterexample's per-term grids.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 SYMMETRY_TOL = 1e-14
 BOUNDARY_DECAY = 1e-14
 FOLD_BLOCK = 1 << 13  # phase entries per block of the folded trapezoid sum
+MAX_GRID_POINTS = 1 << 18  # subintervals per grid axis
 
 
 class DerivedFormError(ValueError):
@@ -78,6 +84,9 @@ class GridQuadrature:
                              f"2*half_width, got {self.half_width}")
         if self.points < 16 or self.points % 2:
             raise ValueError("points must be an even integer >= 16")
+        if self.points > MAX_GRID_POINTS:
+            raise ValueError(f"points must be at most {MAX_GRID_POINTS}, "
+                             f"got {self.points}")
 
     def axis(self):
         return np.linspace(-self.half_width, self.half_width, self.points + 1)
@@ -163,7 +172,10 @@ def _folded_sum(vals, axis, xi):
     takes half the points and no complex exponential.  linspace leaves
     x_-j = -x_j + s_j with s_j of rounding size; the first-order term
     2 pi xi s_j vals_-j (sin - i cos) keeps the sum that of the grid as
-    given.  Rows go in blocks of at most FOLD_BLOCK phase entries.
+    given.  When the odd half and every s_j are zero (even samples on an
+    exactly symmetric grid, such as the default one) each sine term is an
+    exact zero, so only the cosine sum is taken and the imaginary part is 0.
+    Rows go in blocks of at most FOLD_BLOCK phase entries.
     """
     m = len(axis) // 2
     x, neg = axis[m:], vals[m::-1]
@@ -171,11 +183,15 @@ def _folded_sum(vals, axis, xi):
     skew = (x + axis[m::-1]) * neg  # zero on an exactly symmetric grid
     even[0] /= 2  # x_0 pairs with itself
     skew[0] /= 2
-    out = np.empty(len(xi), dtype=complex)
+    cosine_only = not (odd.any() or skew.any())
+    out = np.zeros(len(xi), dtype=complex)
     rows = max(1, FOLD_BLOCK // len(x))
     for i in range(0, len(xi), rows):
         block = xi[i:i + rows]
         phase = (2 * math.pi) * np.outer(block, x)
+        if cosine_only:
+            out.real[i:i + rows] = np.cos(phase, out=phase) @ even
+            continue
         sin = np.sin(phase)
         cos = np.cos(phase, out=phase)
         out.real[i:i + rows] = cos @ even + (2 * math.pi) * block * (sin @ skew)
@@ -245,11 +261,9 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     xs = test_grid if 0.0 in test_grid else np.insert(test_grid, origin, 0.0)
 
     # route (i): quadrature marginal over the second coordinate, the form
-    # a00 x^2 + (a01 + a10) x y + a11 y^2 broadcast over (test point, axis)
-    x, y = xs[:, None], q.axis()[None, :]
-    fv = np.exp(-math.pi * (A[0, 0] * x**2 + (A[0, 1] + A[1, 0]) * x * y
-                            + A[1, 1] * y**2))
-    marginal = fv @ q.weights()
+    # a00 x^2 + (a01 + a10) x y + a11 y^2 on (test point, axis), built in one
+    # buffer with the operations of that expression in its order
+    marginal = _marginal_kernel(A, xs, q.axis()) @ q.weights()
     marginal = marginal / marginal[origin]
 
     # route (ii): restrict the dual Gaussian and transform back
@@ -275,6 +289,17 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     )
 
 
+def _marginal_kernel(A: np.ndarray, xs: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """exp(-pi (a00 x^2 + (a01 + a10) x y + a11 y^2)) for x in xs (rows) and
+    y on the axis (columns), in place; bitwise equal to that expression."""
+    x, y = xs[:, None], axis[None, :]
+    out = np.multiply((A[0, 1] + A[1, 0]) * x, y)
+    out += A[0, 0] * x**2
+    out += A[1, 1] * y**2
+    out *= -math.pi
+    return np.exp(out, out=out)
+
+
 # -- the two-variable series whose line restriction diverges -------------------------
 
 
@@ -290,7 +315,16 @@ class SeriesProbeReport:
     grid: dict
 
     def to_dict(self):
-        return asdict(self)
+        return {
+            "terms": self.terms,
+            "restricted_mass": self.restricted_mass,
+            "restricted_mass_closed": self.restricted_mass_closed,
+            "total_mass": self.total_mass,
+            "total_mass_closed": self.total_mass_closed,
+            "swap_symmetry_gap": self.swap_symmetry_gap,
+            "partial_sums_ppd": self.partial_sums_ppd,
+            "grid": dict(self.grid),
+        }
 
 
 def counterexample_probe(n_terms: int,
@@ -306,6 +340,15 @@ def counterexample_probe(n_terms: int,
     """
     if n_terms < 2:
         raise ValueError("need at least 2 terms")
+    # transform symmetry: evaluate the partial sum and its transform at a few
+    # swapped points; the closed-form transform of the partial sum is the
+    # partial sum with (x, y) swapped.  The transform's per-term grids are
+    # checked against the grid limit before any quadrature runs.
+    spots = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
+    swapped = _series_transform(spots, n_terms, q)
+    direct = _series_values(spots[:, [1, 0]], n_terms)
+    swap_gap = float(np.abs(direct - swapped).max())
+
     axis = q.axis()
     w = q.weights()
     std = float(np.exp(-math.pi * axis**2) @ w)  # quadrature of exp(-pi u^2)
@@ -319,14 +362,6 @@ def counterexample_probe(n_terms: int,
         total += x_int * y_int / n**2
     h_n = sum(1.0 / n for n in range(1, n_terms + 1))
     p_n = sum(1.0 / n**2 for n in range(1, n_terms + 1))
-
-    # transform symmetry: evaluate the partial sum and its transform at a few
-    # swapped points; the closed-form transform of the partial sum is the
-    # partial sum with (x, y) swapped
-    spots = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
-    direct = _series_values(spots[:, [1, 0]], n_terms)
-    swapped = _series_transform(spots, n_terms, q)
-    swap_gap = float(np.abs(direct - swapped).max())
 
     return SeriesProbeReport(
         terms=n_terms,
@@ -358,20 +393,25 @@ def _series_transform(spots: np.ndarray, n_terms: int,
     coordinate and 1/n^2 on the second.
 
     Substituting u = y sqrt(a) gives the standard Gaussian at frequency
-    xi/sqrt(a); the point count is raised as needed to resolve it.  The
+    xi/sqrt(a); the point count is raised as needed to resolve it, and a
+    count past MAX_GRID_POINTS is rejected before any quadrature runs.  The
     quadratures that share a point count run as one folded trapezoid sum.
     """
     squares = np.array([float(n**2) for n in range(1, n_terms + 1)])
     scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
     # row per spot: frequencies of the x factors of terms 1..n, then the y factors
     nu = (np.repeat(spots, n_terms, axis=1) / scale).ravel()
-    groups = {}
-    for i, v in enumerate(nu.tolist()):
-        n_pts = max(q.points, int(4 * q.half_width * (abs(v) + 4)) + 1)
-        groups.setdefault(n_pts + n_pts % 2, []).append(i)
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        need = 4 * q.half_width * (np.abs(nu) + 4)
+    if need.max() >= MAX_GRID_POINTS:  # int(need) + 1 points, rounded up to even
+        raise ValueError(f"the series transform needs grids of more than "
+                         f"{MAX_GRID_POINTS} points at half_width {q.half_width}")
+    n_pts = np.maximum(q.points, need.astype(np.int64) + 1)
+    n_pts += n_pts % 2
     quad = np.empty(len(nu), dtype=complex)
-    for n_pts, rows in groups.items():
-        grid = GridQuadrature(q.half_width, n_pts)
+    for size in dict.fromkeys(n_pts.tolist()):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(n_pts == size)
+        grid = GridQuadrature(q.half_width, size)
         u = grid.axis()
         quad[rows] = _folded_sum(np.exp(-math.pi * u**2) * grid.weights(), u, nu[rows])
     re = quad.real.reshape(len(spots), 2, n_terms) / scale.reshape(2, n_terms)

@@ -202,6 +202,18 @@ ERROR_PATHS = {
         # dual route then fails on the grid, not on a NaN gap
         ["gaussian", "--check", "corestriction", "--form", "1e160,0;0,1e160", "--k", "1"],
         None, "error: insufficient decay at the grid boundary: 1.000e+00 > 1e-14", 2),
+    "counterexample grids past the limit": (
+        ["gaussian", "--check", "counterexample", "--half-width", "1e6"], None,
+        "error: the series transform needs grids of more than 262144 points at "
+        "half_width 1000000.0", 2),
+    "counterexample grids past the float range": (
+        # the grid's squares overflow: the limit is checked before any quadrature
+        ["gaussian", "--check", "counterexample", "--half-width", "1e300"], None,
+        "error: the series transform needs grids of more than 262144 points at "
+        "half_width 1e+300", 2),
+    "grid points past the limit": (
+        ["gaussian", "--check", "selfdual", "--points", "100000000"], None,
+        "error: points must be at most 262144, got 100000000", 2),
     "goodness probe failure": (
         ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
         "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "
@@ -244,10 +256,13 @@ def test_error_paths_pin_stderr_and_exit(case, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("PPDLAB_MAX_ORDER", raising=False)
     else:
         monkeypatch.setenv("PPDLAB_MAX_ORDER", cap)
-    assert main([a.format(**paths) for a in argv]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(**paths) for a in argv]) == code
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == err.format(**paths) + "\n"
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_cone_rays_and_csv(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ppdlab.gaussian import (
     FOLD_BLOCK,
+    MAX_GRID_POINTS,
     DerivedFormError,
     GridQuadrature,
     QuadraticFormSPD,
@@ -18,7 +20,7 @@ from ppdlab.gaussian import (
     numeric_fourier,
     schur_complement,
 )
-from ppdlab.gaussian import _series_transform
+from ppdlab.gaussian import _folded_sum, _marginal_kernel, _series_transform
 
 SERIES_SPOTS = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
 
@@ -47,6 +49,13 @@ def test_grid_validation():
         with pytest.raises(ValueError):
             GridQuadrature(bad, 512)
     GridQuadrature(8e307, 512)
+    # the point count is bounded: at most MAX_GRID_POINTS, which CI's
+    # 65536-point selfdual grid stays under
+    assert MAX_GRID_POINTS >= 65536
+    GridQuadrature(8.0, MAX_GRID_POINTS)
+    for bad in (MAX_GRID_POINTS + 2, 10**8, 10**30):
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}"):
+            GridQuadrature(8.0, bad)
 
 
 def test_closed_form_identity_selfdual():
@@ -145,6 +154,77 @@ def test_folded_transform_of_a_complex_function():
     dense = _dense_transform(f, q, xi)
     assert np.abs(vals - dense).max() <= 1e-15 * np.abs(dense).max()
     assert np.abs(vals - np.exp(-math.pi * (xi - 0.3) ** 2)).max() < 1e-14
+
+
+def _sine_and_cosine_fold(vals, axis, xi):
+    """The folded trapezoid sum with every sine and skew term kept."""
+    m = len(axis) // 2
+    x, neg = axis[m:], vals[m::-1]
+    even, odd = vals[m:] + neg, vals[m:] - neg
+    skew = (x + axis[m::-1]) * neg
+    even[0] /= 2
+    skew[0] /= 2
+    out = np.empty(len(xi), dtype=complex)
+    rows = max(1, FOLD_BLOCK // len(x))
+    for i in range(0, len(xi), rows):
+        block = xi[i:i + rows]
+        phase = (2 * math.pi) * np.outer(block, x)
+        sin = np.sin(phase)
+        cos = np.cos(phase, out=phase)
+        out.real[i:i + rows] = cos @ even + (2 * math.pi) * block * (sin @ skew)
+        out.imag[i:i + rows] = (-2 * math.pi) * block * (cos @ skew) - sin @ odd
+    return out
+
+
+@pytest.mark.parametrize("R, N", [(8.0, 512), (7.5, 250)])
+def test_cosine_only_fold_equals_the_full_fold(R, N):
+    # even samples: on the exactly symmetric default grid every sine term is
+    # an exact zero and the cosine-only sum gives the same bits; the
+    # (7.5, 250) axis is symmetric only up to rounding, so its skew term is
+    # live and the sum keeps the sine path
+    q = GridQuadrature(R, N)
+    axis = q.axis()
+    symmetric = not np.any(axis + axis[::-1])
+    assert symmetric == ((R, N) == (8.0, 512))
+    xs = np.insert(np.linspace(-3.0, 3.0, 61), 30, 0.0)
+    nu = np.linspace(-110.0, 110.0, 97)
+    for scale in (1.0, 2.0 / 3.0):
+        vals = np.exp(-math.pi * scale * axis**2) * q.weights()
+        for xi in (xs, nu):
+            folded = _folded_sum(vals, axis, xi)
+            assert np.array_equal(folded, _sine_and_cosine_fold(vals, axis, xi))
+            assert np.any(folded.imag) != symmetric
+
+
+@pytest.mark.parametrize("form", [[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+def test_in_place_marginal_equals_the_expression(form):
+    A = QuadraticFormSPD(form).matrix
+    xs = np.insert(np.linspace(-3.0, 3.0, 61), 30, 0.0)
+    x, y = xs[:, None], GridQuadrature().axis()[None, :]
+    expression = np.exp(-math.pi * (A[0, 0] * x**2 + (A[0, 1] + A[1, 0]) * x * y
+                                    + A[1, 1] * y**2))
+    assert np.array_equal(_marginal_kernel(A, xs, y[0]), expression)
+
+
+@pytest.mark.parametrize("n_terms", [10, 100])
+def test_series_report_to_dict_matches_asdict(n_terms):
+    report = counterexample_probe(n_terms)
+    assert report.to_dict() == asdict(report)
+    assert list(report.to_dict()) == list(asdict(report))
+
+
+def test_counterexample_checks_its_grids_before_any_quadrature():
+    # 4 * half_width * (|frequency| + 4) points per term, past the grid limit;
+    # at 1e300 the grid's squares and at 8e307 the point count itself leave
+    # the float range, and no floating-point warning may escape
+    for half_width in (1e6, 1e300, 8e307):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                counterexample_probe(10, GridQuadrature(half_width, 512))
+    # at the default grid the largest frequency passes the limit at 7444 terms
+    with pytest.raises(ValueError, match="more than"):
+        _series_transform(SERIES_SPOTS, 7444, GridQuadrature())
 
 
 def _per_term_series_transform(spot, n_terms, q):
