@@ -4,15 +4,15 @@ The exp(-pi . ) convention makes the identity form self-dual and keeps every
 transform free of stray 2*pi factors: the transform of exp(-pi x^T A x) under
 exp(-2*pi*i x.xi) is det(A)^(-1/2) exp(-pi xi^T A^(-1) xi).
 
-Quadrature is plain trapezoid on [-R, R] grids; for rapidly decaying smooth
-integrands this converges superexponentially, so the default grid (R=8,
-N=512) sits far below the 1e-8 verification tolerances.  Transforms at the
-default frequencies run as one FFT in O(N log N); explicit frequencies fold
-the weighted samples into even and odd halves about x = 0 and take the
-cosine sum of the even half minus i times the sine sum of the odd half over
-the N/2 + 1 points x >= 0.  When the samples are even and the grid is exactly
-symmetric about 0 (the default grid; every probe's integrand is even), every
-sine term is an exact zero and only the cosine sum is taken.
+Quadrature is plain trapezoid on [-R, R] grids whose negative half mirrors
+the positive half exactly, so every grid is symmetric about x = 0; for
+rapidly decaying smooth integrands this converges superexponentially, so the
+default grid (R=8, N=512) sits far below the 1e-8 verification tolerances.
+Transforms at the default frequencies run as one FFT in O(N log N); explicit
+frequencies fold the weighted samples into even and odd halves about x = 0
+and take the cosine sum of the even half minus i times the sine sum of the
+odd half over the N/2 + 1 points x >= 0.  Even samples (every probe's
+integrand is even) have no odd half, so only the cosine sum is taken.
 
 A grid holds at most MAX_GRID_POINTS subintervals, which bounds every sample
 array, the corestriction marginal and the counterexample's per-term grids.
@@ -89,7 +89,10 @@ class GridQuadrature:
                              f"got {self.points}")
 
     def axis(self):
-        return np.linspace(-self.half_width, self.half_width, self.points + 1)
+        """-R..R in N equal steps: linspace(0, R, N/2 + 1) mirrored onto the
+        negative half, so x_-j == -x_j bitwise, with 0.0 in the middle."""
+        half = np.linspace(0.0, self.half_width, self.points // 2 + 1)
+        return np.concatenate((-half[:0:-1], half))
 
     def weights(self):
         h = 2 * self.half_width / self.points
@@ -120,35 +123,36 @@ def gaussian_fourier_closed_form(Q: QuadraticFormSPD):
     return dual, amplitude
 
 
-def _check_boundary_decay(f, q: GridQuadrature) -> float:
-    """Largest |f| at the grid ends -R and R, relative to |f(0)|."""
+def _check_boundary_decay(f, q: GridQuadrature) -> None:
+    """Reject a grid whose ends -R and R truncate f: |f| there, relative to
+    |f(0)|, must not pass BOUNDARY_DECAY."""
     R = q.half_width
     peak = float(np.abs(f(np.zeros((1, 1)))).max()) or 1.0
-    return float(np.abs(f(np.array([[-R], [R]]))).max()) / peak
+    decay = float(np.abs(f(np.array([[-R], [R]]))).max()) / peak
+    if decay > BOUNDARY_DECAY:
+        raise ValueError(
+            f"insufficient decay at the grid boundary: {decay:.3e} > {BOUNDARY_DECAY}"
+        )
 
 
-def numeric_fourier(f, q: GridQuadrature, dim: int = 1, xi_points=None,
+def numeric_fourier(f, q: GridQuadrature, xi_points=None,
                     enforce_decay: bool = True):
-    """Trapezoid-rule transform f_hat(xi) = integral f(x) exp(-2*pi*i x.xi) dx
-    on the real line (dim 1 only).
+    """Trapezoid-rule transform f_hat(xi) = integral f(x) exp(-2*pi*i x xi) dx
+    on the real line, for f sampled at points of shape (N + 1, 1).
 
     Returns (xi_points, values).  Rejects grids whose boundary truncates the
     integrand above the 1e-14 decay threshold unless enforce_decay is off.
-    Explicit xi_points take the folded trapezoid sum (`_folded_sum`): the
-    cosine sum of the even half of the weighted samples minus i times the
-    sine sum of the odd half, over the grid points x >= 0.  At the default
+    Explicit xi_points take the folded trapezoid sum (`_folded_sum`) on the
+    exactly symmetric grid: the cosine sum of the even half of the weighted
+    samples minus i times the sine sum of the odd half, over the grid points
+    x >= 0; even samples take the cosine sum alone.  At the default
     xi_k = (k - N/2) / (2R), x_j * xi_k = (j - N/2)(k - N/2) / N, so the sum
     is one length-N FFT: both ends carry the phase (-1)^(k - N/2), so w_N f(R)
     folds into sample 0; rolling by N/2 puts x = 0 at index 0, and output k
     is read at index (k - N/2) mod N.
     """
-    if dim != 1:
-        raise ValueError("numeric transforms are implemented in dimension 1 only")
-    decay = _check_boundary_decay(f, q)
-    if enforce_decay and decay > BOUNDARY_DECAY:
-        raise ValueError(
-            f"insufficient decay at the grid boundary: {decay:.3e} > {BOUNDARY_DECAY}"
-        )
+    if enforce_decay:
+        _check_boundary_decay(f, q)
     N, axis = q.points, q.axis()
     vals = f(axis[:, None]) * q.weights()
     if xi_points is None:
@@ -164,45 +168,35 @@ def numeric_fourier(f, q: GridQuadrature, dim: int = 1, xi_points=None,
 
 
 def _folded_sum(vals, axis, xi):
-    """sum_j vals_j exp(-2 pi i xi x_j) for each xi, for real vals on a grid
-    with an odd point count that is symmetric about its middle point x_0 = 0.
+    """sum_j vals_j exp(-2 pi i xi x_j) for each xi, for real vals on a
+    `GridQuadrature.axis`, where x_-j == -x_j about the middle point x_0 = 0.
 
     vals_j + vals_-j and vals_j - vals_-j pair with cos and -i sin of the
     phase at x_j (j >= 0; x_0 pairs with itself at half weight), so the sum
-    takes half the points and no complex exponential.  linspace leaves
-    x_-j = -x_j + s_j with s_j of rounding size; the first-order term
-    2 pi xi s_j vals_-j (sin - i cos) keeps the sum that of the grid as
-    given.  When the odd half and every s_j are zero (even samples on an
-    exactly symmetric grid, such as the default one) each sine term is an
-    exact zero, so only the cosine sum is taken and the imaginary part is 0.
-    Rows go in blocks of at most FOLD_BLOCK phase entries.
+    takes half the points and no complex exponential.  The sine sum is
+    taken only when the odd half has a nonzero entry; for even samples the
+    imaginary part is 0.  Rows go in blocks of at most FOLD_BLOCK phase
+    entries.
     """
     m = len(axis) // 2
     x, neg = axis[m:], vals[m::-1]
     even, odd = vals[m:] + neg, vals[m:] - neg
-    skew = (x + axis[m::-1]) * neg  # zero on an exactly symmetric grid
     even[0] /= 2  # x_0 pairs with itself
-    skew[0] /= 2
-    cosine_only = not (odd.any() or skew.any())
+    has_odd = odd.any()
     out = np.zeros(len(xi), dtype=complex)
     rows = max(1, FOLD_BLOCK // len(x))
     for i in range(0, len(xi), rows):
-        block = xi[i:i + rows]
-        phase = (2 * math.pi) * np.outer(block, x)
-        if cosine_only:
-            out.real[i:i + rows] = np.cos(phase, out=phase) @ even
-            continue
-        sin = np.sin(phase)
-        cos = np.cos(phase, out=phase)
-        out.real[i:i + rows] = cos @ even + (2 * math.pi) * block * (sin @ skew)
-        out.imag[i:i + rows] = (-2 * math.pi) * block * (cos @ skew) - sin @ odd
+        phase = (2 * math.pi) * np.outer(xi[i:i + rows], x)
+        if has_odd:
+            out.imag[i:i + rows] = -(np.sin(phase) @ odd)
+        out.real[i:i + rows] = np.cos(phase, out=phase) @ even
     return out
 
 
 def gaussian_selfdual_check(q: GridQuadrature = GridQuadrature()):
     """Max deviation of the numeric transform of exp(-pi x^2) from itself."""
     Q = QuadraticFormSPD([[1.0]])
-    xi, vals = numeric_fourier(lambda p: Q(p), q, dim=1)
+    xi, vals = numeric_fourier(lambda p: Q(p), q)
     closed = np.exp(-math.pi * xi**2)
     return float(np.abs(vals - closed).max())
 
@@ -269,7 +263,7 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     # route (ii): restrict the dual Gaussian and transform back
     b11 = dual_form.matrix[0, 0]
     restricted = lambda p: amp * np.exp(-math.pi * b11 * p[:, 0] ** 2)
-    _, udual = numeric_fourier(restricted, q, dim=1, xi_points=xs)
+    _, udual = numeric_fourier(restricted, q, xi_points=xs)
     # the restricted dual is even, so the inverse transform equals the forward one
     udual = udual.real
     udual = udual / udual[origin]
@@ -343,7 +337,8 @@ def counterexample_probe(n_terms: int,
     # transform symmetry: evaluate the partial sum and its transform at a few
     # swapped points; the closed-form transform of the partial sum is the
     # partial sum with (x, y) swapped.  The transform's per-term grids are
-    # checked against the grid limit before any quadrature runs.
+    # checked against the grid limit, and the ends of [-R, R] against the
+    # decay threshold, before any quadrature runs.
     spots = np.array([[0.3, 0.1], [0.5, 0.7], [0.0, 1.1]])
     swapped = _series_transform(spots, n_terms, q)
     direct = _series_values(spots[:, [1, 0]], n_terms)
@@ -393,9 +388,10 @@ def _series_transform(spots: np.ndarray, n_terms: int,
     coordinate and 1/n^2 on the second.
 
     Substituting u = y sqrt(a) gives the standard Gaussian at frequency
-    xi/sqrt(a); the point count is raised as needed to resolve it, and a
-    count past MAX_GRID_POINTS is rejected before any quadrature runs.  The
-    quadratures that share a point count run as one folded trapezoid sum.
+    xi/sqrt(a); the point count is raised as needed to resolve it.  A count
+    past MAX_GRID_POINTS, and a half-width R at which exp(-pi u^2) has not
+    decayed, are rejected before any quadrature runs.  The quadratures that
+    share a point count run as one folded trapezoid sum.
     """
     squares = np.array([float(n**2) for n in range(1, n_terms + 1)])
     scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
@@ -406,6 +402,8 @@ def _series_transform(spots: np.ndarray, n_terms: int,
     if need.max() >= MAX_GRID_POINTS:  # int(need) + 1 points, rounded up to even
         raise ValueError(f"the series transform needs grids of more than "
                          f"{MAX_GRID_POINTS} points at half_width {q.half_width}")
+    # after the limit: at a half-width past the limit u^2 may overflow
+    _check_boundary_decay(lambda p: np.exp(-math.pi * p[:, 0] ** 2), q)
     n_pts = np.maximum(q.points, need.astype(np.int64) + 1)
     n_pts += n_pts % 2
     quad = np.empty(len(nu), dtype=complex)
@@ -445,32 +443,18 @@ class GaussianGoodnessReport:
 
 
 def lattice_sum(Q: QuadraticFormSPD) -> float:
-    """sum over integer vectors of exp(-pi z^T A z), truncated once a shell past
-    radius 1 adds less than 1e-16; radius 60 is the limit."""
-    n = Q.dimension
-    total = 0.0
-    for radius in range(61):
-        shell = _shell_points(n, radius)
-        vals = Q(shell)
-        s = float(np.sum(vals))
+    """sum over the integers z of exp(-pi a z^2) for a 1x1 form a, truncated
+    once a shell {-r, r} past radius 1 adds less than 1e-16; radius 60 is the
+    limit."""
+    if Q.dimension != 1:
+        raise ValueError(f"lattice sums take a 1x1 form, got dimension {Q.dimension}")
+    total = float(Q([[0.0]]).sum())
+    for radius in range(1, 61):
+        s = float(Q([[-radius], [radius]]).sum())
         total += s
         if radius > 1 and s < 1e-16:
             return total
     raise ArithmeticError("lattice sum did not converge within the radius bound")
-
-
-def _shell_points(n: int, radius: int) -> np.ndarray:
-    if radius == 0:
-        return np.zeros((1, n))
-    rng = range(-radius, radius + 1)
-    pts = [
-        p
-        for p in np.stack(
-            np.meshgrid(*([list(rng)] * n), indexing="ij"), axis=-1
-        ).reshape(-1, n)
-        if np.abs(p).max() == radius
-    ]
-    return np.array(pts)
 
 
 def gaussian_goodness_probe(Q: QuadraticFormSPD) -> GaussianGoodnessReport:

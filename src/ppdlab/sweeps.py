@@ -188,28 +188,21 @@ def product_closure_sweep(cases: int = 1000, seed: int = 0) -> dict:
             if external:
                 small = [m for m in _PRODUCT_GROUPS
                          if G.order * make_group(m).order <= 16]
-                Hmod = list(rng.choice(small)) if small else [2]
-                Hg = make_group(Hmod)
+                Hg = make_group(list(rng.choice(small)) if small else [2])
                 w2 = normalize_function(draw(Hg, seed=rng.randrange(2**31)))
                 w = external_product(u, w2, check=False)
-                wv = evaluate_function(w)
-                ok = wv.is_ppd if kind == "ppd" else wv.is_good
-                normalized = scalar_eq(w.values[0], Fraction(1))
-                if not (ok and normalized):
-                    failures.append({"case": j, "kind": kind, "mode": "external"})
             else:
                 w = pointwise_product(u, v, check=False)
-                wv = evaluate_function(w)
-                ok = wv.is_ppd if kind == "ppd" else wv.is_good
-                normalized = scalar_eq(w.values[0], Fraction(1))
-                if not (ok and normalized):
-                    failures.append({"case": j, "kind": kind, "mode": "pointwise"})
+            wv = evaluate_function(w)
+            ok = wv.is_ppd if kind == "ppd" else wv.is_good
+            normalized = scalar_eq(w.values[0], Fraction(1))
+            if not (ok and normalized):
+                failures.append({"case": j, "kind": kind,
+                                 "mode": "external" if external else "pointwise"})
+            if not external:
                 # diagonal restriction of the external square is the product
-                ext = external_product(u, v, check=False)
-                diag = pullback(diagonal_hom(G), ext)
-                if any(
-                    not scalar_eq(a, b) for a, b in zip(diag.values, w.values)
-                ):
+                diag = pullback(diagonal_hom(G), external_product(u, v, check=False))
+                if any(not scalar_eq(a, b) for a, b in zip(diag.values, w.values)):
                     failures.append({"case": j, "kind": kind, "mode": "diagonal"})
                 diag_checked += 1
         except (ValueError, AssertionError) as exc:

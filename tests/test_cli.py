@@ -211,6 +211,10 @@ ERROR_PATHS = {
         ["gaussian", "--check", "counterexample", "--half-width", "1e300"], None,
         "error: the series transform needs grids of more than 262144 points at "
         "half_width 1e+300", 2),
+    "counterexample grid truncates the integrand": (
+        # exp(-pi u^2) is 0.456 at u = 0.5: rejected before any quadrature
+        ["gaussian", "--check", "counterexample", "--half-width", "0.5"], None,
+        "error: insufficient decay at the grid boundary: 4.559e-01 > 1e-14", 2),
     "grid points past the limit": (
         ["gaussian", "--check", "selfdual", "--points", "100000000"], None,
         "error: points must be at most 262144, got 100000000", 2),

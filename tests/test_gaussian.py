@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from ppdlab import gaussian
 from ppdlab.gaussian import (
     FOLD_BLOCK,
     MAX_GRID_POINTS,
@@ -95,7 +96,7 @@ def test_numeric_matches_closed_form_selfdual():
 def test_numeric_fourier_general_1d():
     Q = QuadraticFormSPD([[3.0]])
     q = GridQuadrature(8.0, 512)
-    xi, vals = numeric_fourier(lambda p: Q(p), q, dim=1)
+    xi, vals = numeric_fourier(lambda p: Q(p), q)
     dual, amp = gaussian_fourier_closed_form(Q)
     closed = amp * np.exp(-math.pi * dual.matrix[0, 0] * xi**2)
     assert np.abs(vals - closed).max() < 1e-8
@@ -115,9 +116,9 @@ def test_default_grid_fft_matches_dense_sum(R, N):
     q = GridQuadrature(R, N)
     for f in (QuadraticFormSPD([[1.0]]), QuadraticFormSPD([[3.0]]),
               lambda p: np.exp(-math.pi * (np.asarray(p)[:, 0] - 0.4) ** 2)):
-        xi, vals = numeric_fourier(f, q, dim=1)
+        xi, vals = numeric_fourier(f, q)
         default_xi = np.linspace(-N / (4 * R), N / (4 * R), N + 1)
-        xi_d, folded = numeric_fourier(f, q, dim=1, xi_points=default_xi)
+        xi_d, folded = numeric_fourier(f, q, xi_points=default_xi)
         dense = _dense_transform(f, q, default_xi)
         assert np.array_equal(xi, default_xi) and np.array_equal(xi, xi_d)
         assert np.abs(vals - dense).max() <= 1e-13
@@ -127,17 +128,14 @@ def test_default_grid_fft_matches_dense_sum(R, N):
 @pytest.mark.parametrize("R, N", [(8.0, 512), (7.5, 250)])
 def test_folded_transform_matches_dense_sum(R, N):
     # an even f and a shifted Gaussian, whose odd half carries the sine sum;
-    # on the default grid the rows run in more than one block, and the
-    # (7.5, 250) axis is symmetric about 0 only up to rounding
+    # on the default grid the rows run in more than one block
     q = GridQuadrature(R, N)
     xi = np.linspace(-3.0, 3.0, 61)
     if N == 512:
         assert (N // 2 + 1) * len(xi) > FOLD_BLOCK
-    else:
-        assert np.abs(q.axis() + q.axis()[::-1]).max() > 0
     for f in (QuadraticFormSPD([[3.0]]),
               lambda p: np.exp(-math.pi * (np.asarray(p)[:, 0] - 0.4) ** 2)):
-        xi_out, vals = numeric_fourier(f, q, dim=1, xi_points=xi)
+        xi_out, vals = numeric_fourier(f, q, xi_points=xi)
         dense = _dense_transform(f, q, xi)
         assert np.array_equal(xi_out, xi)
         assert np.abs(vals - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -150,50 +148,52 @@ def test_folded_transform_of_a_complex_function():
     q = GridQuadrature()
     f = lambda p: np.exp((-math.pi * p[:, 0] + 2j * math.pi * 0.3) * p[:, 0])
     xi = np.linspace(-3.0, 3.0, 61)
-    _, vals = numeric_fourier(f, q, dim=1, xi_points=xi)
+    _, vals = numeric_fourier(f, q, xi_points=xi)
     dense = _dense_transform(f, q, xi)
     assert np.abs(vals - dense).max() <= 1e-15 * np.abs(dense).max()
     assert np.abs(vals - np.exp(-math.pi * (xi - 0.3) ** 2)).max() < 1e-14
 
 
-def _sine_and_cosine_fold(vals, axis, xi):
-    """The folded trapezoid sum with every sine and skew term kept."""
-    m = len(axis) // 2
-    x, neg = axis[m:], vals[m::-1]
-    even, odd = vals[m:] + neg, vals[m:] - neg
-    skew = (x + axis[m::-1]) * neg
-    even[0] /= 2
-    skew[0] /= 2
-    out = np.empty(len(xi), dtype=complex)
-    rows = max(1, FOLD_BLOCK // len(x))
-    for i in range(0, len(xi), rows):
-        block = xi[i:i + rows]
-        phase = (2 * math.pi) * np.outer(block, x)
-        sin = np.sin(phase)
-        cos = np.cos(phase, out=phase)
-        out.real[i:i + rows] = cos @ even + (2 * math.pi) * block * (sin @ skew)
-        out.imag[i:i + rows] = (-2 * math.pi) * block * (cos @ skew) - sin @ odd
-    return out
+def _assert_exactly_symmetric(axis, R):
+    # the axis mirrors bitwise about an exact 0.0 and ends at exactly -R and R
+    N = len(axis) - 1
+    assert np.array_equal(axis, -axis[::-1])
+    assert axis[N // 2] == 0.0 and axis[0] == -R and axis[-1] == R
+    assert np.all(np.diff(axis) > 0)
 
 
-@pytest.mark.parametrize("R, N", [(8.0, 512), (7.5, 250)])
-def test_cosine_only_fold_equals_the_full_fold(R, N):
-    # even samples: on the exactly symmetric default grid every sine term is
-    # an exact zero and the cosine-only sum gives the same bits; the
-    # (7.5, 250) axis is symmetric only up to rounding, so its skew term is
-    # live and the sum keeps the sine path
+@pytest.mark.parametrize("R, N", [(8.0, 512), (7.5, 250), (10.0, 130), (6.0, 1000)])
+def test_every_grid_is_exactly_symmetric(R, N):
+    # so even samples fold with every odd entry an exact zero, and the folded
+    # sum has an all-zero imaginary part
     q = GridQuadrature(R, N)
     axis = q.axis()
-    symmetric = not np.any(axis + axis[::-1])
-    assert symmetric == ((R, N) == (8.0, 512))
+    assert len(axis) == N + 1
+    _assert_exactly_symmetric(axis, R)
     xs = np.insert(np.linspace(-3.0, 3.0, 61), 30, 0.0)
     nu = np.linspace(-110.0, 110.0, 97)
     for scale in (1.0, 2.0 / 3.0):
         vals = np.exp(-math.pi * scale * axis**2) * q.weights()
         for xi in (xs, nu):
-            folded = _folded_sum(vals, axis, xi)
-            assert np.array_equal(folded, _sine_and_cosine_fold(vals, axis, xi))
-            assert np.any(folded.imag) != symmetric
+            assert not np.any(_folded_sum(vals, axis, xi).imag)
+
+
+def test_counterexample_per_term_grids_are_exactly_symmetric(monkeypatch):
+    # every point-count group of the 100-term probe folds on a symmetric
+    # axis, so each of its folded sums is real
+    calls = []
+
+    def recording_fold(vals, axis, xi):
+        out = _folded_sum(vals, axis, xi)
+        calls.append((axis, out))
+        return out
+
+    monkeypatch.setattr(gaussian, "_folded_sum", recording_fold)
+    counterexample_probe(100)
+    assert len(calls) == 166
+    for axis, out in calls:
+        _assert_exactly_symmetric(axis, GridQuadrature().half_width)
+        assert not np.any(out.imag)
 
 
 @pytest.mark.parametrize("form", [[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
@@ -225,6 +225,18 @@ def test_counterexample_checks_its_grids_before_any_quadrature():
     # at the default grid the largest frequency passes the limit at 7444 terms
     with pytest.raises(ValueError, match="more than"):
         _series_transform(SERIES_SPOTS, 7444, GridQuadrature())
+
+
+def test_counterexample_rejects_a_truncating_half_width(monkeypatch):
+    # exp(-pi u^2) is 0.456 at u = 0.5 and 3.5e-6 at u = 2: every quadrature
+    # of the probe would be truncated, so none runs
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature ran on a truncating grid")
+
+    monkeypatch.setattr(gaussian, "_folded_sum", no_quadrature)
+    for half_width, decay in ((0.5, "4.559e-01"), (2.0, "3.487e-06")):
+        with pytest.raises(ValueError, match=f"insufficient decay .*: {decay} >"):
+            counterexample_probe(10, GridQuadrature(half_width, 512))
 
 
 def _per_term_series_transform(spot, n_terms, q):
@@ -288,23 +300,13 @@ def test_selfdual_on_a_fine_default_grid():
     assert gaussian_selfdual_check(GridQuadrature(8.0, 65536)) < 1e-8
 
 
-def test_numeric_fourier_rejects_other_dimensions_before_sampling():
-    def never_called(p):
-        raise AssertionError("sampled f for an unsupported dimension")
-
-    for dim in (0, 2, 3):
-        with pytest.raises(ValueError, match="dimension"):
-            numeric_fourier(never_called, GridQuadrature(), dim=dim,
-                            xi_points=[[0.0, 0.0]])
-
-
 def test_numeric_fourier_linearity():
     q = GridQuadrature(8.0, 256)
     f = lambda p: np.exp(-math.pi * np.asarray(p)[:, 0] ** 2)
     g = lambda p: np.exp(-2 * math.pi * np.asarray(p)[:, 0] ** 2)
-    xi, tf = numeric_fourier(f, q, dim=1)
-    _, tg = numeric_fourier(g, q, dim=1)
-    _, tsum = numeric_fourier(lambda p: f(p) + g(p), q, dim=1)
+    xi, tf = numeric_fourier(f, q)
+    _, tg = numeric_fourier(g, q)
+    _, tsum = numeric_fourier(lambda p: f(p) + g(p), q)
     scale = np.abs(tsum).max()
     assert np.abs(tsum - (tf + tg)).max() < 1e-12 * scale
 
@@ -312,13 +314,12 @@ def test_numeric_fourier_linearity():
 def test_numeric_fourier_decay_guard_and_truncation_sweep():
     Q = QuadraticFormSPD([[1.0]])
     with pytest.raises(ValueError):
-        numeric_fourier(lambda p: Q(p), GridQuadrature(2.0, 256), dim=1)
+        numeric_fourier(lambda p: Q(p), GridQuadrature(2.0, 256))
     errs = []
     for R in (3.0, 2.0, 1.5):
         xi, vals = numeric_fourier(
             lambda p: Q(p),
             GridQuadrature(R, 256),
-            dim=1,
             xi_points=np.linspace(-2, 2, 33),
             enforce_decay=False,
         )
@@ -420,5 +421,5 @@ def test_goodness_probe_various_scales():
 def test_lattice_sum_theta():
     val = lattice_sum(QuadraticFormSPD([[1.0]]))
     assert val == pytest.approx(1.086434811213308, abs=1e-12)
-    val2 = lattice_sum(QuadraticFormSPD(np.eye(2)))
-    assert val2 == pytest.approx(1.086434811213308**2, abs=1e-10)
+    with pytest.raises(ValueError, match="1x1 form"):
+        lattice_sum(QuadraticFormSPD(np.eye(2)))
