@@ -15,8 +15,6 @@ import os
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .cone import (
     HREP_ORDER_BOUND,
     extremal_rays,
@@ -95,7 +93,7 @@ def _parse_form(text: str) -> QuadraticFormSPD:
         rows = [
             [float(x) for x in row.split(",")] for row in text.strip().split(";")
         ]
-        return QuadraticFormSPD(np.array(rows))
+        return QuadraticFormSPD(rows)
     except ValueError as exc:
         raise ValueError(f"bad quadratic form {text!r}: {exc}")
 

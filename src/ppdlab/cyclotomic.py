@@ -13,9 +13,11 @@ two kinds mix freely and a reduced nonzero ``Cyc`` is never rational.
 sign_if_real decides realness and sign once per value on integer numerators
 (a rational's from its numerator): conjugation on the numerators, then one
 double screen (screen_sign, shared with CosRing) that shifts wide integers
-down rather than overflow and escalates to mpmath (imported on first use)
-only near zero.  Exact zeros are recognized structurally (a reduced value is
-zero iff every coordinate is), so refinement terminates.
+down rather than overflow.  A value it cannot call takes one mpmath evaluation
+(_refined_sign, imported on first use) at a precision proven by the norm: a
+nonzero algebraic integer of degree D with conjugates <= M is >= M^-(D-1).
+Exact zeros are recognized structurally (a reduced value is zero iff every
+coordinate is), so only nonzero values escalate, and no sign can fail.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .intlinalg import left_inverse
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyc"]
 
-# Margin multiplier over the worst-case double rounding error of a short
-# cyclotomic sum; values this small fall through to exact/arbitrary precision.
+# Margin multiplier over the double rounding error of a short cyclotomic sum.
 _FLOAT_SCREEN = 1e-12
 
 
@@ -440,7 +441,7 @@ def sign_if_real(x: Scalar) -> Optional[int]:
     if nums is None:
         return None
     s = screen_sign(nums, cos_approx(x.field.E))
-    return _refined_sign(x) if s is None else s
+    return _refined_sign(nums, x.field.E) if s is None else s
 
 
 def real_sign(x: Scalar) -> int:
@@ -451,23 +452,22 @@ def real_sign(x: Scalar) -> int:
     return s
 
 
-def _refined_sign(x: Cyc) -> int:
-    import mpmath  # only near-zero values escalate; a cold import skips it
+def _refined_sign(coeffs, E: int) -> int:
+    """Sign of the nonzero v = sum c_j cos(2*pi*j/E) over integer coeffs, from one
+    evaluation at p = D * bitlen(2M) + bitlen(n) + 6 bits: D = max(1, phi(E)/2),
+    M = sum |c_j|, n = len(coeffs).  2v is an algebraic integer of degree <= D
+    with conjugates <= 2M, so its nonzero integer norm gives |2v| >= (2M)^-(D-1),
+    while the evaluation errs by at most (n + 16) M 2^-p < |v|/2 (the guard)."""
+    import mpmath  # only values the screen cannot call escalate; a cold import skips it
 
-    E = x.field.E
-    for dps in (60, 120, 240, 480, 960):
-        with mpmath.workdps(dps):
-            total = mpmath.mpf(0)
-            mass = mpmath.mpf(0)
-            for j, n in enumerate(x.num):
-                if n:
-                    term = mpmath.cos(2 * mpmath.pi * j / E) * mpmath.mpf(n) / x.den
-                    total += term
-                    mass += abs(term) + 1
-            bound = mass * mpmath.mpf(10) ** (4 - dps)
-            if abs(total) > bound:
-                return 1 if total > 0 else -1
-    raise ArithmeticError(f"could not certify sign of {x!r}")
+    mass, n = sum(map(abs, coeffs)), len(coeffs)
+    prec = max(1, euler_phi(E) // 2) * (2 * mass).bit_length() + n.bit_length() + 6
+    with mpmath.workprec(prec):
+        total = mpmath.fsum(c * mpmath.cospi(mpmath.mpf(2 * j) / E) for j, c in enumerate(coeffs))
+        err = mpmath.ldexp((n + 16) * mass, -prec)
+    if not abs(total) > err:
+        raise AssertionError(f"sum of {coeffs} * cos(2pi*j/{E}) is not separated from 0")
+    return 1 if total > 0 else -1
 
 
 def real_abs(x: Scalar) -> Scalar:
@@ -558,7 +558,7 @@ class CosRing:
             tuple(zip(self.one, *(cos[j * k % e] for j in range(1, m))))
             for k in range(2, e // 2 + 1) if math.gcd(k, e) == 1
         )
-        self._approx = (1.0,) + tuple(2 * math.cos(2 * math.pi * j / e) for j in range(1, m))
+        self._approx = (1.0,) + tuple(2 * c for c in cos_approx(e)[1:m])
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -587,11 +587,11 @@ class CosRing:
         return reduce(self.mul, self.conjugates(a), self.one)
 
     def sign(self, a) -> int:
-        """Certified sign of a: the double screen, escalating to _refined_sign."""
+        """Certified sign of a: the double screen, escalating on (a_0, 2a_1, ...)."""
         if not any(a[1:]):
             return (a[0] > 0) - (a[0] < 0)
         s = screen_sign(a, self._approx)
-        return _refined_sign(self.scalar(a, self.e)) if s is None else s
+        return _refined_sign((a[0], *(2 * c for c in a[1:])), self.e) if s is None else s
 
     def scalar(self, a, F: int) -> Scalar:
         """a (rational coordinates) as an exact scalar stored at conductor F

@@ -128,7 +128,12 @@ def _check_boundary_decay(f, q: GridQuadrature) -> None:
     |f(0)|, must not pass BOUNDARY_DECAY."""
     R = q.half_width
     peak = float(np.abs(f(np.zeros((1, 1)))).max()) or 1.0
-    decay = float(np.abs(f(np.array([[-R], [R]]))).max()) / peak
+    _check_decay(float(np.abs(f(np.array([[-R], [R]]))).max()) / peak)
+
+
+def _check_decay(decay: float) -> None:
+    """Reject an integrand whose value at the grid ends, relative to its peak,
+    passes BOUNDARY_DECAY."""
     if decay > BOUNDARY_DECAY:
         raise ValueError(
             f"insufficient decay at the grid boundary: {decay:.3e} > {BOUNDARY_DECAY}"
@@ -238,7 +243,9 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     The marginal of exp(-pi x^T A x) over the trailing coordinates is the
     Gaussian of the Schur complement A/A22; the dual route restricts the dual
     Gaussian to the leading dual coordinates and transforms back numerically.
-    Both are normalized to 1 at the origin and compared on a test grid.
+    Both are normalized to 1 at the origin and compared on a test grid.  Each
+    route's integrand must decay at the grid ends, or ValueError: the marginal
+    kernel at y = -R and R over the test grid, and the restricted dual.
     """
     n = Q.dimension
     if not 1 <= k < n:
@@ -256,8 +263,11 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
 
     # route (i): quadrature marginal over the second coordinate, the form
     # a00 x^2 + (a01 + a10) x y + a11 y^2 on (test point, axis), built in one
-    # buffer with the operations of that expression in its order
-    marginal = _marginal_kernel(A, xs, q.axis()) @ q.weights()
+    # buffer with the operations of that expression in its order; its peak
+    # is 1 at the origin, and its end columns, y = -R and R, must have decayed
+    kernel = _marginal_kernel(A, xs, q.axis())
+    _check_decay(float(kernel[:, [0, -1]].max()))
+    marginal = kernel @ q.weights()
     marginal = marginal / marginal[origin]
 
     # route (ii): restrict the dual Gaussian and transform back

@@ -169,30 +169,27 @@ def bochner_oracle(f: GroupFunction) -> bool:
     if not f.mode.exact:
         return _psd_float(vals, diff)
     if all(is_rational(v) for v in vals):
-        vals, sign = over_common_denominator(vals)[0], _int_sign
+        vals = over_common_denominator(vals)[0]
         divider = lambda d: lambda x: x // d
     else:
-        sign, divider = real_sign, lambda d: partial(mul, scalar_inv(d))
-    return _psd_exact([[vals[i] for i in row] for row in diff], sign, divider)
+        divider = lambda d: partial(mul, scalar_inv(d))
+    return _psd_exact([[vals[i] for i in row] for row in diff], divider)
 
 
-def _int_sign(n: int) -> int:
-    return (n > 0) - (n < 0)
-
-
-def _psd_exact(A, sign, divider) -> bool:
+def _psd_exact(A, divider) -> bool:
     """Bareiss diagonal-pivot elimination of the symmetric matrix A (modified
-    in place), exact scalars with their certified sign and exact division:
-    each step divides by the previous pivot exactly, through divider(prev),
-    the map x -> x / prev built once per step (one inverse of an irrational
-    pivot, not one per entry), and a positive previous pivot keeps the sign
-    of every diagonal entry of the Schur complement."""
+    in place), exact scalars (ints for rational input) with their certified
+    sign, real_sign, and exact division: each step divides by the previous
+    pivot exactly, through divider(prev), the map x -> x / prev built once per
+    step (one inverse of an irrational pivot, not one per entry), and a
+    positive previous pivot keeps the sign of every diagonal entry of the
+    Schur complement."""
     active = list(range(len(A)))
     prev = 1
     while active:
         pivot = None
         for i in active:
-            s = sign(A[i][i])
+            s = real_sign(A[i][i])
             if s < 0:
                 return False
             if s > 0 and pivot is None:

@@ -202,6 +202,10 @@ ERROR_PATHS = {
         # dual route then fails on the grid, not on a NaN gap
         ["gaussian", "--check", "corestriction", "--form", "1e160,0;0,1e160", "--k", "1"],
         None, "error: insufficient decay at the grid boundary: 1.000e+00 > 1e-14", 2),
+    "corestriction marginal truncated by the grid": (
+        # a11 = 0.05 leaves the marginal integrand at 0.134 at y = -8 and 8
+        ["gaussian", "--check", "corestriction", "--form", "1,0.2;0.2,0.05", "--k", "1"],
+        None, "error: insufficient decay at the grid boundary: 1.339e-01 > 1e-14", 2),
     "counterexample grids past the limit": (
         ["gaussian", "--check", "counterexample", "--half-width", "1e6"], None,
         "error: the series transform needs grids of more than 262144 points at "

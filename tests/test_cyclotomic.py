@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppdlab import cyclotomic, intlinalg
@@ -216,22 +216,18 @@ def _scaled_identity(n: int, den: int) -> list[list[int]]:
     return [[den * (i == j) for j in range(n)] for i in range(n)]
 
 
+# psi^n is about 10^(-0.209 n) against coordinates near 10^(0.209 n): at
+# n = 3000 and 4800, an evaluation at 960 digits cannot separate it from zero
+ESCALATED_N = [*range(60, 91), 1500, 3000, 4800]
+
+
 def test_cos_ring_sign_escalates_near_zero(monkeypatch):
     """F_(n+1) - F_n * 2cos(2pi/10) = psi^n with psi = (1 - sqrt 5) / 2: about
     0.618^n, far below the double screen of coordinates near F_n."""
-    refined = []
-    real_refined = cyclotomic._refined_sign
-
-    def counting(x):
-        refined.append(x)
-        return real_refined(x)
-
-    monkeypatch.setattr(cyclotomic, "_refined_sign", counting)
+    refined = _count_refinements(monkeypatch)
     ring = cos_ring(10)
-    fib = [0, 1]
-    while len(fib) < 92:
-        fib.append(fib[-1] + fib[-2])
-    for n in range(60, 91):
+    fib = _fibonacci(max(ESCALATED_N) + 2)
+    for n in ESCALATED_N:
         want = (-1) ** n
         calls = len(refined)
         assert ring.sign((fib[n + 1], -fib[n])) == want, n
@@ -391,9 +387,9 @@ def _count_refinements(monkeypatch) -> list:
     refined = []
     real_refined = cyclotomic._refined_sign
 
-    def counting(x):
-        refined.append(x)
-        return real_refined(x)
+    def counting(*args):
+        refined.append(args)
+        return real_refined(*args)
 
     monkeypatch.setattr(cyclotomic, "_refined_sign", counting)
     return refined
@@ -403,9 +399,9 @@ def test_cyc_sign_escalates_near_zero(monkeypatch):
     """The Fibonacci values of test_cos_ring_sign_escalates_near_zero, built as
     Cyc: real, of sign (-1)^n, and too close to zero for the double screen."""
     refined = _count_refinements(monkeypatch)
-    fib = _fibonacci(92)
+    fib = _fibonacci(max(ESCALATED_N) + 2)
     two_cos = unit_root(10, 1) + unit_root(10, -1)
-    for n in range(60, 91):
+    for n in ESCALATED_N:
         x = fib[n + 1] - fib[n] * two_cos
         assert _ref_is_real(x) and is_real_scalar(x)
         calls = len(refined)
@@ -439,6 +435,33 @@ def test_signs_of_wide_coordinates(monkeypatch):
         assert ring.sign(a) == (-1) ** n
         assert real_sign(ring.scalar(a, 10)) == (-1) ** n
     assert len(refined) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(E=st.sampled_from(range(3, 25)), e=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 10, 12, 16]),
+       data=st.data())
+def test_refined_sign_alone_matches_the_reference(E, e, data):
+    """_refined_sign with no screen in front: on the numerators of a real Cyc
+    and on the doubled coordinates (a_0, 2a_1, ...) of a CosRing element,
+    against the 80-digit reference."""
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    x = Cyc.make(field(E), data.draw(st.lists(coord, min_size=field(E).degree,
+                                              max_size=field(E).degree)))
+    if not is_rational(x):
+        x = x + Cyc.make(field(E), _ref_conj(x))
+    if not is_rational(x):
+        assert cyclotomic._refined_sign(x.num, E) == _ref_sign(x)
+    ring = cos_ring(e)
+    a = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=ring.m, max_size=ring.m))
+    assume(any(a))
+    assert cyclotomic._refined_sign((a[0], *(2 * c for c in a[1:])), e) == \
+        _ref_sign(_cos_value(e, a))
+
+
+def test_refined_sign_guard_fires_on_zero():
+    """1 + zeta_5 + ... + zeta_5^4 = 0: the guard's one input class."""
+    with pytest.raises(AssertionError, match="not separated from 0"):
+        cyclotomic._refined_sign((1, 1, 1, 1, 1), 5)
 
 
 # -- integer-numerator arithmetic against the Fraction reference -----------------

@@ -344,6 +344,19 @@ def test_corestriction_check_schur_golden():
     assert report.max_gap_dual_route_vs_closed < 1e-9
 
 
+def test_corestriction_rejects_a_grid_that_truncates_the_marginal():
+    """A small a11 leaves the marginal integrand far from 0 at y = -R and R
+    (0.134 on the default grid for both forms): rejected before the
+    quadrature.  A grid wide enough for it gives gaps at round-off."""
+    for form in ([[1.0, 0.2], [0.2, 0.05]], [[0.5, 0.1], [0.1, 0.03]]):
+        Q = QuadraticFormSPD(form)
+        with pytest.raises(ValueError, match="^insufficient decay at the grid boundary: 1.339e-01"):
+            gaussian_corestriction_check(Q, 1)
+        report = gaussian_corestriction_check(Q, 1, GridQuadrature(40.0, 4096))
+        assert max(report.max_gap_routes, report.max_gap_marginal_vs_closed,
+                   report.max_gap_dual_route_vs_closed) < 1e-12
+
+
 def test_corestriction_normalized_at_zero():
     Q = QuadraticFormSPD([[2.0, 1.0], [1.0, 2.0]])
     report = gaussian_corestriction_check(Q, 1, test_points=21, test_halfwidth=2.0)
