@@ -2,8 +2,10 @@
 
 Real PPD functions are even, so the cone lives in coordinates indexed by the
 orbits {x, -x}.  Its H-representation has one inequality per element orbit
-(pointwise nonnegativity) and one per dual orbit (transform nonnegativity);
-the good functions are exactly the strict interior.  Extremal rays come from
+(pointwise nonnegativity), then one per dual orbit (transform nonnegativity),
+in the row layout PolyhedralCone states; the good functions are exactly the
+strict interior.  The order bound HREP_ORDER_BOUND is the one cone bound: every
+cone within it gets its rays.  Extremal rays come from
 an incremental double-description pass in integer coordinates over the basis
 {1, 2cos(2pi j/e)} of Z[2cos(2pi/e)] (e the group exponent), where every
 coefficient and ray coordinate lives: each new ray is divided by its integer
@@ -52,7 +54,6 @@ from .fourier import GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
 
 HREP_ORDER_BOUND = 16
-RAY_DIM_BOUND = 10
 
 
 class EvenBasis:
@@ -111,6 +112,10 @@ class Inequality:
 
 @dataclass(frozen=True)
 class PolyhedralCone:
+    """A cone over basis.dim = d orbit coordinates.  ppd_cone_hrep lays out its
+    2d inequalities as rows 0..d-1, the point inequality of orbit coordinate j
+    in row j, then rows d..2d-1, the dual inequalities in basis.orbit_reps order."""
+
     basis: EvenBasis
     inequalities: tuple[Inequality, ...]
     rows: tuple[tuple, ...]  # per inequality, its coefficients in ring coordinates
@@ -257,28 +262,22 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     """Fill in the V-representation by incremental double description.
 
     Starts from the nonnegative orthant cut out by the point inequalities
-    (its rays are the coordinate axes) and inserts the dual inequalities in
-    listed order, keeping only adjacent pairs when generating new rays.
+    (rows 0..d-1; its rays are the coordinate axes) and inserts the dual
+    inequalities (rows d..2d-1) in order, keeping only adjacent pairs when
+    generating new rays.
     Rays are primitive integer vectors in ring coordinates, each coordinate
     carrying the conductor its Cyc value is reported at; tight sets are
     bitmasks over the inequality list.
     """
     basis = cone.basis
     d = basis.dim
-    if d > RAY_DIM_BOUND:
-        raise ValueError(f"cone dimension {d} exceeds ray bound {RAY_DIM_BOUND}")
     ring = cos_ring(basis.group.exponent())
     rows, row_conds = cone.rows, cone.row_conds
-    point_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "point"]
-    dual_idx = [i for i, q in enumerate(cone.inequalities) if q.kind == "dual"]
-    if len(point_idx) != d:
-        raise AssertionError("expected one point inequality per orbit")
-
-    point_mask = sum(1 << q for q in point_idx)
+    point_mask = (1 << d) - 1
     rays = [tuple(ring.one if t == j else ring.zero for t in range(d)) for j in range(d)]
     conds = [(1,) * d] * d
-    tights = [point_mask & ~(1 << point_idx[j]) for j in range(d)]
-    for q in dual_idx:
+    tights = [point_mask & ~(1 << j) for j in range(d)]
+    for q in range(d, 2 * d):
         bit = 1 << q
         vals = [_dot(ring, rows[q], r, (row_conds[q], c)) for r, c in zip(rays, conds)]
         signs = [ring.sign(v) for v, _ in vals]
@@ -586,13 +585,12 @@ class SelfDualityReport:
 
 def _transform_coords(cone: PolyhedralCone) -> tuple[tuple, ...]:
     """Per ray, its transform under counting measure at the orbit representatives,
-    in ring coordinates: the dual inequality rows evaluated on the ray, read
-    off the products extremal_rays certified."""
+    in ring coordinates: the products with the dual rows d..2d-1 that
+    extremal_rays certified."""
     if cone.ray_products is None:
         raise ValueError("V-representation not computed yet")
-    dual = {q.orbit_rep: i for i, q in enumerate(cone.inequalities) if q.kind == "dual"}
-    cols = [dual[a] for a in cone.basis.orbit_reps]
-    return tuple(tuple(products[i] for i in cols) for products in cone.ray_products)
+    d = cone.basis.dim
+    return tuple(products[d:] for products in cone.ray_products)
 
 
 def self_duality_check(cone: PolyhedralCone) -> SelfDualityReport:

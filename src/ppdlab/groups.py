@@ -243,12 +243,7 @@ def _close_under_addition(G: FiniteAbelianGroup, seeds: set[int]) -> frozenset[i
 def subgroup_from_generators(G: FiniteAbelianGroup,
                              gens: Sequence[Element]) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
-    gen_idx = set()
-    for g in gens:
-        if not G.contains(G.reduce(g)) or len(g) != G.rank:
-            raise ValueError(f"generator {g} out of range for {G}")
-        gen_idx.add(G.index(g))
-    elements = _close_under_addition(G, gen_idx)
+    elements = _close_under_addition(G, {G.index(g) for g in gens})
     return Subgroup(G, elements, tuple(G.reduce(g) for g in gens))
 
 
@@ -470,14 +465,11 @@ def _quotient_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
 def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
                           h_gens: tuple[Element, ...]):
     G = FiniteAbelianGroup(moduli)
-    gens = list(h_gens) if h_gens else []
-    # fall back to the element list when no generating set was recorded
-    if not gens:
-        gens = [G.element(i) for i in h_elements if i != G.index(G.zero)]
-    if not gens:
+    if len(h_elements) == 1:
         H_abs = FiniteAbelianGroup([1])
-        incl = Homomorphism(H_abs, G, tuple((0,) for _ in range(G.rank)))
-        return H_abs, incl
+        return H_abs, Homomorphism(H_abs, G, tuple((0,) for _ in range(G.rank)))
+    # fall back to the element list when no generating set was recorded
+    gens = list(h_gens) or [G.element(i) for i in h_elements if i]
     m = len(gens)
     k = G.rank
     # kernel of Z^m -> G, e_j -> gens[j]: project ker[M | diag(n)] to z-coords
@@ -502,10 +494,6 @@ def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
                 coords[t] += c * gens[j][t]
         new_gens.append(G.reduce(tuple(coords)))
     keep = [i for i in range(m) if diag[i] > 1]
-    if not keep:
-        H_abs = FiniteAbelianGroup([1])
-        incl = Homomorphism(H_abs, G, tuple((0,) for _ in range(G.rank)))
-        return H_abs, incl
     H_abs = FiniteAbelianGroup([diag[i] for i in keep])
     incl_matrix = tuple(
         tuple(new_gens[i][t] for i in keep) for t in range(k)

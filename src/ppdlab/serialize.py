@@ -3,7 +3,8 @@
 Functions serialize as {"group": "Z4xZ2", "values": [[re, im], ...]} and
 measures add {"haar_scale": "1/4"}.  In exact mode, numeric entries must be
 integers or rational strings like "3/4"; float mode accepts any finite real
-number or rational string.  Booleans, NaN and infinities are rejected.
+number or rational string.  Booleans, NaN and infinities are rejected.  An
+exact output writes both parts as rational strings, so it reads back as input.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import to_complex, unit_root
+from .cyclotomic import is_rational, to_complex, unit_root
 from .fourier import GroupFunction, HaarScale, ScaledMeasure
 from .groups import FiniteAbelianGroup, format_group, parse_group
 
@@ -67,8 +68,13 @@ def _real(v) -> float:
 
 
 def _format_value(v, exact: bool):
-    if exact and isinstance(v, (int, Fraction)):
-        return [str(Fraction(v)), "0"]
+    """[re, im]; an exact value is a Gaussian rational a + bi, written as the
+    rational strings of a and b, which parse back to the same value."""
+    if exact:
+        if is_rational(v):
+            return [str(Fraction(v)), "0"]
+        w = v.conjugate()
+        return [str((v + w) / 2), str((v - w) * unit_root(4, -1) / 2)]
     c = to_complex(v)
     return [c.real, c.imag]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone import (
-    RAY_DIM_BOUND,
     extremal_rays,
     field_of_definition_check,
     is_interior,
@@ -360,11 +359,7 @@ def cone_atlas(max_order: int = 8, with_rays: bool = True) -> dict:
             "exponent": G.exponent(),
             "num_inequalities": len(cone.inequalities),
         }
-        if with_rays and cone.basis.dim > RAY_DIM_BOUND:
-            entry["rays_skipped"] = (
-                f"dimension {cone.basis.dim} exceeds ray bound {RAY_DIM_BOUND}"
-            )
-        elif with_rays:
+        if with_rays:
             cone = extremal_rays(cone)
             report = field_of_definition_check(cone)
             entry["num_rays"] = len(cone.rays)

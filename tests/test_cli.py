@@ -11,6 +11,9 @@ import pytest
 
 import ppdlab
 from ppdlab.cli import main
+from ppdlab.constructions import pointwise_product
+from ppdlab.fourier import convolve
+from ppdlab.serialize import function_from_dict, measure_from_dict
 
 
 def write(tmp_path, name, payload):
@@ -363,6 +366,63 @@ def test_convolve_command(tmp_path):
     assert conv["values"] == [["5/8", "0"], ["3/8", "0"]]
 
 
+def test_exact_output_with_an_imaginary_part_parses_back(tmp_path, capsys):
+    # a Gaussian rational a + bi prints as the rational strings of a and b,
+    # so product and convolve outputs are exact inputs again
+    u = {"group": "Z4", "values": [["1/3", "1/3"], 2, 1, 2]}
+    v = {"group": "Z4", "values": [4, 1, 1, 1]}
+    mu = {**u, "haar_scale": "1/4"}
+    nu = {"group": "Z4", "values": [["1/2", "-2"], 1, 0, 1], "haar_scale": "2"}
+    paths = {name: write(tmp_path, f"{name}.json", payload)
+             for name, payload in (("u", u), ("v", v), ("mu", mu), ("nu", nu))}
+    w = tmp_path / "w.json"
+    assert main(["--out", str(w), "product", paths["u"], paths["v"]]) == 0
+    assert json.loads(w.read_text())["values"][0] == ["4/3", "4/3"]
+    assert main(["product", str(w), paths["v"]]) == 0
+    got = function_from_dict(json.loads(capsys.readouterr().out))
+    uv = pointwise_product(function_from_dict(u), function_from_dict(v))
+    assert got.values == pointwise_product(uv, function_from_dict(v)).values
+    c = tmp_path / "c.json"
+    assert main(["--out", str(c), "convolve", paths["mu"], paths["nu"]]) == 0
+    assert main(["convolve", str(c), paths["nu"]]) == 0
+    got = measure_from_dict(json.loads(capsys.readouterr().out))
+    want = convolve(convolve(measure_from_dict(mu), measure_from_dict(nu)),
+                    measure_from_dict(nu))
+    assert got.density.values == want.density.values
+    assert got.haar.scale == want.haar.scale
+
+
+# stdout of float-mode outputs: each value a pair of floats, and a float haar_scale
+FLOAT_OUTPUTS = {
+    "product": (["product", "{u}", "{v}"], {"group": "Z4", "values": [
+        [1.3333333333333333, 1.3333333333333333], [2.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}),
+    "convolve": (["convolve", "{mu}", "{mu}"], {"group": "Z2", "haar_scale": 0.25,
+                                                "values": [[0.625, 0.0], [0.375, 0.0]]}),
+    "restrict": (["restrict", "{good}", "--generators", "[[2]]"],
+                 {"group": "Z2", "values": [[1.0, 0.0], [0.25, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_OUTPUTS))
+def test_float_mode_outputs_pin_stdout(case, tmp_path, capsys):
+    argv, payload = FLOAT_OUTPUTS[case]
+    paths = {
+        "u": write(tmp_path, "u.json", {"group": "Z4", "values": [["1/3", "1/3"], 2, 1, 2]}),
+        "v": write(tmp_path, "v.json", {"group": "Z4", "values": [4, 1, 1, 1]}),
+        "mu": write(tmp_path, "mu.json", {"group": "Z2", "values": [["3/4", 0], ["1/4", 0]],
+                                          "haar_scale": "1/2"}),
+        "good": write(tmp_path, "good.json", GOOD),
+    }
+    assert main(["--mode", "float"] + [a.format(**paths) for a in argv]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_restrict_to_the_trivial_subgroup(tmp_path, capsys):
+    path = write(tmp_path, "good.json", {"group": "Z4", "values": [4, 1, 1, 1]})
+    assert main(["restrict", path, "--generators", "[[0]]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"group": "Z1", "values": [["1", "0"]]}
+
+
 def test_seed_is_mandatory_for_sweeps(tmp_path):
     assert main(["sweep", "--max-order", "4", "--samples", "2"]) == 2
     assert main(["verify-4-1", "--max-order", "4", "--samples", "2"]) == 2
@@ -520,8 +580,8 @@ CONE_GOLDEN_13_16 = {
     "Z16": ("33eb49d08d5e3242abec4a1f2cf5f1bbf037dbda7fc3962982fe89cbf00d7a5e", 0),
     "Z8xZ2": ("51e3bcf10bcaa1c2bd6ab2770cf85ef346118b0322315eb6f34843fd7362e544", 0),
     "Z4xZ4": ("8c6a3f7afbe95bdeca27109dee6cdba8f7a2a68683fee35de6f29e7efb2383fe", 0),
-    "Z4xZ2xZ2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
-    "Z2xZ2xZ2xZ2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "Z4xZ2xZ2": ("d6b0b4b09fc827b2805302e56d6dd00436985b05d8255790977049f57fe7a9cd", 0),
+    "Z2xZ2xZ2xZ2": ("8830a142eb4ee1a9a46e4cb15a90dba7d6590481507ccd96e3a013fec1d9c1f8", 0),
 }
 
 
@@ -588,7 +648,7 @@ CONE_GOLDEN_1_12 = {
 
 # the same for the two order-16 atlases, and the sha256 of the ray CSV of Z10
 ATLAS_GOLDEN_16 = {
-    (): ("4ef2b01d2f48cf004a1846c7b31f41b109badd7da81fe89ffea8e3edec6e840f", 0),
+    (): ("8639a66debbc013fc18b337dbc3d16cf59c05d6e39c3673fc0c0a4f21f23e66c", 0),
     ("--no-rays",): ("ad9e9c43e83a541976b1f17c4acffdfdc4d5f531a752f7ae3bba3558f6cd4b8d", 0),
 }
 CSV_GOLDEN_Z10 = "98c426dd8e6407c2ab86802e9108bac32b17129efafa586c42d7301c8cdfa1a9"

@@ -35,8 +35,14 @@ from ppdlab.cyclotomic import (
     to_complex,
     unit_root,
 )
-from ppdlab.fourier import GroupFunction, counting_haar, fourier_transform
-from ppdlab.groups import abelian_group_catalog, all_subgroups, make_group
+from ppdlab.fourier import GroupFunction, counting_haar, fourier_transform, pullback
+from ppdlab.groups import (
+    Homomorphism,
+    abelian_group_catalog,
+    all_subgroups,
+    hom_index_map,
+    make_group,
+)
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
 
 Z2 = make_group([2])
@@ -271,24 +277,39 @@ def test_ring_evaluation_carries_the_cyc_conductor():
             assert cond == (1 if isinstance(want, Fraction) else want.field.E)
 
 
-def _automorphism_image(basis, ray, k, n):
-    f = basis.function_from_vector(ray)
-    return tuple(f.values[(k * x) % n] for x in basis.orbit_reps)
+# automorphisms by their matrices (column j is the image of generator j): the
+# unit scalings x -> kx of Z1..Z12; on Z4xZ2xZ2 x -> 3x on Z4, the swap of the
+# Z2 factors, e1 -> e1 + e2 and e2 -> e2 + 2e1 (e1 the Z4 generator); on Z2^4
+# a coordinate swap, a 4-cycle and a transvection, which generate GL(4, F2)
+AUTOMORPHISMS = {
+    **{(n,): [((k,),) for k in range(2, n) if math.gcd(k, n) == 1] for n in range(1, 13)},
+    (4, 2, 2): [((3, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+                ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+                ((1, 2, 0), (0, 1, 0), (0, 0, 1))],
+    (2, 2, 2, 2): [((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                   ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+                   ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
+}
 
 
 def test_ray_set_closed_under_automorphisms():
-    """x -> kx (k a unit) permutes the orbit coordinates and maps the cone onto
-    itself, so it permutes the extremal rays."""
-    for n in range(1, 13):
-        cone = extremal_rays(ppd_cone_hrep(make_group([n])))
-        keys = set(cone.ray_coords)
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                images = {
-                    canonical_ray(_automorphism_image(cone.basis, r, k, n), n)[1]
-                    for r in cone.rays
-                }
-                assert images == keys, (n, k)
+    """An automorphism phi maps the cone onto itself, so f -> f o phi permutes
+    the extremal rays.  This checks the order-16 cones that brute force cannot
+    reach in time."""
+    for moduli, matrices in AUTOMORPHISMS.items():
+        G = make_group(moduli)
+        cone = extremal_rays(ppd_cone_hrep(G))
+        basis, keys = cone.basis, set(cone.ray_coords)
+        for matrix in matrices:
+            phi = Homomorphism(G, G, matrix)
+            assert sorted(hom_index_map(phi)) == list(range(G.order)), matrix
+            images = {
+                canonical_ray(basis.vector_from_function(
+                    pullback(phi, basis.function_from_vector(r))), G.exponent())[1]
+                for r in cone.rays
+            }
+            assert images == keys, (moduli, matrix)
 
 
 def test_ray_set_not_closed_under_galois():
