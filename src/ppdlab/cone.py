@@ -14,17 +14,22 @@ inequalities are skipped before the adjacency scan, signs are certified,
 insertion order is fixed, and every output ray passes the tightness-rank
 test: the rank of its tight rows is certified as d - 1 over F_p (a ring map
 of Z[2cos(2pi/e)] onto F_p, p = 1 mod e), with fraction-free elimination over
-the ring as the fallback when that rank falls short.  The products of every
-row with every ray that this check certifies are kept, and the self-duality
-pairing reads the transforms off them.  Canonical rays are primitive with the
-first nonzero coordinate a positive integer.  The H-rep is built once per
-group, with the integer rows of its coefficients; double description, the
-printed report and the membership of a rational vector (one integer row
-combination and one ring sign per inequality) read those rows and the ray
-coordinates.  Cyc ray values are built for the field report, each coordinate
+the ring as the fallback when that rank falls short.  Every product of a row
+with a ray, in the sign pass and in that check, is an integer matrix product:
+extremal_rays builds, per row, the matrix of v -> <row, v>, m rows (m the rank
+of the ring) over the d*m flattened ring coordinates of a ray.  The products
+of every row with every ray that this check certifies are kept, and the
+self-duality pairing reads the transforms off them.  Canonical rays are
+primitive with the first nonzero coordinate a positive integer.  The H-rep is
+built once per group, with the integer rows of its coefficients; double
+description, the printed report and the membership of a rational vector (one
+integer row combination and one ring sign per inequality) read those rows and
+the ray coordinates.  Cyc ray values are built for the field report, each coordinate
 at the conductor that Cyc arithmetic along the same path gives it
-(cyclotomic.conductor_step), which fixes how it prints; the report expands
-and rebuilds each distinct stored value once.
+(cyclotomic.conductor_step), which fixes how it prints; double description
+traces the conductor of a product term by term only for the rays of a pair it
+keeps, once per inserted row.  The report expands and rebuilds each distinct
+stored value once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
@@ -211,6 +217,18 @@ def _dot(ring: CosRing, row, vec, conds=None):
     return total, cond
 
 
+def _row_matrix(ring: CosRing, row) -> tuple:
+    """The integer matrix of v -> <row, v>: m rows over v's d*m flattened ring
+    coordinates, the column of coordinate (j, k) being row[j] * b_k."""
+    basis = [tuple(int(i == k) for i in range(ring.m)) for k in range(ring.m)]
+    return tuple(zip(*[ring.mul(c, b) for c in row for b in basis]))
+
+
+def _apply(mat, flat) -> tuple:
+    """<row, v> from row's _row_matrix and v's flattened ring coordinates."""
+    return tuple(sum(map(mul, r, flat)) for r in mat)
+
+
 # -- canonical ray form ------------------------------------------------------------
 
 
@@ -273,14 +291,16 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     d = basis.dim
     ring = cos_ring(basis.group.exponent())
     rows, row_conds = cone.rows, cone.row_conds
+    mats = [_row_matrix(ring, row) for row in rows]
     point_mask = (1 << d) - 1
     rays = [tuple(ring.one if t == j else ring.zero for t in range(d)) for j in range(d)]
     conds = [(1,) * d] * d
     tights = [point_mask & ~(1 << j) for j in range(d)]
     for q in range(d, 2 * d):
         bit = 1 << q
-        vals = [_dot(ring, rows[q], r, (row_conds[q], c)) for r, c in zip(rays, conds)]
-        signs = [ring.sign(v) for v, _ in vals]
+        vals = [_apply(mats[q], [c for z in r for c in z]) for r in rays]
+        signs = [ring.sign(v) for v in vals]
+        val_conds: dict[int, int] = {}  # traced only for rays in a kept pair
         keep = [(rays[i], conds[i], tights[i] | (0 if s else bit))
                 for i, s in enumerate(signs) if s >= 0]
         minus = [i for i, s in enumerate(signs) if s < 0]
@@ -293,7 +313,10 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                         k != ip and k != im and t & common == common
                         for k, t in enumerate(tights)):
                     continue
-                (vp, cp), (vm, cm) = vals[ip], vals[im]
+                for i in (ip, im):
+                    if i not in val_conds:
+                        val_conds[i] = _dot(ring, rows[q], rays[i], (row_conds[q], conds[i]))[1]
+                vp, vm, cp, cm = vals[ip], vals[im], val_conds[ip], val_conds[im]
                 new, new_conds = [], []
                 for a, ac, b, bc in zip(rays[ip], conds[ip], rays[im], conds[im]):
                     x, y = ring.mul(vp, b), ring.mul(vm, a)
@@ -311,7 +334,8 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
         canon[_primitive_form(ring, r)] = (c, t)  # a later duplicate wins
     coords = tuple(sorted(canon))
     mod = _mod_rows(ring.e, rows)
-    products = tuple(_verify_extremal(ring, rows, mod, k, canon[k][1], d) for k in coords)
+    products = tuple(_verify_extremal(ring, rows, mats, mod, k, canon[k][1], d)
+                     for k in coords)
     n = len(rows)
     return replace(
         cone,
@@ -324,8 +348,9 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     )
 
 
-def _verify_extremal(ring: CosRing, rows, mod, vec, tight: int, d: int) -> tuple:
-    """Certify a canonical ray; returns <row, vec> for every row.
+def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) -> tuple:
+    """Certify a canonical ray; returns <row, vec> for every row (mats holds
+    each row's _row_matrix).
 
     Every product gets a certified sign: none is negative and the zero ones
     are the tight set, so vec annihilates the tight rows and their rank is at
@@ -334,7 +359,8 @@ def _verify_extremal(ring: CosRing, rows, mod, vec, tight: int, d: int) -> tuple
     rank_p = d - 1 proves rank = d - 1.  Only when rank_p falls short does
     _ring_rank decide.
     """
-    products = tuple(_dot(ring, row, vec)[0] for row in rows)
+    flat = [c for z in vec for c in z]
+    products = tuple(_apply(mat, flat) for mat in mats)
     for i, v in enumerate(products):
         s = ring.sign(v)
         if s < 0:

@@ -77,8 +77,10 @@ def corestrict(f: GroupFunction, H: Subgroup) -> GroupFunction:
     f = require_normalized_good(f, "corestrict")
     if H.parent != f.group:
         raise ValueError("subgroup belongs to a different group")
-    g = _corestrict_raw(f, H)
-    g = normalize_function(g)
+    g = normalize_function(_corestrict_raw(f, H))
+    if not g.mode.exact:  # a good g is real: drop the round-off imaginary parts
+        g = GroupFunction(g.group, [complex(to_complex(v).real) if g.mode.real(v) else v
+                                    for v in g.values])
     gv = evaluate_function(g)
     if not gv.is_good:
         raise AssertionError("corestriction of a good function failed to be good")

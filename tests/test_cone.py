@@ -3,17 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppdlab.cone as cone_module
 from ppdlab.cone import (
     EvenBasis,
     FieldEntry,
     FieldReport,
+    _apply,
     _dot,
     _mod_basis,
     _mod_rank,
     _mod_rows,
     _ring_rank,
+    _row_matrix,
     _transform_coords,
     brute_force_rays,
     canonical_ray,
@@ -201,13 +205,32 @@ def test_rank_fallback_gives_the_same_rays(monkeypatch):
 
 
 def test_ray_products_are_every_row_on_every_ray():
-    for moduli in ([7], [8], [4, 2], [12]):
-        cone = extremal_rays(ppd_cone_hrep(make_group(moduli)))
-        ring = cos_ring(cone.basis.group.exponent())
+    # every presentation through order 12, and the rank-4 rings of Z15 and Z16
+    for G in abelian_group_catalog(12) + [make_group([15]), make_group([16])]:
+        cone = extremal_rays(ppd_cone_hrep(G))
+        ring = cos_ring(G.exponent())
         assert cone.ray_products == tuple(
             tuple(_dot(ring, row, coords)[0] for row in cone.rows)
             for coords in cone.ray_coords
-        ), moduli
+        ), G.moduli
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_row_matrix_is_the_ring_product_on_flat_coordinates(data):
+    for e in range(1, 17):
+        ring = cos_ring(e)
+        d = data.draw(st.integers(1, 4))
+        element = st.tuples(*[st.integers(-5, 5)] * ring.m)
+        row = data.draw(st.lists(element, min_size=d, max_size=d))
+        vec = data.draw(st.lists(element, min_size=d, max_size=d))
+        mat = _row_matrix(ring, row)
+        # the drawn vector, one with a zero coordinate and its negation
+        for v in (vec, [ring.zero] + vec[1:], [tuple(-c for c in x) for x in vec]):
+            want = ring.zero
+            for c, x in zip(row, v):
+                want = ring.add(want, ring.mul(c, x))
+            assert _apply(mat, [c for x in v for c in x]) == want, (e, row, v)
 
 
 def test_double_description_matches_bruteforce_z2_to_z6():
