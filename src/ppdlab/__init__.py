@@ -3,6 +3,12 @@
 Exact verification of duality, restriction/corestriction, products, and the
 polyhedral cone of such functions on finite abelian groups, plus desk-scale
 numeric probes for Gaussians on R^n.
+
+The seven `gaussian` names (GridQuadrature, QuadraticFormSPD,
+counterexample_probe, gaussian_corestriction_check,
+gaussian_fourier_closed_form, gaussian_goodness_probe, numeric_fourier) are
+served by the module `__getattr__` on first use, so that importing the package
+leaves numpy unloaded: only they and the float Bochner oracle use it.
 """
 
 from .cone import (
@@ -40,15 +46,6 @@ from .fourier import (
     plancherel_check,
     pullback,
     pushforward,
-)
-from .gaussian import (
-    GridQuadrature,
-    QuadraticFormSPD,
-    counterexample_probe,
-    gaussian_corestriction_check,
-    gaussian_fourier_closed_form,
-    gaussian_goodness_probe,
-    numeric_fourier,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -150,3 +147,12 @@ __all__ = [
     "cone_membership_sweep",
     "structure_sweep",
 ]
+
+
+def __getattr__(name):
+    # every other name of __all__ is bound above, so only the gaussian ones get here
+    if name in __all__:
+        from . import gaussian
+
+        return getattr(gaussian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,15 +31,6 @@ from .constructions import (
     restrict,
 )
 from .fourier import convolve
-from .gaussian import (
-    DerivedFormError,
-    GridQuadrature,
-    QuadraticFormSPD,
-    counterexample_probe,
-    gaussian_corestriction_check,
-    gaussian_goodness_probe,
-    gaussian_selfdual_check,
-)
 from .groups import parse_group, subgroup_from_generators
 from .ppd import evaluate_function
 from .serialize import (
@@ -89,6 +80,8 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _parse_form(text: str) -> QuadraticFormSPD:
+    from .gaussian import QuadraticFormSPD
+
     try:
         rows = [
             [float(x) for x in row.split(",")] for row in text.strip().split(";")
@@ -228,6 +221,16 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    # numpy loads with gaussian, on the first Gaussian command alone
+    from .gaussian import (
+        DerivedFormError,
+        GridQuadrature,
+        counterexample_probe,
+        gaussian_corestriction_check,
+        gaussian_goodness_probe,
+        gaussian_selfdual_check,
+    )
+
     q = GridQuadrature(args.half_width, args.points)
     if args.check == "selfdual":
         gap = gaussian_selfdual_check(q)

@@ -291,14 +291,14 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     d = basis.dim
     ring = cos_ring(basis.group.exponent())
     rows, row_conds = cone.rows, cone.row_conds
-    mats = [_row_matrix(ring, row) for row in rows]
+    mats = [_row_matrix(ring, row) for row in rows[d:]]  # point rows are unit vectors
     point_mask = (1 << d) - 1
     rays = [tuple(ring.one if t == j else ring.zero for t in range(d)) for j in range(d)]
     conds = [(1,) * d] * d
     tights = [point_mask & ~(1 << j) for j in range(d)]
     for q in range(d, 2 * d):
         bit = 1 << q
-        vals = [_apply(mats[q], [c for z in r for c in z]) for r in rays]
+        vals = [_apply(mats[q - d], [c for z in r for c in z]) for r in rays]
         signs = [ring.sign(v) for v in vals]
         val_conds: dict[int, int] = {}  # traced only for rays in a kept pair
         keep = [(rays[i], conds[i], tights[i] | (0 if s else bit))
@@ -349,8 +349,9 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
 
 
 def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) -> tuple:
-    """Certify a canonical ray; returns <row, vec> for every row (mats holds
-    each row's _row_matrix).
+    """Certify a canonical ray; returns <row, vec> for every row: vec's own
+    coordinates for the point rows 0..d-1, which are the unit vectors, and
+    mats (the dual rows' _row_matrix) applied to vec for rows d..2d-1.
 
     Every product gets a certified sign: none is negative and the zero ones
     are the tight set, so vec annihilates the tight rows and their rank is at
@@ -360,7 +361,7 @@ def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) ->
     _ring_rank decide.
     """
     flat = [c for z in vec for c in z]
-    products = tuple(_apply(mat, flat) for mat in mats)
+    products = vec + tuple(_apply(mat, flat) for mat in mats)
     for i, v in enumerate(products):
         s = ring.sign(v)
         if s < 0:

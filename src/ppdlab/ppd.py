@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import partial
 from operator import mul
 
-import numpy as np
-
 from .cyclotomic import (
     Cyc,
     cos_approx,
@@ -209,6 +207,8 @@ def _psd_exact(A, divider) -> bool:
 
 
 def _psd_float(vals, diff) -> bool:
+    import numpy as np  # float mode alone; exact commands never load numpy
+
     M = np.array([to_complex(v).real for v in vals])[np.array(diff)]
     norm = np.linalg.norm(M, 2) or 1.0
     eigs = np.linalg.eigvalsh(M)

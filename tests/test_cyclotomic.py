@@ -249,6 +249,36 @@ def test_cold_import_leaves_mpmath_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    """numpy loads with the float Bochner oracle and the Gaussian probes alone;
+    the gaussian names still resolve from the package, and so does every
+    name of __all__ under a star import."""
+    import os
+    import subprocess
+    import sys
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cyclotomic.__file__)))
+    good = tmp_path / "good.json"
+    good.write_text('{"group": "Z4", "values": [4, 1, 1, 1]}')
+    code = (
+        "import contextlib, io, sys, ppdlab; from ppdlab import cli, sweeps\n"
+        "runs = [['cone', 'Z4', '--rays'], ['check', sys.argv[1], '--good'],\n"
+        "        ['sweep', '--max-order', '4', '--samples', '1', '--seed', '1'],\n"
+        "        ['cone-atlas', '--max-order', '6']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+        "print(ppdlab.QuadraticFormSPD.__name__)\n"
+        "names = {}\n"
+        "exec('from ppdlab import *', names)\n"
+        "print(sorted(set(ppdlab.__all__) - set(names)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(good)], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pkg_root))
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0] False", "QuadraticFormSPD", "[]"]
+
+
 # -- a Fraction reference for realness, sign and equality -----------------------
 
 

@@ -3,8 +3,9 @@
 `ppdlab.__all__` is the public API. Every other function, method and class
 defined in the package must be referenced, as a name, an attribute or an
 import, by a module of the package other than `__init__.py`: a test or an
-import alias in `__init__.py` is not a caller. Every module-level import of a
-source module must be used in that module.
+import alias in `__init__.py` is not a caller. Every import of a source
+module must be used where it is made: a module-level one in that module, one
+inside a function body in that function.
 """
 
 import ast
@@ -63,19 +64,34 @@ def test_every_definition_has_a_caller():
     assert unused == []
 
 
+def _scope_imports(nodes):
+    """The import statements among nodes, not those of functions or classes
+    nested in them."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_every_module_import_is_used():
     unused = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         text = path.read_text()
-        for node in ast.parse(text).body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                if _count(name, text) < 2:
-                    unused.append(f"{path.name}:{node.lineno} {name}")
+        tree = ast.parse(text)
+        # __init__.py's module-level imports re-export the public API
+        scopes = [] if path == INIT else [(tree.body, text)]
+        scopes += [(node.body, ast.get_source_segment(text, node))
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for body, source in scopes:
+            for node in _scope_imports(body):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if _count(name, source) < 2:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
