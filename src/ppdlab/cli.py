@@ -221,6 +221,8 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    if not 0 <= args.tol < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     # numpy loads with gaussian, on the first Gaussian command alone
     from .gaussian import (
         DerivedFormError,

@@ -13,11 +13,12 @@ content, tight sets are bitmasks, pairs sharing fewer than d - 2 tight
 inequalities are skipped before the adjacency scan, signs are certified,
 insertion order is fixed, and every output ray passes the tightness-rank
 test: the rank of its tight rows is certified as d - 1 over F_p (a ring map
-of Z[2cos(2pi/e)] onto F_p, p = 1 mod e), with fraction-free elimination over
-the ring as the fallback when that rank falls short.  Every product of a row
-with a ray, in the sign pass and in that check, is an integer matrix product:
+of Z[2cos(2pi/e)] onto F_p, p = 1 mod e).  Every product of a row with a ray,
+in the sign pass and in that check, is an integer matrix product:
 extremal_rays builds, per row, the matrix of v -> <row, v>, m rows (m the rank
-of the ring) over the d*m flattened ring coordinates of a ray.  The products
+of the ring) over the d*m flattened ring coordinates of a ray.  When the rank
+over F_p falls short, the Smith form of the tight rows' stacked matrices
+decides: their rank over Q is m times the rank of the rows.  The products
 of every row with every ray that this check certifies are kept, and the
 self-duality pairing reads the transforms off them.  Canonical rays are
 primitive with the first nonzero coordinate a positive integer.  The H-rep is
@@ -58,6 +59,7 @@ from .cyclotomic import (
 )
 from .fourier import GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
+from .intlinalg import rank
 
 HREP_ORDER_BOUND = 16
 
@@ -357,8 +359,10 @@ def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) ->
     are the tight set, so vec annihilates the tight rows and their rank is at
     most d - 1.  A minor maps to the minor of the image, so the rank of their
     image over F_p (mod = _mod_rows(e, rows)) is at most their rank, and
-    rank_p = d - 1 proves rank = d - 1.  Only when rank_p falls short does
-    _ring_rank decide.
+    rank_p = d - 1 proves rank = d - 1.  Only when rank_p falls short does the
+    Smith form decide, on the tight rows' stacked _row_matrix blocks: v ->
+    (<row_i, v>)_i is linear over the field Q(2cos(2pi/e)) of degree m, so the
+    rank over Q of that integer matrix is m times the rank of the rows.
     """
     flat = [c for z in vec for c in z]
     products = vec + tuple(_apply(mat, flat) for mat in mats)
@@ -371,7 +375,8 @@ def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) ->
     tight_idx = [i for i in range(len(rows)) if tight >> i & 1]
     p, mod_rows = mod
     if (_mod_rank([mod_rows[i] for i in tight_idx], p, d) != d - 1
-            and _ring_rank(ring, [rows[i] for i in tight_idx], d) != d - 1):
+            and rank([r for i in tight_idx for r in _row_matrix(ring, rows[i])])
+            != ring.m * (d - 1)):
         raise AssertionError("ray fails the tightness-rank extremality test")
     return products
 
@@ -432,27 +437,6 @@ def _mod_rank(rows, p: int, width: int) -> int:
             f = mat[i][c]
             if f:
                 mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-        r += 1
-    return r
-
-
-def _ring_rank(ring: CosRing, rows, width: int) -> int:
-    """Rank by fraction-free elimination over the ring; rows kept primitive."""
-    mat = [list(r) for r in rows]
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if any(mat[i][c])), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c]
-            if any(f):
-                row = [ring.sub(ring.mul(p, x), ring.mul(f, y))
-                       for x, y in zip(mat[i], mat[r])]
-                g = gcd(*[v for x in row for v in x])
-                mat[i] = [tuple(v // g for v in x) for x in row] if g > 1 else row
         r += 1
     return r
 

@@ -369,16 +369,12 @@ def dual_hom(phi: Homomorphism) -> Homomorphism:
     """Adjoint map on characters: <dual_hom(phi)(b), x> = <b, phi(x)>."""
     hom_validate(phi)
     A, B = phi.source, phi.target
-    rows = []
-    for j, aj in enumerate(A.moduli):
-        row = []
-        for i, bi in enumerate(B.moduli):
-            num = phi.matrix[i][j] * aj
-            if num % bi:
-                raise ValueError("ill-defined homomorphism has no dual")
-            row.append((num // bi) % aj)
-        rows.append(tuple(row))
-    return Homomorphism(dual_group(B), dual_group(A), tuple(rows))
+    # hom_validate makes every division exact
+    rows = tuple(
+        tuple(phi.matrix[i][j] * aj // bi % aj for i, bi in enumerate(B.moduli))
+        for j, aj in enumerate(A.moduli)
+    )
+    return Homomorphism(dual_group(B), dual_group(A), rows)
 
 
 # -- annihilators ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Small exact integer matrix utilities: the Smith normal form, and the
-kernels and left inverses read off it.
+ranks, kernels and left inverses read off it.
 
 The routines work on lists of lists of Python ints and are sized for the tiny
 matrices that arise when presenting subgroups and quotients of small groups
 and when changing bases between cyclotomic fields.  The Smith form is the one
-exact elimination here; every exact linear solve goes through kernel_basis or
-left_inverse, so no rational arithmetic is needed.
+exact elimination here; every exact rank goes through rank and every exact
+linear solve through kernel_basis or left_inverse, so no rational arithmetic
+is needed.
 """
 
 from __future__ import annotations
@@ -103,6 +104,12 @@ def smith_normal_form(A):
             D[i] = [-x for x in D[i]]
             U[i] = [-x for x in U[i]]
     return U, D, V
+
+
+def rank(A) -> int:
+    """Rank over Q of the integer matrix A: its count of nonzero invariant factors."""
+    _, D, _ = smith_normal_form([list(row) for row in A])
+    return sum(1 for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
 
 
 def kernel_basis(A):

@@ -225,6 +225,16 @@ ERROR_PATHS = {
     "grid points past the limit": (
         ["gaussian", "--check", "selfdual", "--points", "100000000"], None,
         "error: points must be at most 262144, got 100000000", 2),
+    # a tolerance that no gap can fail (inf) or pass (nan, negative)
+    "gaussian infinite tol": (
+        ["--tol", "inf", "gaussian", "--check", "selfdual", "--points", "16"], None,
+        "error: --tol must be finite and non-negative, got inf", 2),
+    "gaussian nan tol": (
+        ["gaussian", "--check", "selfdual", "--tol", "nan"], None,
+        "error: --tol must be finite and non-negative, got nan", 2),
+    "gaussian negative tol": (
+        ["gaussian", "--check", "corestriction", "--form", "2,1;1,2", "--tol", "-1"], None,
+        "error: --tol must be finite and non-negative, got -1.0", 2),
     "goodness probe failure": (
         ["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"], None,
         "error: goodness probe failed for form '0.001,0;0,0.001': lattice sum did "

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppdlab.cone as cone_module
+import ppdlab.intlinalg as intlinalg
 from ppdlab.cone import (
     EvenBasis,
     FieldEntry,
@@ -16,9 +17,10 @@ from ppdlab.cone import (
     _mod_basis,
     _mod_rank,
     _mod_rows,
-    _ring_rank,
+    _primitive_form,
     _row_matrix,
     _transform_coords,
+    _verify_extremal,
     brute_force_rays,
     canonical_ray,
     extremal_rays,
@@ -149,7 +151,8 @@ def test_extremal_rays_tightness_rank():
 def test_mod_rank_is_a_lower_bound_on_the_ring_rank():
     """_mod_basis maps Z[2cos(2pi/e)] onto F_p as a ring, so the rank of the
     image of a matrix never exceeds its rank; rows with entries divisible by p
-    make it fall short."""
+    make it fall short.  The reference rank is the Smith-form rank over Q of
+    the stacked _row_matrix blocks, which is m times the rank over the ring."""
     rng = random.Random(11)
     for e in (5, 7, 8, 9, 11, 12, 16):
         ring = cos_ring(e)
@@ -176,32 +179,65 @@ def test_mod_rank_is_a_lower_bound_on_the_ring_rank():
             if trial % 3 == 2:  # every entry of one row divisible by p
                 rows[0] = tuple(tuple(p * c for c in x) for x in rows[0])
             mod_rank = _mod_rank(_mod_rows(e, rows)[1], p, width)
-            ring_rank = _ring_rank(ring, rows, width)
+            q_rank = intlinalg.rank([r for row in rows for r in _row_matrix(ring, row)])
+            assert q_rank % ring.m == 0, (e, rows)
+            ring_rank = q_rank // ring.m
             assert mod_rank <= ring_rank, (e, rows)
             short += mod_rank < ring_rank
         assert short, e
 
 
 def test_rank_fallback_gives_the_same_rays(monkeypatch):
-    """When the modular rank falls short, _ring_rank decides every ray, and
-    double description returns what it returns with the modular certificate."""
-    want = {n: extremal_rays(ppd_cone_hrep(make_group([n]))) for n in (8, 12)}
+    """When the modular rank falls short, the Smith-form rank decides every ray,
+    and double description returns what it returns with the modular
+    certificate; Z9 and Z7xZ2 have rings of rank 3, Z8 and Z12 of rank 2."""
+    moduli = ([8], [12], [9], [7, 2])
+    want = {tuple(n): extremal_rays(ppd_cone_hrep(make_group(n))) for n in moduli}
     calls = []
 
-    def counted_ring_rank(*args):
-        calls.append(args)
-        return _ring_rank(*args)
+    def counted_rank(A):
+        calls.append(A)
+        return intlinalg.rank(A)
 
     monkeypatch.setattr(cone_module, "_mod_rank", lambda rows, p, width: 0)
-    monkeypatch.setattr(cone_module, "_ring_rank", counted_ring_rank)
+    monkeypatch.setattr(cone_module, "rank", counted_rank)
     for n, cone in want.items():
         before = len(calls)
-        got = extremal_rays(ppd_cone_hrep(make_group([n])))
+        got = extremal_rays(ppd_cone_hrep(make_group(n)))
         assert len(calls) - before == len(cone.rays), n
         assert got.ray_coords == cone.ray_coords, n
         assert got.ray_tight == cone.ray_tight, n
         assert got.rays == cone.rays, n
         assert got.ray_products == cone.ray_products, n
+
+
+def test_certificate_refuses_what_is_not_an_extremal_ray(monkeypatch):
+    """_verify_extremal on the cone's own rows refuses a negated ray, a tight
+    set with one bit cleared, and the sum of two rays with the common tight
+    set: that set has rank at most d - 2, so the modular rank falls short and
+    the Smith-form rank refuses."""
+    G = make_group([7])  # a ring of rank 3
+    cone = extremal_rays(ppd_cone_hrep(G))
+    d, ring, rows = cone.basis.dim, cos_ring(G.exponent()), cone.rows
+    mats = [_row_matrix(ring, row) for row in rows[d:]]
+    mod = _mod_rows(ring.e, rows)
+    masks = [sum(1 << i for i in t) for t in cone.ray_tight]
+
+    def verify(vec, tight):
+        return _verify_extremal(ring, rows, mats, mod, vec, tight, d)
+
+    ray, tight = cone.ray_coords[0], masks[0]
+    assert verify(ray, tight) == cone.ray_products[0]
+    with pytest.raises(AssertionError, match="^ray violates an inequality$"):
+        verify(tuple(tuple(-c for c in z) for z in ray), tight)
+    with pytest.raises(AssertionError, match="^tight set inconsistent with ray values$"):
+        verify(ray, tight & (tight - 1))  # the lowest tight bit cleared
+    calls = []
+    monkeypatch.setattr(cone_module, "rank", lambda A: calls.append(A) or intlinalg.rank(A))
+    total = _primitive_form(ring, [ring.add(a, b) for a, b in zip(ray, cone.ray_coords[1])])
+    with pytest.raises(AssertionError, match="^ray fails the tightness-rank extremality test$"):
+        verify(total, masks[0] & masks[1])
+    assert len(calls) == 1
 
 
 def test_ray_products_are_every_row_on_every_ray():

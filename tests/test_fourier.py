@@ -478,6 +478,18 @@ def test_group_mismatch_errors():
         convolve(mu, nu)
 
 
+def test_group_function_call_and_equality():
+    f = GroupFunction(Z4, [Fraction(4), Fraction(1), Fraction(2), Fraction(1)])
+    assert f(1) == f((1,)) == Fraction(1)  # by index and by element
+    assert f((5,)) == f(1) and f((-2,)) == f(2) == Fraction(2)  # elements reduce
+    assert f.__eq__(1) is NotImplemented and f != 1
+    assert f != GroupFunction(make_group([2, 2]), f.values)  # same values, other group
+    assert f == GroupFunction(Z4, [4, 1, 2, 1])
+    floats = GroupFunction(Z4, [4.0, 1.0, 2.0, 1.0])
+    assert floats == GroupFunction(Z4, [4.0, 1.0, 2.0, 1.0])
+    assert floats != GroupFunction(Z4, [4.0, 1.0, 2.0, 1.5])
+
+
 @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_haar_scale_rejects_non_finite_and_non_positive_floats(scale):
     with pytest.raises(ValueError):
