@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -158,6 +157,8 @@ def cmd_cone(args) -> int:
 
 
 def _write_ray_csv(path: str, rays, dim: int) -> None:
+    import csv  # only cone --csv writes a CSV
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

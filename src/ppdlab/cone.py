@@ -31,16 +31,20 @@ at the conductor that Cyc arithmetic along the same path gives it
 traces the conductor of a product term by term only for the rays of a pair it
 keeps, once per inserted row.  The report expands and rebuilds each distinct
 stored value once.
+
+The records (Inequality, PolyhedralCone, FieldEntry, FieldReport,
+SelfDualityReport) are typing.NamedTuples, so they are tuples: extremal_rays
+returns cone._replace(...) with the V-representation filled in, and the
+cached H-rep it was given keeps no rays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import (
     CosRing,
@@ -104,8 +108,7 @@ class EvenBasis:
         return GroupFunction(self.group, vals)
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     coeffs: tuple
     kind: str  # "point" or "dual"
     orbit_rep: int
@@ -118,8 +121,7 @@ class Inequality:
         return total
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(NamedTuple):
     """A cone over basis.dim = d orbit coordinates.  ppd_cone_hrep lays out its
     2d inequalities as rows 0..d-1, the point inequality of orbit coordinate j
     in row j, then rows d..2d-1, the dual inequalities in basis.orbit_reps order."""
@@ -339,8 +341,7 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     products = tuple(_verify_extremal(ring, rows, mats, mod, k, canon[k][1], d)
                      for k in coords)
     n = len(rows)
-    return replace(
-        cone,
+    return cone._replace(
         rays=tuple(_ray_values(ring, k, canon[k][0]) for k in coords),
         ray_tight=tuple(
             frozenset(i for i in range(n) if canon[k][1] >> i & 1) for k in coords
@@ -510,16 +511,14 @@ def report_rows(cone: PolyhedralCone) -> dict:
     return rows
 
 
-@dataclass(frozen=True)
-class FieldEntry:
+class FieldEntry(NamedTuple):
     location: str
     value_str: str
     expansion: str
     integral: bool
 
 
-@dataclass(frozen=True)
-class FieldReport:
+class FieldReport(NamedTuple):
     exponent: int
     entries: tuple[FieldEntry, ...]
 
@@ -582,8 +581,7 @@ def field_of_definition_check(cone: PolyhedralCone) -> FieldReport:
     return FieldReport(e, tuple(entries))
 
 
-@dataclass(frozen=True)
-class SelfDualityReport:
+class SelfDualityReport(NamedTuple):
     pairing: tuple[int, ...]  # ray index -> ray index of its transform direction
 
     @property

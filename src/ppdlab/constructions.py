@@ -12,7 +12,7 @@ corestriction_consistency sums each coset once for both of its checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import to_complex
 from .fourier import (
@@ -120,8 +120,7 @@ def _coset_sum(f: GroupFunction, H: Subgroup, rep: int):
     return total
 
 
-@dataclass
-class CorestrictionReport:
+class CorestrictionReport(NamedTuple):
     """Two independently computed corestriction routes and their pointwise gap."""
 
     fourier_route: GroupFunction

@@ -16,12 +16,16 @@ integrand is even) have no odd half, so only the cosine sum is taken.
 
 A grid holds at most MAX_GRID_POINTS subintervals, which bounds every sample
 array, the corestriction marginal and the counterexample's per-term grids.
+
+GridQuadrature checks its grid in __init__ (a __slots__ class).  The three
+reports are typing.NamedTuples, so they are tuples: _asdict reads one as a
+dict and _replace copies one with a changed field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,22 +75,22 @@ class QuadraticFormSPD:
         return f"QuadraticFormSPD({self.matrix.tolist()})"
 
 
-@dataclass(frozen=True)
 class GridQuadrature:
     """Trapezoid rule on [-R, R] with N subintervals per axis."""
 
-    half_width: float = 8.0
-    points: int = 512
+    __slots__ = ("half_width", "points")
 
-    def __post_init__(self):
-        if not (self.half_width > 0 and math.isfinite(2 * self.half_width)):
+    def __init__(self, half_width: float = 8.0, points: int = 512):
+        if not (half_width > 0 and math.isfinite(2 * half_width)):
             raise ValueError("half_width must be positive with a finite span "
-                             f"2*half_width, got {self.half_width}")
-        if self.points < 16 or self.points % 2:
+                             f"2*half_width, got {half_width}")
+        if points < 16 or points % 2:
             raise ValueError("points must be an even integer >= 16")
-        if self.points > MAX_GRID_POINTS:
+        if points > MAX_GRID_POINTS:
             raise ValueError(f"points must be at most {MAX_GRID_POINTS}, "
-                             f"got {self.points}")
+                             f"got {points}")
+        self.half_width = half_width
+        self.points = points
 
     def axis(self):
         """-R..R in N equal steps: linspace(0, R, N/2 + 1) mirrored onto the
@@ -209,8 +213,7 @@ def gaussian_selfdual_check(q: GridQuadrature = GridQuadrature()):
 # -- corestriction (marginal) identity ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorestrictionProbeReport:
+class CorestrictionProbeReport(NamedTuple):
     schur_matrix: tuple
     max_gap_routes: float
     max_gap_marginal_vs_closed: float
@@ -307,8 +310,7 @@ def _marginal_kernel(A: np.ndarray, xs: np.ndarray, axis: np.ndarray) -> np.ndar
 # -- the two-variable series whose line restriction diverges -------------------------
 
 
-@dataclass(frozen=True)
-class SeriesProbeReport:
+class SeriesProbeReport(NamedTuple):
     terms: int
     restricted_mass: float
     restricted_mass_closed: float
@@ -432,8 +434,7 @@ def _series_transform(spots: np.ndarray, n_terms: int,
 # -- goodness probe -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianGoodnessReport:
+class GaussianGoodnessReport(NamedTuple):
     strictly_positive: bool
     transform_strictly_positive: bool
     marginals_integrable: bool
@@ -449,7 +450,7 @@ class GaussianGoodnessReport:
         )
 
     def to_dict(self):
-        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
+        return {**self._asdict(), "all_checks_pass": self.all_checks_pass}
 
 
 def lattice_sum(Q: QuadraticFormSPD) -> float:

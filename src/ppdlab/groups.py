@@ -18,7 +18,6 @@ identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -320,21 +319,35 @@ def _all_subgroups_cached(moduli: tuple[int, ...]) -> tuple[Subgroup, ...]:
 # -- homomorphisms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Homomorphism:
-    """Additive map given by an integer matrix (target coords x source gens)."""
+    """Additive map given by an integer matrix (target coords x source gens).
 
-    source: FiniteAbelianGroup
-    target: FiniteAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
+    The matrix is stored as int tuples, so maps built from lists and from
+    tuples compare and hash equal: hom_index_map and dual_hom cache on them.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if len(rows) != self.target.rank or any(
-            len(r) != self.source.rank for r in rows
-        ):
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup,
+                 matrix: Sequence[Sequence[int]]):
+        rows = tuple(tuple(int(v) for v in row) for row in matrix)
+        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ValueError("homomorphism matrix has wrong shape")
+        self.source = source
+        self.target = target
+        self.matrix = rows
+
+    def __eq__(self, other):
+        return isinstance(other, Homomorphism) and (
+            (self.source, self.target, self.matrix)
+            == (other.source, other.target, other.matrix))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
+
+    def __repr__(self):
+        return (f"Homomorphism(source={self.source!r}, target={self.target!r}, "
+                f"matrix={self.matrix!r})")
 
 
 def hom_validate(phi: Homomorphism) -> None:

@@ -15,6 +15,9 @@ An even function with rational exact values is decided on integers: f's signs
 are its numerators' over one denominator, f_hat's are the double screen's over
 the character-sum buckets (_spectral_signs, which spectral_min_sign shares),
 and only f_hat values a witness prints are built.
+
+Witness and PpdVerdict are typing.NamedTuples, so they are tuples: copy one
+with a changed field by _replace and read one as a dict by _asdict.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import mul
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .cyclotomic import (
     Cyc,
@@ -65,8 +69,7 @@ PSD_EIG_TOL = 1e-9
 VACUOUS_CONDITIONS = ("3.1.2", "3.1.3", "3.1.5")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A violated condition with the element or character that witnesses it."""
 
     condition: str  # e.g. "2.1.1" or "3.1.4"
@@ -75,20 +78,15 @@ class Witness:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "condition": self.condition,
-            "kind": self.kind,
-            "index": self.index,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class PpdVerdict:
+class PpdVerdict(NamedTuple):
     is_ppd: bool
     is_good: bool
     witnesses: tuple[Witness, ...]
-    condition_status: dict[str, str] = field(default_factory=dict)
+    # a shared default, so read-only
+    condition_status: Mapping[str, str] = MappingProxyType({})
 
     def to_dict(self):
         return {

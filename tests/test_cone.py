@@ -142,6 +142,18 @@ def test_extremal_rays_golden_counts_and_vectors():
     assert len(r4) == 4
 
 
+def test_extremal_rays_leaves_the_cached_hrep_alone():
+    """extremal_rays returns a new cone (NamedTuple._replace) sharing the
+    H-representation; the cached cone keeps no rays."""
+    hrep = ppd_cone_hrep(Z4)
+    cone = extremal_rays(hrep)
+    assert cone is not hrep and type(cone) is type(hrep)
+    assert hrep.rays is hrep.ray_tight is hrep.ray_coords is hrep.ray_products is None
+    for name in ("basis", "inequalities", "rows", "row_conds"):
+        assert getattr(cone, name) is getattr(hrep, name)
+    assert len(cone.rays) == len(cone.ray_tight) == len(cone.ray_coords) == 4
+
+
 def test_extremal_rays_tightness_rank():
     cone = extremal_rays(ppd_cone_hrep(Z4))
     for tight in cone.ray_tight:

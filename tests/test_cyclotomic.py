@@ -279,6 +279,42 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     assert out.stdout.splitlines() == ["[0, 0, 0, 0] False", "QuadraticFormSPD", "[]"]
 
 
+def test_commands_leave_dataclasses_inspect_and_csv_unloaded(tmp_path):
+    """The records are NamedTuples, so no command loads dataclasses (nor its
+    inspect, ast and dis); csv loads with `cone --csv` alone.  numpy imports
+    inspect itself, so inspect is asserted absent before the first float run."""
+    import os
+    import subprocess
+    import sys
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cyclotomic.__file__)))
+    good = tmp_path / "good.json"
+    good.write_text('{"group": "Z4", "values": [4, 1, 1, 1]}')
+    rays = tmp_path / "rays.csv"
+    code = (
+        "import contextlib, io, sys, ppdlab; from ppdlab import cli, sweeps\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'csv')\n"
+        "def run(*runs):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return [cli.main(argv) for argv in runs]\n"
+        "print(run(['cone', 'Z4', '--rays'], ['check', sys.argv[1], '--good'],\n"
+        "          ['sweep', '--max-order', '4', '--samples', '1', '--seed', '1'],\n"
+        "          ['cone-atlas', '--max-order', '6']),\n"
+        "      [m for m in heavy if m in sys.modules])\n"
+        "print(run(['--mode', 'float', 'check', sys.argv[1], '--good'],\n"
+        "          ['gaussian', '--check', 'selfdual']),\n"
+        "      [m for m in ('dataclasses', 'csv') if m in sys.modules])\n"
+        "print(run(['cone', 'Z4', '--rays', '--csv', sys.argv[2]]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(good), str(rays)], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pkg_root))
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0] []", "[0, 0] []", "[0]"]
+    lines = rays.read_text().splitlines()
+    assert lines[0] == "ray,coord_0,coord_1,coord_2,tight_inequalities"
+    assert len(lines) > 1
+
+
 # -- a Fraction reference for realness, sign and equality -----------------------
 
 

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -57,6 +56,27 @@ def test_grid_validation():
     for bad in (MAX_GRID_POINTS + 2, 10**8, 10**30):
         with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}"):
             GridQuadrature(8.0, bad)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 512), "half_width must be positive with a finite span 2*half_width, got 0.0"),
+    ((math.nan, 512), "half_width must be positive with a finite span 2*half_width, got nan"),
+    ((1e308, 512), "half_width must be positive with a finite span 2*half_width, got 1e+308"),
+    ((8.0, 14), "points must be an even integer >= 16"),
+    ((8.0, 513), "points must be an even integer >= 16"),
+    ((8.0, MAX_GRID_POINTS + 2), f"points must be at most {MAX_GRID_POINTS}, "
+                                 f"got {MAX_GRID_POINTS + 2}"),
+])
+def test_grid_rejection_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        GridQuadrature(*args)
+    assert str(info.value) == message
+
+
+def test_grid_keeps_its_arguments_and_defaults():
+    assert (GridQuadrature().half_width, GridQuadrature().points) == (8.0, 512)
+    q = GridQuadrature(7.5, 250)
+    assert q.meta() == {"half_width": 7.5, "points": 250}
 
 
 def test_closed_form_identity_selfdual():
@@ -209,8 +229,8 @@ def test_in_place_marginal_equals_the_expression(form):
 @pytest.mark.parametrize("n_terms", [10, 100])
 def test_series_report_to_dict_matches_asdict(n_terms):
     report = counterexample_probe(n_terms)
-    assert report.to_dict() == asdict(report)
-    assert list(report.to_dict()) == list(asdict(report))
+    assert report.to_dict() == report._asdict()
+    assert list(report.to_dict()) == list(report._asdict())
 
 
 def test_counterexample_checks_its_grids_before_any_quadrature():
@@ -278,7 +298,7 @@ def test_corestriction_gaps_at_round_off(form, test_points):
 
 def test_corestriction_to_dict_drops_test_points():
     report = gaussian_corestriction_check(QuadraticFormSPD([[2.0, 1.0], [1.0, 2.0]]), 1)
-    reference = asdict(report)
+    reference = report._asdict()
     del reference["test_points"]
     assert report.to_dict() == reference
     assert list(report.to_dict()) == list(reference)
@@ -421,6 +441,10 @@ def test_goodness_probe_identity():
     assert report.all_checks_pass
     assert report.lattice_restriction_sum == pytest.approx(1.0864348112, abs=1e-9)
     assert "not machine-checked" in report.extremality_note
+    assert list(report.to_dict()) == [
+        "strictly_positive", "transform_strictly_positive", "marginals_integrable",
+        "lattice_restriction_sum", "extremality_note", "all_checks_pass"]
+    assert report.to_dict()["all_checks_pass"] is True
 
 
 def test_goodness_probe_various_scales():

@@ -237,6 +237,23 @@ def test_hom_validate_golden():
     assert hom_apply(ident, (3, 1)) == (3, 1)
 
 
+def test_hom_from_lists_equals_hom_from_tuples():
+    G, T = make_group([4, 2]), make_group([8])
+    listed = Homomorphism(G, T, [[2, 4]])
+    tupled = Homomorphism(G, T, ((2, 4),))
+    assert listed.matrix == ((2, 4),)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed != Homomorphism(G, T, ((2, 0),)) and listed != ((2, 4),)
+    assert repr(listed) == ("Homomorphism(source=FiniteAbelianGroup([4, 2]), "
+                            "target=FiniteAbelianGroup([8]), matrix=((2, 4),))")
+    hom_index_map.cache_clear()
+    assert hom_index_map(listed) is hom_index_map(tupled)
+    assert hom_index_map.cache_info().currsize == 1
+    with pytest.raises(ValueError) as info:
+        Homomorphism(G, T, [[2, 4, 0]])
+    assert str(info.value) == "homomorphism matrix has wrong shape"
+
+
 def test_hom_additivity():
     G = make_group([4, 2])
     T = make_group([8])

@@ -301,8 +301,14 @@ def test_dual_measure_roundtrip_and_goldens():
     nu = dual_measure(d)
     assert all(nu.mass_at(i) == Fraction(1, 4) for i in range(4))
     assert inverse_transform(nu) == d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         dual_measure(F(Z2, 1, 2))
+    assert str(info.value) == (
+        "dual_measure needs a PPD input: "
+        "(Witness(condition='2.1.2', kind='character', index=1, "
+        "detail='f_hat(1) = -1 negative'), "
+        "Witness(condition='3.1.4', kind='character', index=1, "
+        "detail='f_hat(1) = -1 not strictly positive'))")
 
 
 def test_normalized_dual_golden_two_point():
