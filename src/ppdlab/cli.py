@@ -1,9 +1,10 @@
 """Command-line front end: verdicts, sweeps, cone atlases, Gaussian probes.
 
 Exit codes: 0 = requested property holds / report written, 1 = property
-fails, 2 = bad input (parse errors, malformed matrices, bound violations).
-Reports are plain JSON with sorted keys so identical configs produce
-byte-identical output.
+fails, 2 = bad input (parse errors, malformed matrices, bound violations,
+an unwritable --out or --csv path).  Reports are plain JSON with sorted keys
+so identical configs produce byte-identical output; serialize.report_text
+writes json.dumps(payload, indent=2, sort_keys=True) in one pass.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .serialize import (
     measure_from_dict,
     measure_to_dict,
     parse_generators,
+    report_text,
 )
 from .sweeps import cone_atlas, corestriction_sweep, full_sweep
 
@@ -70,12 +72,15 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
+    text = report_text(payload)
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}")
 
 
 def _parse_form(text: str) -> QuadraticFormSPD:
@@ -159,15 +164,18 @@ def cmd_cone(args) -> int:
 def _write_ray_csv(path: str, rays, dim: int) -> None:
     import csv  # only cone --csv writes a CSV
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["ray"] + [f"coord_{j}" for j in range(dim)] + ["tight_inequalities"]
-        )
-        for i, ray in enumerate(rays):
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(
-                [i] + ray["coords"] + [";".join(str(q) for q in ray["tight"])]
+                ["ray"] + [f"coord_{j}" for j in range(dim)] + ["tight_inequalities"]
             )
+            for i, ray in enumerate(rays):
+                writer.writerow(
+                    [i] + ray["coords"] + [";".join(str(q) for q in ray["tight"])]
+                )
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def cmd_cone_atlas(args) -> int:

@@ -22,7 +22,10 @@ decides: their rank over Q is m times the rank of the rows.  The products
 of every row with every ray that this check certifies are kept, and the
 self-duality pairing reads the transforms off them.  Canonical rays are
 primitive with the first nonzero coordinate a positive integer.  The H-rep is
-built once per group, with the integer rows of its coefficients; double
+built once per group, with the integer rows of its coefficients.  A dual
+coefficient is the sum of zeta_E^-k over the pairing exponents k of an
+orbit, so each distinct exponent tuple is summed, expanded and given its
+conductor once per build, a few more than E of them at most; double
 description, the printed report and the membership of a rational vector (one
 integer row combination and one ring sign per inequality) read those rows and
 the ray coordinates.  Cyc ray values are built for the field report, each coordinate
@@ -139,33 +142,39 @@ class PolyhedralCone(NamedTuple):
 @lru_cache(maxsize=None)
 def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     """One inequality per element orbit and per dual orbit, point ones first,
-    with every coefficient expanded once into ring coordinates; built once per
-    group."""
+    with each distinct coefficient built and expanded into ring coordinates
+    once; built once per group, without the group's add table."""
     if G.order > HREP_ORDER_BOUND:
         raise ValueError(f"group order {G.order} exceeds H-rep bound {HREP_ORDER_BOUND}")
     basis = EvenBasis(G)
     E = G.exponent()
     table = exponent_table(G.moduli)
-    ineqs: list[Inequality] = []
-    for j, rep in enumerate(basis.orbit_reps):
-        coeffs = tuple(
-            Fraction(1) if t == j else Fraction(0) for t in range(basis.dim)
-        )
-        ineqs.append(Inequality(coeffs, "point", rep))
+    built = {}  # exponent tuple -> (coefficient, its ring coordinates, its conductor)
+
+    def coefficient(exponents):
+        """The sum of zeta_E^-k over the exponents k, built once per tuple."""
+        if exponents not in built:
+            c = sum((unit_root(E, -k) for k in exponents), Fraction(0))
+            x = expand_in_cos_basis(c, E)
+            if x is None or any(q.denominator != 1 for q in x):
+                raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{E})]")
+            built[exponents] = c, tuple(int(q) for q in x), conductor(c)
+        return built[exponents]
+
+    ineqs, rows, conds = [], [], []
+
+    def inequality(kind, rep, exponent_tuples):
+        coeffs, xs, ks = zip(*map(coefficient, exponent_tuples))
+        ineqs.append(Inequality(coeffs, kind, rep))
+        rows.append(xs)
+        conds.append(ks)
+
+    for j, rep in enumerate(basis.orbit_reps):  # 1 = zeta^0 and 0, the empty sum
+        inequality("point", rep, [(0,) if t == j else () for t in range(basis.dim)])
     for rep in basis.orbit_reps:  # dual orbits have the same representatives
         row = table[rep]
-        coeffs = []
-        for orbit in basis.orbits:
-            coeffs.append(
-                sum((unit_root(E, -row[x]) for x in orbit), Fraction(0))
-            )
-        ineqs.append(Inequality(tuple(coeffs), "dual", rep))
-    exps = [[expand_in_cos_basis(c, E) for c in q.coeffs] for q in ineqs]
-    if any(x is None or any(c.denominator != 1 for c in x) for row in exps for x in row):
-        raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{E})]")
-    rows = tuple(tuple(tuple(int(c) for c in x) for x in row) for row in exps)
-    conds = tuple(tuple(conductor(c) for c in q.coeffs) for q in ineqs)
-    return PolyhedralCone(basis, tuple(ineqs), rows, conds)
+        inequality("dual", rep, [tuple(row[x] for x in orbit) for orbit in basis.orbits])
+    return PolyhedralCone(basis, tuple(ineqs), tuple(rows), tuple(conds))
 
 
 # -- membership ---------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .groups import (
     dual_group,
     hom_index_map,
     hom_validate,
-    pairing_exponent,
 )
 
 # Float-mode tolerances, read only by Mode: equality and sign up to
@@ -60,12 +59,17 @@ STRICT_TIE_TOL = 1e-12
 
 @lru_cache(maxsize=None)
 def exponent_table(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """table[a][x] = k with <a, x> = exp(2*pi*i*k/E); cached per moduli."""
-    G = FiniteAbelianGroup(moduli)
-    elems = [G.element(i) for i in range(G.order)]
-    return tuple(
-        tuple(pairing_exponent(G, a, x) for x in elems) for a in elems
-    )
+    """table[a][x] = k with <a, x> = exp(2*pi*i*k/E); cached per moduli.
+
+    k = sum_j a_j * x_j * (E/n_j) mod E, built one cyclic factor at a time in
+    index order, as groups builds its add table."""
+    E = math.lcm(*moduli)
+    rows = ((0,),)
+    for n in moduli:
+        c = E // n
+        rows = tuple(tuple([(t + c * r * s) % E for s in range(n) for t in row])
+                     for r in range(n) for row in rows)
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -8,11 +8,12 @@ realizations as abstract groups are produced by Smith normal form, which
 keeps every construction deterministic.
 
 Hot loops never do tuple arithmetic.  They work on element indices through
-the index kernel: per moduli, an add table add[i][j] = i + j and a neg table
-neg[i] = -i, built once on first use (|G|^2 ints, 4096 at order 64) and held
-on each group instance; and, per homomorphism, the index map hom_index_map(phi)
-sending each source index to the index of its image.  Index 0 is always the
-identity.
+the index kernel: a neg table neg[i] = -i, built in O(|G|) over the
+mixed-radix digits and held on each group instance; per moduli, an add table
+add[i][j] = i + j, built only by callers that add (|G|^2 ints, 4096 at order
+64), one cyclic factor at a time; and, per homomorphism, the index map
+hom_index_map(phi) sending each source index to the index of its image.
+Index 0 is always the identity.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ Element = tuple[int, ...]
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups Z_{n1} + ... + Z_{nk}."""
 
-    __slots__ = ("moduli", "order", "_weights", "_tables")
+    __slots__ = ("moduli", "order", "_weights", "_tables", "_neg")
 
     def __init__(self, moduli: Sequence[int]):
         moduli = tuple(int(n) for n in moduli)
@@ -48,6 +49,7 @@ class FiniteAbelianGroup:
             acc *= n
         self._weights = tuple(w)
         self._tables = None
+        self._neg = None
 
     # -- identity ------------------------------------------------------------
 
@@ -109,29 +111,42 @@ class FiniteAbelianGroup:
         return tuple((-a) % n for a, n in zip(x, self.moduli))
 
     @property
+    def neg_table(self) -> tuple[int, ...]:
+        """neg[i] is the index of -element(i), built one digit at a time."""
+        if self._neg is None:
+            neg = [0]
+            for n, w in zip(self.moduli, self._weights):
+                neg = [t + w * (-r % n) for r in range(n) for t in neg]
+            self._neg = tuple(neg)
+        return self._neg
+
+    @property
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(add, neg): add[i][j] is the index of element(i) + element(j) and
-        neg[i] the index of -element(i)."""
+        neg the neg table."""
         if self._tables is None:
-            self._tables = _index_tables(self.moduli)
+            self._tables = (_add_table(self.moduli), self.neg_table)
         return self._tables
 
     def neg_index(self, i: int) -> int:
         if not 0 <= i < self.order:
             raise IndexError(f"element index {i} out of range for {self}")
-        return self.index_tables[1][i]
+        return self.neg_table[i]
 
     def exponent(self) -> int:
         return math.lcm(*self.moduli)
 
 
 @lru_cache(maxsize=None)
-def _index_tables(moduli: tuple[int, ...]):
-    G = FiniteAbelianGroup(moduli)
-    elems = list(G.elements())
-    add = tuple(tuple(G.index(G.add(x, y)) for y in elems) for x in elems)
-    neg = tuple(G.index(G.neg(x)) for x in elems)
-    return add, neg
+def _add_table(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Built one cyclic factor Z_n at a time, factor 0 first: over the first
+    factors, of order m, index i + m*r holds the residue r of Z_n."""
+    rows, m = ((0,),), 1
+    for n in moduli:
+        rows = tuple(tuple([t + m * ((r + s) % n) for s in range(n) for t in row])
+                     for r in range(n) for row in rows)
+        m *= n
+    return rows
 
 
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:

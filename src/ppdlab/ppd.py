@@ -219,7 +219,7 @@ def _even_rational(f: GroupFunction):
     if not f.mode.exact or any(isinstance(v, Cyc) for v in f.values):
         return None
     nums, den = over_common_denominator(f.values)
-    even = all(n == nums[j] for n, j in zip(nums, f.group.index_tables[1]))
+    even = all(n == nums[j] for n, j in zip(nums, f.group.neg_table))
     return (nums, den) if even else None
 
 

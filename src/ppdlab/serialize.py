@@ -5,12 +5,19 @@ measures add {"haar_scale": "1/4"}.  In exact mode, numeric entries must be
 integers or rational strings like "3/4"; float mode accepts any finite real
 number or rational string.  Booleans, NaN and infinities are rejected.  An
 exact output writes both parts as rational strings, so it reads back as input.
+
+Reports are written by report_text, whose output equals
+json.dumps(payload, indent=2, sort_keys=True) byte for byte.  With an indent,
+json drops its C encoder for a generator-based pure-Python one; report_text
+writes the same text in one recursive pass, quoting strings with json's C
+escaper, and joins the parts once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclotomic import is_rational, to_complex, unit_root
 from .fourier import GroupFunction, HaarScale, ScaledMeasure
@@ -129,3 +136,70 @@ def parse_generators(text, G: FiniteAbelianGroup):
             raise ValueError(f"generator {g!r} has a residue that is not an integer")
         out.append(tuple(g))
     return out
+
+
+def report_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), written in one pass."""
+    parts: list[str] = []
+    _write(payload, parts.append, "\n")
+    return "".join(parts)
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# json's scalars by exact type; _write tests a subclass as json does
+_SCALAR_TEXT = {str: _quote, bool: {True: "true", False: "false"}.__getitem__,
+                int: int.__repr__, float: _float_text, type(None): lambda _: "null"}
+
+
+def _scalar_text(o):
+    """o's text if json writes it as a scalar (a str quoted), else None."""
+    for kind, text in _SCALAR_TEXT.items():
+        if isinstance(o, kind):
+            return text(o)
+    return None
+
+
+def _key_text(k) -> str:
+    """A dict key as json writes it: quoted, after converting a non-string."""
+    text = _scalar_text(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return text if isinstance(k, str) else _quote(text)
+
+
+def _write(o, put, nl: str) -> None:
+    """Append o's text through put; nl is the newline and indent of o's line."""
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        sep = "[" + inner
+        for v in o:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:  # a container, or a scalar of a subclass
+                put(sep)
+                _write(v, put, inner)
+            else:
+                put(sep + text(v))
+            sep = "," + inner
+        put(nl + "]" if o else "[]")
+    elif isinstance(o, dict):
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            key = sep + (_quote(k) if type(k) is str else _key_text(k)) + ": "
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                put(key)
+                _write(v, put, inner)
+            else:
+                put(key + text(v))
+            sep = "," + inner
+        put(nl + "}" if o else "{}")
+    else:
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        put(text)

@@ -135,6 +135,13 @@ ERROR_PATHS = {
                         "error: group order 8 exceeds the configured bound", 2),
     "csv needs rays": (["cone", "Z4", "--csv", "{csv}"], None,
                        "error: --csv needs --rays", 2),
+    "out in a missing directory": (["--out", "{nodir}", "cone", "Z2"], None,
+                                   "error: cannot write {nodir}: [Errno 2] No such file "
+                                   "or directory: '{nodir}'", 2),
+    "out is a directory": (["--out", "{dir}", "cone", "Z2"], None,
+                           "error: cannot write {dir}: [Errno 21] Is a directory: '{dir}'", 2),
+    "csv is a directory": (["cone", "Z2", "--rays", "--csv", "{dir}"], None,
+                           "error: cannot write {dir}: [Errno 21] Is a directory: '{dir}'", 2),
     "restrict generators wrong rank": (
         ["restrict", "{good}", "--generators", "[[1, 2]]"], None,
         "error: bad generators '[[1, 2]]': generator [1, 2] has wrong rank for Z4", 2),
@@ -263,6 +270,8 @@ def test_error_paths_pin_stderr_and_exit(case, tmp_path, monkeypatch, capsys):
         "missing": str(tmp_path / "missing.json"),
         "broken": str(broken),
         "csv": str(tmp_path / "rays.csv"),
+        "dir": str(tmp_path),
+        "nodir": str(tmp_path / "nodir" / "report.json"),
         "a5": write(tmp_path, "a5.json", {"group": "A5", "values": [[1, 0]]}),
         "nokey": write(tmp_path, "nokey.json", {"group": "Z2"}),
         "good": write(tmp_path, "good.json", GOOD),

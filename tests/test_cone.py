@@ -48,6 +48,7 @@ from ppdlab.groups import (
     all_subgroups,
     hom_index_map,
     make_group,
+    pairing_exponent,
 )
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
 
@@ -125,6 +126,27 @@ def test_hrep_rows_are_the_coefficients_and_built_once():
             for c, x in zip(q.coeffs, row):
                 assert ring.scalar(x, G.exponent()) == c, (G, q)
         assert ppd_cone_hrep(G) is ppd_cone_hrep(make_group(G.moduli))
+
+
+def test_hrep_equals_a_coefficient_by_coefficient_build():
+    """ppd_cone_hrep builds each distinct coefficient once; a build of every
+    coefficient on its own (a unit_root sum, then its ring coordinates and
+    conductor) gives the same values, printed the same, and the same rows."""
+    for G in abelian_group_catalog(16):
+        cone = ppd_cone_hrep(G)
+        basis, E = cone.basis, G.exponent()
+        point = [[Fraction(int(t == j)) for t in range(basis.dim)] for j in range(basis.dim)]
+        dual = [[sum((unit_root(E, -pairing_exponent(G, G.element(a), G.element(x)))
+                      for x in orbit), Fraction(0)) for orbit in basis.orbits]
+                for a in basis.orbit_reps]
+        coeffs = point + dual
+        assert [q.coeffs for q in cone.inequalities] == [tuple(r) for r in coeffs]
+        for q, want in zip(cone.inequalities, coeffs):
+            assert [repr(c) for c in q.coeffs] == [repr(c) for c in want], G
+            assert [str(c) for c in q.coeffs] == [str(c) for c in want], G
+        assert cone.rows == tuple(
+            tuple(tuple(int(k) for k in expand_in_cos_basis(c, E)) for c in r) for r in coeffs)
+        assert cone.row_conds == tuple(tuple(conductor(c) for c in r) for r in coeffs)
 
 
 def test_extremal_rays_golden_counts_and_vectors():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdlab import intlinalg
+from ppdlab.cone import ppd_cone_hrep
+from ppdlab.fourier import exponent_table
 from ppdlab.groups import (
     Homomorphism,
     abelian_group_catalog,
@@ -113,12 +115,24 @@ def test_all_subgroups_counts():
 
 
 def test_index_tables_match_tuple_arithmetic():
-    for G in abelian_group_catalog(16) + [make_group([8, 8])]:
+    for G in abelian_group_catalog(16) + [make_group(m) for m in ([8, 8], [2] * 6, [4] * 3)]:
+        add, neg = G.index_tables
+        exponents = exponent_table(G.moduli)
+        assert neg is G.neg_table
         for i in range(G.order):
             x = G.element(i)
-            assert G.neg_index(i) == G.index(G.neg(x))
+            assert G.neg_index(i) == neg[i] == G.index(G.neg(x))
             for j in range(G.order):
-                assert G.index_tables[0][i][j] == G.index(G.add(x, G.element(j)))
+                y = G.element(j)
+                assert add[i][j] == G.index(G.add(x, y))
+                assert exponents[i][j] == pairing_exponent(G, x, y)
+
+
+def test_cone_hrep_builds_no_add_table():
+    G = make_group([4, 2])
+    ppd_cone_hrep.__wrapped__(G)  # the uncached body, on this instance
+    assert G._tables is None
+    assert G.neg_table == tuple(G.index(G.neg(x)) for x in G.elements())
 
 
 def test_hom_index_map_matches_hom_apply():

@@ -1,7 +1,12 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppdlab import cli
 from ppdlab.cyclotomic import scalar_eq, unit_root
 from ppdlab.fourier import GroupFunction, HaarScale, ScaledMeasure
 from ppdlab.groups import make_group
@@ -12,6 +17,7 @@ from ppdlab.serialize import (
     measure_to_dict,
     parse_generators,
     parse_rational,
+    report_text,
 )
 
 Z4 = make_group([4])
@@ -111,3 +117,86 @@ def test_parse_generators():
         parse_generators("[[1, 2, 3]]", G)
     with pytest.raises(ValueError):
         parse_generators('{"a": 1}', G)
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9\u6f22\U0001f600\ud800"]),
+)
+# sort_keys needs comparable keys: one dict draws strings, numbers or None
+_KEYS = (st.text(), st.integers() | st.floats() | st.booleans(), st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=4) for keys in _KEYS),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_report_text_equals_indented_sorted_json(obj):
+    assert report_text(obj) == _json_text(obj)
+
+
+def test_report_text_writes_subclasses_as_json_does():
+    import enum
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Name(str):
+        pass
+
+    class Gap(float):
+        pass
+
+    obj = {Name("k"): [Level.LOW, Name('a"b'), Gap(0.5), Gap("nan")],
+           "m": {Gap(2.5): Name(""), Level.LOW: Gap(-0.0)}}
+    assert report_text(obj) == _json_text(obj)
+
+
+def test_report_text_rejects_what_json_rejects():
+    for obj in ({1: 0, "a": 0}, [Fraction(1, 2)], {(1,): 0}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            _json_text(obj)
+        with pytest.raises(TypeError):
+            report_text(obj)
+
+
+def _cli_payload(monkeypatch, argv, expected_code):
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, out: seen.append(payload))
+    assert cli.main(argv) == expected_code
+    return seen[0]
+
+
+def test_report_text_equals_json_on_reports(tmp_path, monkeypatch):
+    not_ppd = tmp_path / "not_ppd.json"
+    not_ppd.write_text(json.dumps({"group": "Z4", "values": [1, 2, 1, 2]}))
+    cases = [
+        (["cone", "Z12", "--rays"], 0),
+        (["cone-atlas", "--max-order", "8"], 0),
+        (["check", str(not_ppd)], 1),
+        (["gaussian", "--check", "counterexample", "--terms", "4", "--points", "64"], 0),
+    ]
+    for argv, code in cases:
+        payload = _cli_payload(monkeypatch, argv, code)
+        assert report_text(payload) == _json_text(payload)
+    assert payload["check"] == "counterexample"
+    verdict = _cli_payload(monkeypatch, cases[2][0], 1)
+    assert verdict["witnesses"]
