@@ -79,8 +79,9 @@ def corestrict(f: GroupFunction, H: Subgroup) -> GroupFunction:
         raise ValueError("subgroup belongs to a different group")
     g = normalize_function(_corestrict_raw(f, H))
     if not g.mode.exact:  # a good g is real: drop the round-off imaginary parts
-        g = GroupFunction(g.group, [complex(to_complex(v).real) if g.mode.real(v) else v
-                                    for v in g.values])
+        g = GroupFunction._with_mode(
+            g.group, [complex(to_complex(v).real) if g.mode.real(v) else v for v in g.values],
+            g.mode)
     gv = evaluate_function(g)
     if not gv.is_good:
         raise AssertionError("corestriction of a good function failed to be good")
@@ -91,7 +92,8 @@ def _corestrict_raw(f: GroupFunction, H: Subgroup) -> GroupFunction:
     """Unnormalized Fourier route, scaled to equal the plain coset sums."""
     pihat = dual_hom(quotient(f.group, H).projection_hom)
     # f_hat on the annihilator of H: only the rows pihat reads are summed
-    ghat = GroupFunction(pihat.source, transform_rows(f, hom_index_map(pihat)))
+    ghat = GroupFunction._with_mode(pihat.source, transform_rows(f, hom_index_map(pihat)),
+                                    f.mode)
     Qd = ghat.group
     return inverse_transform(
         measure_from_function(ghat, HaarScale(Qd, ghat.mode.inv(Qd.order)))
@@ -108,8 +110,9 @@ def _average(mode, Q, sums) -> GroupFunction:
     """sums over the cosets of Q divided by sums[0], the sum over the coset of 0."""
     if mode.eq(sums[0], 0, scale=0.0):  # an exact zero in both modes
         raise ValueError("zero denominator: f sums to 0 over the subgroup")
-    inv = mode.inv(mode.value(sums[0]))
-    return GroupFunction(Q.group, [mode.value(s) * inv for s in sums])
+    sums = mode.values(sums)
+    inv = mode.inv(sums[0])
+    return GroupFunction._with_mode(Q.group, [s * inv for s in sums], mode)
 
 
 def _coset_sum(f: GroupFunction, H: Subgroup, rep: int):

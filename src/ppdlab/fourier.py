@@ -2,13 +2,19 @@
 
 Every transform takes a Haar scale (a positive multiple of counting measure):
 normalization is the central bookkeeping hazard of this whole subject, so it
-is never implicit.  Functions run in one of two arithmetic modes, decided by
-their values: exact (int/Fraction/Cyc scalars, identities hold on the nose)
-or float (complex values, equality up to a tolerance); see Mode.
+is never implicit.  Functions run in one of two arithmetic modes: exact
+(int/Fraction/Cyc scalars, identities hold on the nose) or float (complex
+values, equality up to a tolerance); see Mode.  The mode is a property of the
+function, decided once: GroupFunction(group, values) scans the values, and
+every internal construction (transforms, pullback, normalization, descent,
+sampling, averaging, parsing) passes the mode it already knows through
+GroupFunction._with_mode.  Mode tests whole value vectors: values, scale and
+tests convert, measure and sign-test a vector in one pass.
 
 Both transforms, and the spectral screen in ppd, are one character-sum
 kernel, _character_sums: an O(|G|^2) sum over a cached exponent table.  In
-float mode it sums root * value in index order.
+float mode it sums root * value in index order, at C speed over a root list
+signed once per call.
 
 In exact mode it runs on Python ints.  Every input is put over one common
 denominator and worked in Q(zeta_L), L = lcm(E, the conductors of the Cyc
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import (
@@ -84,6 +91,7 @@ class Mode:
 
     Exact tests are certified on the nose.  Float tests take the scale the
     tolerance is relative to; scale() gives the usual one, max(1, |v|).
+    values, scale and tests work on whole vectors.
     """
 
     __slots__ = ("exact", "zero", "one")
@@ -97,15 +105,29 @@ class Mode:
         """The mode two operands compute in together: exact when both are."""
         return other if self.exact else self
 
-    def value(self, v):
-        """v as this mode computes with it: unchanged, or a complex number."""
-        return v if self.exact else complex(to_complex(v))
+    def values(self, vs) -> Sequence:
+        """vs as this mode computes with them: unchanged, or complex numbers."""
+        if self.exact:
+            return vs
+        return [v if type(v) is complex else complex(to_complex(v)) for v in vs]
 
     def scale(self, values) -> float:
         """max(1, |v|) over the values in float mode; exact tests ignore it."""
         if self.exact:
             return 1.0
-        return max([1.0] + [abs(to_complex(v)) for v in values])
+        return max([1.0, *map(abs, self.values(values))])
+
+    def tests(self, vs, scale: float, base: float) -> list[tuple[bool, bool]]:
+        """(nonnegative, strictly positive) for each value of vs, as values()
+        gives them.  Nonnegative: real and >= 0, in float mode both up to
+        FLOAT_TOL * scale.  Strictly positive: real and > 0, in float mode
+        beyond STRICT_TIE_TOL * base with an imaginary part up to
+        FLOAT_TOL * base.  An exact value's sign is asked once."""
+        if self.exact:
+            return [(s in (0, 1), s == 1) for s in map(sign_if_real, vs)]
+        tol, tie, im_tol = FLOAT_TOL * scale, STRICT_TIE_TOL * base, FLOAT_TOL * base
+        return [(abs(v.imag) <= tol and v.real >= -tol, v.real > tie and abs(v.imag) <= im_tol)
+                for v in vs]
 
     def inv(self, v):
         return scalar_inv(v) if self.exact else 1.0 / v
@@ -136,26 +158,6 @@ class Mode:
         x = to_complex(v).real
         return (x > STRICT_TIE_TOL * scale) - (x < -STRICT_TIE_TOL * scale)
 
-    def nonneg(self, v, scale: float) -> bool:
-        """Real and >= 0; in float mode both up to FLOAT_TOL * scale."""
-        if self.exact:
-            return sign_if_real(v) in (0, 1)
-        v = to_complex(v)
-        return abs(v.imag) <= FLOAT_TOL * scale and v.real >= -FLOAT_TOL * scale
-
-    def positive(self, v, scale: float) -> bool:
-        """Real and strictly positive: sign +1, imaginary part up to FLOAT_TOL * scale."""
-        if self.exact:
-            return sign_if_real(v) == 1
-        return self.sign(v, scale) > 0 and abs(to_complex(v).imag) <= FLOAT_TOL * scale
-
-    def nonneg_positive(self, v, scale: float, base: float) -> tuple[bool, bool]:
-        """(nonneg(v, scale), positive(v, base)), asking an exact value's sign once."""
-        if self.exact:
-            s = sign_if_real(v)
-            return s in (0, 1), s == 1
-        return self.nonneg(v, scale), self.positive(v, base)
-
     def real(self, v) -> bool:
         """Real; a float's imaginary part may be FLOAT_TOL * max(1, |v|)."""
         if self.exact:
@@ -174,20 +176,35 @@ FLOAT = Mode(False)
 
 
 class GroupFunction:
-    """Complex-valued function on a finite abelian group, dense by element index."""
+    """Complex-valued function on a finite abelian group, dense by element index.
+
+    Its mode is exact when every value is an int, Fraction or Cyc, float
+    otherwise; internal constructions pass it through _with_mode instead."""
 
     __slots__ = ("group", "values", "mode")
 
     def __init__(self, group: FiniteAbelianGroup, values: Sequence):
         values = tuple(values)
+        exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
+        self._fill(group, values, EXACT if exact else FLOAT)
+
+    @classmethod
+    def _with_mode(cls, group: FiniteAbelianGroup, values: Sequence,
+                   mode: Mode) -> "GroupFunction":
+        """A function whose mode the caller already knows, the one __init__
+        would decide from the values, so the values are not scanned."""
+        f = cls.__new__(cls)
+        f._fill(group, tuple(values), mode)
+        return f
+
+    def _fill(self, group, values: tuple, mode: Mode) -> None:
         if len(values) != group.order:
             raise ValueError(
                 f"need {group.order} values for {group}, got {len(values)}"
             )
         self.group = group
         self.values = values
-        exact = all(isinstance(v, (int, Fraction, Cyc)) for v in values)
-        self.mode = EXACT if exact else FLOAT
+        self.mode = mode
 
     def __call__(self, x) -> object:
         if isinstance(x, int):
@@ -274,14 +291,15 @@ def fourier_transform(f: GroupFunction, m: HaarScale) -> GroupFunction:
     """f_hat(chi) = scale * sum_x conj(chi(x)) f(x), on the dual group."""
     if f.group != m.group:
         raise ValueError(f"function on {f.group} but Haar scale on {m.group}")
-    out = _character_sums(f.group, f.values, -1, m.scale, f.mode & m.mode)
-    return GroupFunction(dual_group(f.group), out)
+    mode = f.mode & m.mode
+    out = _character_sums(f.group, f.values, -1, m.scale, mode)
+    return GroupFunction._with_mode(dual_group(f.group), out, mode)
 
 
 def inverse_transform(mu: ScaledMeasure) -> GroupFunction:
     """mu_check(x) = sum_chi chi(x) d(mu)(chi), a function on the dual group."""
     out = _character_sums(mu.group, mu.density.values, 1, mu.haar.scale, mu.mode)
-    return GroupFunction(dual_group(mu.group), out)
+    return GroupFunction._with_mode(dual_group(mu.group), out, mu.mode)
 
 
 def transform_rows(f: GroupFunction, rows) -> list:
@@ -302,12 +320,11 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode,
     if mode.exact:
         return _exact_character_sums(E, table, values, sign, scale)
     roots = _complex_roots(E)
+    if sign < 0:  # root k becomes zeta_E^(-k) = roots[(E - k) % E]
+        roots = roots[:1] + roots[:0:-1]
     scale = float(scale)
-    vals = [to_complex(v) for v in values]
-    return [
-        scale * sum(roots[(sign * k) % E] * v for k, v in zip(row, vals))
-        for row in table
-    ]
+    vals = mode.values(values)
+    return [scale * sum(map(mul, map(roots.__getitem__, row), vals)) for row in table]
 
 
 def _exact_character_sums(E: int, table, values, sign: int, scale):
@@ -413,7 +430,8 @@ def pullback(phi: Homomorphism, f: GroupFunction) -> GroupFunction:
     if f.group != phi.target:
         raise ValueError("pullback needs a function on the homomorphism target")
     vals = f.values
-    return GroupFunction(phi.source, [vals[t] for t in hom_index_map(phi)])
+    return GroupFunction._with_mode(phi.source, [vals[t] for t in hom_index_map(phi)],
+                                    f.mode)
 
 
 def pushforward(phi: Homomorphism, mu: ScaledMeasure) -> ScaledMeasure:

@@ -25,6 +25,7 @@ dict and _replace copies one with a changed field.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,28 @@ MAX_GRID_POINTS = 1 << 18  # subintervals per grid axis
 class DerivedFormError(ValueError):
     """A matrix derived from a valid form (its inverse, a Schur complement)
     is not a valid form itself."""
+
+
+def _check_pivots(A) -> None:
+    """Raise unless every pivot of the LDL^T elimination of A is positive.
+
+    Pivot k is the ratio of leading principal minors k and k - 1, so positive
+    pivots are positive minors (Sylvester) without forming a minor, which
+    under- or overflows for forms such as 1e-200 * I.  A pivot below the
+    normal float range has lost precision: it counts as positive only while
+    the leading minor it completes, the product of the pivots so far, is
+    still a positive float."""
+    S = A.tolist()  # Python floats: a step past a tiny pivot overflows without a warning
+    minor = 1.0
+    for k, row in enumerate(S):
+        pivot = row[k]
+        minor *= pivot
+        if not (pivot >= sys.float_info.min or pivot > 0 and minor > 0):
+            raise ValueError(f"leading principal minor {k + 1} is not positive; not SPD")
+        for rest in S[k + 1:]:
+            factor = rest[k] / pivot
+            for j in range(k + 1, len(S)):
+                rest[j] -= factor * row[j]
 
 
 class QuadraticFormSPD:
@@ -54,16 +77,9 @@ class QuadraticFormSPD:
         scale = max(1.0, float(np.abs(A).max()))
         if float(np.abs(A - A.T).max()) > SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric")
-        n = A.shape[0]
-        for k in range(1, n + 1):
-            with np.errstate(all="ignore"):  # a minor may overflow to inf
-                minor = np.linalg.det(A[:k, :k])
-            if not minor > 0:
-                raise ValueError(
-                    f"leading principal minor {k} is not positive; not SPD"
-                )
+        _check_pivots(A)
         self.matrix = A
-        self.dimension = n
+        self.dimension = A.shape[0]
 
     def __call__(self, points):
         """exp(-pi x^T A x) for points of shape (..., n)."""
@@ -137,8 +153,8 @@ def _check_boundary_decay(f, q: GridQuadrature) -> None:
 
 def _check_decay(decay: float) -> None:
     """Reject an integrand whose value at the grid ends, relative to its peak,
-    passes BOUNDARY_DECAY."""
-    if decay > BOUNDARY_DECAY:
+    passes BOUNDARY_DECAY (or is NaN)."""
+    if not decay <= BOUNDARY_DECAY:
         raise ValueError(
             f"insufficient decay at the grid boundary: {decay:.3e} > {BOUNDARY_DECAY}"
         )
@@ -276,7 +292,8 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
     # route (ii): restrict the dual Gaussian and transform back
     b11 = dual_form.matrix[0, 0]
     restricted = lambda p: amp * np.exp(-math.pi * b11 * p[:, 0] ** 2)
-    _, udual = numeric_fourier(restricted, q, xi_points=xs)
+    with np.errstate(over="ignore"):  # an exponent past the float range is -inf
+        _, udual = numeric_fourier(restricted, q, xi_points=xs)
     # the restricted dual is even, so the inverse transform equals the forward one
     udual = udual.real
     udual = udual / udual[origin]
@@ -298,12 +315,15 @@ def gaussian_corestriction_check(Q: QuadraticFormSPD, k: int,
 
 def _marginal_kernel(A: np.ndarray, xs: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """exp(-pi (a00 x^2 + (a01 + a10) x y + a11 y^2)) for x in xs (rows) and
-    y on the axis (columns), in place; bitwise equal to that expression."""
+    y on the axis (columns), in place; bitwise equal to that expression.  An
+    exponent past the float range is -inf, where the kernel is 0 anyway; one
+    whose terms overflow both ways is NaN, which the decay check rejects."""
     x, y = xs[:, None], axis[None, :]
-    out = np.multiply((A[0, 1] + A[1, 0]) * x, y)
-    out += A[0, 0] * x**2
-    out += A[1, 1] * y**2
-    out *= -math.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply((A[0, 1] + A[1, 0]) * x, y)
+        out += A[0, 0] * x**2
+        out += A[1, 1] * y**2
+        out *= -math.pi
     return np.exp(out, out=out)
 
 
@@ -459,12 +479,13 @@ def lattice_sum(Q: QuadraticFormSPD) -> float:
     limit."""
     if Q.dimension != 1:
         raise ValueError(f"lattice sums take a 1x1 form, got dimension {Q.dimension}")
-    total = float(Q([[0.0]]).sum())
-    for radius in range(1, 61):
-        s = float(Q([[-radius], [radius]]).sum())
-        total += s
-        if radius > 1 and s < 1e-16:
-            return total
+    with np.errstate(over="ignore"):  # a z^2 past the float range: the term is 0
+        total = float(Q([[0.0]]).sum())
+        for radius in range(1, 61):
+            s = float(Q([[-radius], [radius]]).sum())
+            total += s
+            if radius > 1 and s < 1e-16:
+                return total
     raise ArithmeticError("lattice sum did not converge within the radius bound")
 
 

@@ -22,7 +22,6 @@ with a changed field by _replace and read one as a dict by _asdict.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -44,6 +43,7 @@ from .cyclotomic import (
     to_complex,
 )
 from .fourier import (
+    EXACT,
     GroupFunction,
     HaarScale,
     ScaledMeasure,
@@ -108,7 +108,7 @@ class PpdVerdict(NamedTuple):
 def evaluate_function(f: GroupFunction) -> PpdVerdict:
     """Full PPD/good verdict for a function, with per-condition bookkeeping."""
     mode = f.mode
-    vals = [mode.value(v) for v in f.values]
+    vals = mode.values(f.values)
     base = abs(to_complex(f.values[0])) or 1.0
     even = _even_rational(f)
     if even:
@@ -117,11 +117,10 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
         tests = [(n >= 0, n > 0) for n in even[0]]
         htests = [(s >= 0, s > 0) for s in hsigns]
     else:
-        hvals = [mode.value(v) for v in fourier_transform(f, counting_haar(f.group)).values]
-        scale, hscale = mode.scale(f.values), mode.scale(hvals)
+        hvals = mode.values(fourier_transform(f, counting_haar(f.group)).values)
         # (nonnegative, strictly positive) per value: each exact sign asked once
-        tests = [mode.nonneg_positive(v, scale, base) for v in vals]
-        htests = [mode.nonneg_positive(v, hscale, base) for v in hvals]
+        tests = mode.tests(vals, mode.scale(vals), base)
+        htests = mode.tests(hvals, mode.scale(hvals), base)
 
     witnesses: list[Witness] = []
     for cond, kind, name, vs, ts, k, what in (
@@ -130,8 +129,8 @@ def evaluate_function(f: GroupFunction) -> PpdVerdict:
         ("3.1.4", "element", "f", vals, tests, 1, "not strictly positive"),
         ("3.1.4", "character", "f_hat", hvals, htests, 1, "not strictly positive"),
     ):
-        witnesses += [Witness(cond, kind, i, f"{name}({i}) = {v} {what}")
-                      for i, (v, t) in enumerate(zip(vs, ts)) if not t[k]]
+        witnesses += [Witness(cond, kind, i, f"{name}({i}) = {vs[i]} {what}")
+                      for i, t in enumerate(ts) if not t[k]]
     failed = {w.condition for w in witnesses}
     is_ppd_flag = not failed & {"2.1.1", "2.1.2"}
     status = {c: "failed" if c in failed else "ok" for c in ("2.1.1", "2.1.2")}
@@ -265,12 +264,14 @@ def normalize_function(f: GroupFunction) -> GroupFunction:
         raise ValueError(f"cannot normalize: f(0) = {v0} is not positive")
     if f.mode.exact and all(is_rational(v) for v in f.values):
         nums = over_common_denominator(f.values)[0]  # v_i / f(0) = n_i / n_0
-        return GroupFunction(f.group, [Fraction(n, nums[0]) for n in nums])
-    if f.mode.exact:
+        values = [Fraction(n, nums[0]) for n in nums]
+    elif f.mode.exact:
         inv = f.mode.inv(v0)
-        return GroupFunction(f.group, [v * inv for v in f.values])
-    v0 = complex(v0).real
-    return GroupFunction(f.group, [complex(v) / v0 for v in f.values])
+        values = [v * inv for v in f.values]
+    else:
+        v0 = complex(v0).real
+        values = [complex(v) / v0 for v in f.values]
+    return GroupFunction._with_mode(f.group, values, f.mode)
 
 
 def normalize_measure(mu: ScaledMeasure) -> ScaledMeasure:
@@ -290,7 +291,8 @@ def normalize_measure(mu: ScaledMeasure) -> ScaledMeasure:
     else:
         # irrational positive mass: fold the inverse into the density
         inv = mu.mode.inv(mass)
-        dens = GroupFunction(mu.group, [v * inv for v in mu.density.values])
+        dens = GroupFunction._with_mode(mu.group, [v * inv for v in mu.density.values],
+                                        mu.mode)
         return ScaledMeasure(mu.group, dens, mu.haar)
     return ScaledMeasure(mu.group, mu.density, HaarScale(mu.group, new_scale))
 
@@ -315,8 +317,9 @@ def _assert_measure_ppd(mu: ScaledMeasure) -> None:
     Ghat = mu.group
     mode = mu.mode
     scale = mode.scale(dens.values)
-    for i, v in enumerate(dens.values):
-        if not mode.nonneg(v, scale):
+    tests = mode.tests(mode.values(dens.values), scale, 1.0)
+    for i, (v, (nonneg, _)) in enumerate(zip(dens.values, tests)):
+        if not nonneg:
             raise AssertionError(f"dual measure not nonnegative at {i}")
         if not mode.eq(v, dens.values[Ghat.neg_index(i)], scale):
             raise AssertionError("dual measure not even")
@@ -384,7 +387,7 @@ def descend_to_quotient(f: GroupFunction, H: Subgroup,
     exactly when f is H-translation-invariant.
     """
     Q = quotient(f.group, H)
-    g = GroupFunction(Q.group, [f.values[r] for r in Q.coset_reps])
+    g = GroupFunction._with_mode(Q.group, [f.values[r] for r in Q.coset_reps], f.mode)
     back = pullback(Q.projection_hom, g)
     scale = f.mode.scale(f.values)
     if not all(f.mode.eq(a, b, scale) for a, b in zip(back.values, f.values)):
@@ -402,6 +405,8 @@ def descend_to_quotient(f: GroupFunction, H: Subgroup,
 def derived_rng(seed: int, tag: str, key) -> random.Random:
     """A generator seeded from sha256 of f"{seed}|{tag}|{key}": one stream per
     case, the same in every process."""
+    import hashlib  # seeding alone needs it; commands without samples skip its load
+
     payload = f"{seed}|{tag}|{key}".encode()
     return random.Random(int.from_bytes(hashlib.sha256(payload).digest()[:8], "big"))
 
@@ -463,7 +468,7 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
             memo[key] = from_int_coords(power_coords(enumerate(buckets), E, E),
                                         root_sum(zip(exps, ints), E, E)[1], E, D)
         values.append(memo[key])
-    return GroupFunction(G, values)
+    return GroupFunction._with_mode(G, values, EXACT)
 
 
 def sample_ppd(G: FiniteAbelianGroup, seed: int) -> GroupFunction:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclotomic import is_rational, to_complex, unit_root
-from .fourier import GroupFunction, HaarScale, ScaledMeasure
+from .fourier import EXACT, FLOAT, GroupFunction, HaarScale, ScaledMeasure
 from .groups import FiniteAbelianGroup, format_group, parse_group
 
 
@@ -93,7 +93,7 @@ def function_from_dict(d: dict, mode: str = "exact") -> GroupFunction:
         raise ValueError('"group" must be a string and "values" a list')
     group = parse_group(d["group"])
     values = [_parse_value(v, mode) for v in d["values"]]
-    return GroupFunction(group, values)
+    return GroupFunction._with_mode(group, values, EXACT if mode == "exact" else FLOAT)
 
 
 def function_to_dict(f: GroupFunction) -> dict:

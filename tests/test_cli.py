@@ -12,8 +12,9 @@ import pytest
 import ppdlab
 from ppdlab.cli import main
 from ppdlab.constructions import pointwise_product
-from ppdlab.fourier import convolve
+from ppdlab.fourier import GroupFunction, convolve
 from ppdlab.serialize import function_from_dict, measure_from_dict
+from ppdlab.sweeps import cone_membership_sweep, full_sweep, structure_sweep
 
 
 def write(tmp_path, name, payload):
@@ -212,6 +213,12 @@ ERROR_PATHS = {
         # dual route then fails on the grid, not on a NaN gap
         ["gaussian", "--check", "corestriction", "--form", "1e160,0;0,1e160", "--k", "1"],
         None, "error: insufficient decay at the grid boundary: 1.000e+00 > 1e-14", 2),
+    "SPD form whose leading minors underflow": (
+        # det(A) = 1e-400 underflows, yet every LDL^T pivot is 1e-200: the form
+        # passes the SPD test and fails on its lattice sum instead
+        ["gaussian", "--check", "goodness", "--form", "1e-200,0;0,1e-200"], None,
+        "error: goodness probe failed for form '1e-200,0;0,1e-200': lattice sum did not "
+        "converge within the radius bound", 2),
     "corestriction marginal truncated by the grid": (
         # a11 = 0.05 leaves the marginal integrand at 0.134 at y = -8 and 8
         ["gaussian", "--check", "corestriction", "--form", "1,0.2;0.2,0.05", "--k", "1"],
@@ -584,6 +591,34 @@ def test_gaussian_goodness_with_a_determinant_past_the_float_range(capsys):
     assert json.loads(capsys.readouterr().out)["transform_strictly_positive"] is True
 
 
+@pytest.mark.parametrize("form", ["1e200,0;0,1e200", "4e307,0;0,4e307", "4e307,0;0,1",
+                                  "1e307,0;0,1e-307", "1e307,9e306;9e306,1e307"])
+def test_gaussian_forms_with_entries_near_the_float_limit(form, capsys):
+    # every pivot of A and of its inverse is a positive normal float, though
+    # det(A^-1) may underflow: the forms are valid and goodness holds; the
+    # corestriction's dual route does not decay on the grid; the lattice sum's
+    # and the marginal kernel's overflow (to -inf, or NaN where the kernel's
+    # terms overflow both ways) raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian", "--check", "goodness", "--form", form]) == 0
+        assert json.loads(capsys.readouterr().out)["transform_strictly_positive"] is True
+        assert main(["gaussian", "--check", "corestriction", "--form", form, "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: insufficient decay at the grid boundary: ") and err.count("\n") == 1
+
+
+def test_gaussian_corestriction_with_a_steep_dual_raises_no_warning(capsys):
+    # b11 = 1 / 2.7e-307: the restricted dual's exponent passes the float range
+    # off the origin, where the dual Gaussian is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian", "--check", "corestriction", "--form", "2.7e-307,0;0,1e182",
+                     "--k", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert max(v for k, v in report.items() if k.startswith("max_gap_")) < 1e-12
+
+
 def test_gaussian_goodness_unconverged_lattice_sum_exit_2(capsys):
     # a flat form makes the lattice sum run past its radius bound
     assert main(["gaussian", "--check", "goodness", "--form", "0.001,0;0,0.001"]) == 2
@@ -699,3 +734,36 @@ def test_cone_atlas_and_csv_golden(tmp_path, capsys):
     assert main(["cone", "Z10", "--rays", "--csv", str(csv_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CSV_GOLDEN_Z10
+
+
+def test_internal_constructions_pass_the_mode_the_scan_decides(tmp_path, monkeypatch,
+                                                                capsys):
+    """Every GroupFunction built with a known mode gets the one the public
+    constructor's scan of its values decides: over the sweeps and the float
+    (and exact) function commands."""
+    made = []
+    with_mode = GroupFunction._with_mode.__func__
+
+    def checked(cls, group, values, mode):
+        f = with_mode(cls, group, values, mode)
+        made.append((f.mode, GroupFunction(group, f.values).mode))
+        return f
+
+    monkeypatch.setattr(GroupFunction, "_with_mode", classmethod(checked))
+    full_sweep(max_order=8, samples=4, seed=1)
+    structure_sweep(max_order=16, samples=4, seed=1)
+    cone_membership_sweep(max_order=8, samples=12, seed=1)
+    good = write(tmp_path, "good.json", GOOD)
+    not_ppd = write(tmp_path, "not_ppd.json", {"group": "Z4", "values": ["1", "1/2", "-1/10", "1/2"]})
+    measure = write(tmp_path, "mu.json", dict(GOOD, haar_scale="1/4"))
+    for mode in ("float", "exact"):
+        for argv in (["check", good, "--good"], ["check", not_ppd],
+                     ["restrict", good, "--generators", "[[2]]"],
+                     ["corestrict", good, "--generators", "[[2]]"],
+                     ["product", good, good], ["product", good, good, "--external"],
+                     ["convolve", measure, measure]):
+            assert main(["--mode", mode] + argv) in (0, 1)
+    capsys.readouterr()
+    modes = {passed.exact for passed, _ in made}
+    assert modes == {True, False}
+    assert all(passed is scanned for passed, scanned in made)

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab.cyclotomic import scalar_eq, to_complex, unit_root
+from ppdlab.cyclotomic import scalar_eq, sign_if_real, to_complex, unit_root
 from ppdlab.fourier import (
     EXACT,
+    FLOAT,
+    FLOAT_TOL,
+    STRICT_TIE_TOL,
     GroupFunction,
     HaarScale,
     ScaledMeasure,
     _character_sums,
+    _complex_roots,
     convolve,
     counting_haar,
     dual_haar,
@@ -520,3 +524,103 @@ def test_inversion_property(moduli, data):
         measure_from_function(fourier_transform(f, m), dual_haar(m))
     )
     assert all(scalar_eq(a, b) for a, b in zip(back.values, f.values))
+
+
+# -- whole-vector Mode tests against the per-value tests they replaced ----------
+
+
+def _old_value(mode, v):
+    return v if mode.exact else complex(to_complex(v))
+
+
+def _old_scale(mode, values):
+    if mode.exact:
+        return 1.0
+    return max([1.0] + [abs(to_complex(v)) for v in values])
+
+
+def _old_nonneg_positive(mode, v, scale, base):
+    """(nonneg(v, scale), positive(v, base)) as Mode answered them one value at
+    a time, the float sign inlined."""
+    if mode.exact:
+        s = sign_if_real(v)
+        return s in (0, 1), s == 1
+    c = to_complex(v)
+    nonneg = abs(c.imag) <= FLOAT_TOL * scale and c.real >= -FLOAT_TOL * scale
+    x = c.real
+    sign = (x > STRICT_TIE_TOL * base) - (x < -STRICT_TIE_TOL * base)
+    return nonneg, sign > 0 and abs(c.imag) <= FLOAT_TOL * base
+
+
+def _bits(v):
+    """A float or complex by its bits (the sign of a zero included), else its repr."""
+    if isinstance(v, (float, complex)):
+        return (float(v.real).hex(), float(v.imag).hex())
+    return repr(v)
+
+
+@st.composite
+def _real_field_values(draw, n):
+    v = draw(_field_values(n))
+    return v + v.conjugate()
+
+
+_exact_values = st.one_of(
+    st.integers(min_value=-5, max_value=5), _small_fractions,
+    _field_values(5), _field_values(8), _real_field_values(5), _real_field_values(12),
+)
+_float_mode_values = st.one_of(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e6, max_value=1e6), st.sampled_from([0.0, -0.0, 1.0]),
+    _exact_values,
+)
+
+
+def _boundary_values(scale, base):
+    """Values with a real or imaginary part at, or one ulp either side of,
+    +-FLOAT_TOL * scale, +-STRICT_TIE_TOL * base and +-FLOAT_TOL * base."""
+    out = []
+    for t in (FLOAT_TOL * scale, STRICT_TIE_TOL * base, FLOAT_TOL * base):
+        for u in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)):
+            for x in (u, -u):
+                out += [complex(x, 0.0), complex(1.0, x), complex(x, x)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_vs=st.lists(_exact_values, min_size=1, max_size=8),
+       float_vs=st.lists(_float_mode_values, min_size=1, max_size=8),
+       base_kind=st.sampled_from(["f(0)", "one", "large"]))
+def test_mode_vector_methods_match_the_per_value_methods(exact_vs, float_vs, base_kind):
+    for mode, vs in ((EXACT, exact_vs), (FLOAT, float_vs)):
+        scale = mode.scale(vs)
+        assert scale == _old_scale(mode, vs)
+        base = {"f(0)": abs(to_complex(vs[0])) or 1.0, "one": 1.0, "large": 1e5}[base_kind]
+        if not mode.exact:
+            vs = vs + _boundary_values(scale, base)
+        vals = mode.values(vs)
+        old = [_old_value(mode, v) for v in vs]
+        assert [_bits(v) for v in vals] == [_bits(v) for v in old]
+        # evaluate_function measures the converted values
+        assert mode.scale(vals) == _old_scale(mode, vs)
+        assert mode.tests(vals, scale, base) == [
+            _old_nonneg_positive(mode, v, scale, base) for v in old
+        ]
+
+
+@pytest.mark.parametrize("group", ["Z6xZ2", "Z16", "Z3xZ3"])
+def test_float_character_sums_match_the_per_term_sum_bitwise(group):
+    G = parse_group(group)
+    E, table = G.exponent(), exponent_table(G.moduli)
+    roots = _complex_roots(E)
+    rng = random.Random(group)
+    values = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(G.order)]
+    values[1:4] = [complex(-0.0, -0.0), complex(0.0, -0.0), 2.5]
+    for sign in (1, -1):
+        for scale in (Fraction(1), Fraction(1, 3), 0.37):
+            for rows in (None, [G.order - 1, 0, 2]):
+                got = _character_sums(G, values, sign, scale, FLOAT, rows)
+                want = [float(scale) * sum(roots[(sign * k) % E] * to_complex(v)
+                                           for k, v in zip(table[b], values))
+                        for b in (range(G.order) if rows is None else rows)]
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]

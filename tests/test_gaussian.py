@@ -36,6 +36,24 @@ def test_quadratic_form_validation():
         QuadraticFormSPD([[0.0]])
 
 
+def test_spd_test_takes_forms_whose_leading_minors_underflow():
+    # every pivot is positive while det(A) underflows to 0: the form is SPD
+    for form in ([[1e-200, 0.0], [0.0, 1e-200]], [[2e-200, 1e-200], [1e-200, 2e-200]],
+                 np.diag([1e-150, 1e-150, 1e-150]).tolist()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = QuadraticFormSPD(form)
+            dual, amplitude = gaussian_fourier_closed_form(Q)
+        assert np.allclose(dual.matrix @ Q.matrix, np.eye(Q.dimension))
+        assert math.isfinite(amplitude) and amplitude > 0
+    # a non-positive pivot names its leading minor, as the determinants did
+    for form, k in (([[1.0, 2.0], [2.0, 1.0]], 2), ([[0.0, 1.0], [1.0, 1.0]], 1),
+                    ([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], 3),
+                    ([[1e-320, 1.0], [1.0, 1.0]], 2)):
+        with pytest.raises(ValueError, match=f"^leading principal minor {k} is not positive"):
+            QuadraticFormSPD(form)
+
+
 def test_grid_validation():
     GridQuadrature(8.0, 512)
     with pytest.raises(ValueError):
