@@ -43,8 +43,10 @@ class PreconditionError(ValueError):
 
 
 def require_normalized_good(f: GroupFunction, op: str) -> GroupFunction:
-    """Normalize f and verify it is a normalized good function."""
-    f = normalize_function(f)
+    """Normalize f and verify it is a normalized good function.  An f(0) that
+    is not a positive real cannot be normalized, and f is judged as it is."""
+    if f.mode.positive_real(f.values[0]):
+        f = normalize_function(f)
     verdict = evaluate_function(f)
     if not verdict.is_good:
         failed = sorted(

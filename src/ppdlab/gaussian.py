@@ -425,17 +425,25 @@ def _series_transform(spots: np.ndarray, n_terms: int,
     decayed, are rejected before any quadrature runs.  The quadratures that
     share a point count run as one folded trapezoid sum.
     """
-    squares = np.array([float(n**2) for n in range(1, n_terms + 1)])
-    scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
-    # row per spot: frequencies of the x factors of terms 1..n, then the y factors
-    nu = (np.repeat(spots, n_terms, axis=1) / scale).ravel()
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        need = 4 * q.half_width * (np.abs(nu) + 4)
-    if need.max() >= MAX_GRID_POINTS:  # int(need) + 1 points, rounded up to even
+    # |frequency| peaks on term 1's x factor and term n's y factor (each scale
+    # below is monotone in n): the largest grid is checked before any per-term
+    # array is built, and a square past the float range is an infinite frequency
+    try:
+        last = math.sqrt(1.0 / float(n_terms**2))
+    except OverflowError:
+        last = 0.0
+    with np.errstate(over="ignore", divide="ignore"):  # inf is rejected below
+        top = 4 * q.half_width * (np.abs(spots / [1.0, last]) + 4)
+    if top.max() >= MAX_GRID_POINTS:  # int(need) + 1 points, rounded up to even
         raise ValueError(f"the series transform needs grids of more than "
                          f"{MAX_GRID_POINTS} points at half_width {q.half_width}")
     # after the limit: at a half-width past the limit u^2 may overflow
     _check_boundary_decay(lambda p: np.exp(-math.pi * p[:, 0] ** 2), q)
+    squares = np.array([float(n**2) for n in range(1, n_terms + 1)])
+    scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
+    # row per spot: frequencies of the x factors of terms 1..n, then the y factors
+    nu = (np.repeat(spots, n_terms, axis=1) / scale).ravel()
+    need = 4 * q.half_width * (np.abs(nu) + 4)
     n_pts = np.maximum(q.points, need.astype(np.int64) + 1)
     n_pts += n_pts % 2
     quad = np.empty(len(nu), dtype=complex)

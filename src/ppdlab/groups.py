@@ -3,24 +3,24 @@
 A group is a list of cyclic moduli; elements are residue tuples, indexed by a
 fixed little-endian mixed-radix bijection with 0..order-1.  Two groups are
 equal exactly when their moduli lists are equal (no invariant-factor
-canonicalization).  Subgroups are stored extensionally; subgroup and quotient
-realizations as abstract groups are produced by Smith normal form, which
-keeps every construction deterministic.
+canonicalization), and the pairing identifies the dual group with G itself.
+Subgroups are stored extensionally; subgroup and quotient realizations as
+abstract groups are produced by Smith normal form, which keeps every
+construction deterministic.
 
 Hot loops never do tuple arithmetic.  They work on element indices through
-the index kernel: a neg table neg[i] = -i, built in O(|G|) over the
-mixed-radix digits and held on each group instance; per moduli, an add table
-add[i][j] = i + j, built only by callers that add (|G|^2 ints, 4096 at order
-64), one cyclic factor at a time; and, per homomorphism, the index map
-hom_index_map(phi) sending each source index to the index of its image.
-Index 0 is always the identity.
+the index kernel, cached per moduli tuple: a neg table neg[i] = -i, built in
+O(|G|) over the mixed-radix digits; an add table add[i][j] = i + j, built
+only by callers that add (|G|^2 ints, 4096 at order 64), one cyclic factor at
+a time; and, per homomorphism, the index map hom_index_map(phi) sending each
+source index to the index of its image.  Index 0 is always the identity.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import intlinalg
 
@@ -32,7 +32,7 @@ Element = tuple[int, ...]
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups Z_{n1} + ... + Z_{nk}."""
 
-    __slots__ = ("moduli", "order", "_weights", "_tables", "_neg")
+    __slots__ = ("moduli", "order", "_weights")
 
     def __init__(self, moduli: Sequence[int]):
         moduli = tuple(int(n) for n in moduli)
@@ -48,8 +48,6 @@ class FiniteAbelianGroup:
             w.append(acc)
             acc *= n
         self._weights = tuple(w)
-        self._tables = None
-        self._neg = None
 
     # -- identity ------------------------------------------------------------
 
@@ -112,26 +110,19 @@ class FiniteAbelianGroup:
 
     @property
     def neg_table(self) -> tuple[int, ...]:
-        """neg[i] is the index of -element(i), built one digit at a time."""
-        if self._neg is None:
-            neg = [0]
-            for n, w in zip(self.moduli, self._weights):
-                neg = [t + w * (-r % n) for r in range(n) for t in neg]
-            self._neg = tuple(neg)
-        return self._neg
+        """neg[i] is the index of -element(i)."""
+        return _neg_table(self.moduli)
 
     @property
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(add, neg): add[i][j] is the index of element(i) + element(j) and
         neg the neg table."""
-        if self._tables is None:
-            self._tables = (_add_table(self.moduli), self.neg_table)
-        return self._tables
+        return _add_table(self.moduli), _neg_table(self.moduli)
 
     def neg_index(self, i: int) -> int:
         if not 0 <= i < self.order:
             raise IndexError(f"element index {i} out of range for {self}")
-        return self.neg_table[i]
+        return _neg_table(self.moduli)[i]
 
     def exponent(self) -> int:
         return math.lcm(*self.moduli)
@@ -149,14 +140,24 @@ def _add_table(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _neg_table(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Built one digit at a time, as _add_table is."""
+    neg, m = [0], 1
+    for n in moduli:
+        neg = [t + m * (-r % n) for r in range(n) for t in neg]
+        m *= n
+    return tuple(neg)
+
+
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:
     """Build the direct sum of cyclic groups with the given moduli."""
     return FiniteAbelianGroup(moduli)
 
 
 def dual_group(G: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    """Character group; finite abelian groups are self-dual with the same moduli."""
-    return FiniteAbelianGroup(G.moduli)
+    """Character group: the pairing identifies it with G itself."""
+    return G
 
 
 def parse_group(text: str) -> FiniteAbelianGroup:
@@ -210,9 +211,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_tuples(self) -> list[Element]:
-        return [self.parent.element(i) for i in self.elements]
 
     def __eq__(self, other):
         return (
@@ -409,41 +407,28 @@ def dual_hom(phi: Homomorphism) -> Homomorphism:
 
 
 def annihilator(G: FiniteAbelianGroup, H: Subgroup) -> Subgroup:
-    """Characters of G trivial on H, as a subgroup of the dual group."""
+    """Characters of G trivial on H, as a subgroup of the dual group: those
+    trivial on H's generators."""
     if H.parent != G:
         raise ValueError("subgroup belongs to a different group")
     Ghat = dual_group(G)
-    E = G.exponent()
-    h_tuples = H.element_tuples()
-    members = [
-        Ghat.index(a)
-        for a in Ghat.elements()
-        if all(pairing_exponent(G, a, h) % E == 0 for h in h_tuples)
-    ]
-    gens = _greedy_generators(Ghat, frozenset(members))
-    return Subgroup(Ghat, members, gens)
+    members = frozenset(i for i, a in enumerate(Ghat.elements())
+                        if all(pairing_exponent(G, a, h) == 0 for h in H.generators))
+    return Subgroup(Ghat, members, _greedy_generators(Ghat, members))
 
 
 # -- quotients -------------------------------------------------------------------
 
 
-class QuotientGroup:
+class QuotientGroup(NamedTuple):
     """Coset space of a subgroup, realized as an abstract group via SNF."""
 
-    __slots__ = ("parent", "subgroup", "group", "projection_hom",
-                 "coset_reps", "projection")
-
-    def __init__(self, parent, subgroup, group, projection_hom, coset_reps,
-                 projection):
-        self.parent = parent
-        self.subgroup = subgroup
-        self.group = group
-        self.projection_hom = projection_hom
-        self.coset_reps = coset_reps
-        self.projection = projection
-
-    def __repr__(self):
-        return f"QuotientGroup({self.parent} / {list(self.subgroup.elements)})"
+    parent: FiniteAbelianGroup
+    subgroup: Subgroup
+    group: FiniteAbelianGroup
+    projection_hom: Homomorphism
+    coset_reps: tuple[int, ...]
+    projection: tuple[int, ...]
 
 
 def quotient(G: FiniteAbelianGroup, H: Subgroup) -> QuotientGroup:

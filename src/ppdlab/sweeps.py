@@ -43,7 +43,6 @@ from .groups import (
     hom_index_map,
     make_group,
     quotient,
-    subgroup_from_generators,
 )
 from .ppd import (
     bochner_oracle,
@@ -305,17 +304,14 @@ def _duality_square_commutes(f, G, H) -> bool:
 
     lhs = normalized_dual(restrict(f, H), require_good=False)
     fd = normalized_dual(f, require_good=False)
-    Ghat = fd.group
-    perp = subgroup_from_generators(
-        Ghat, [Ghat.element(i) for i in annihilator(G, H).elements]
-    )
+    perp = annihilator(G, H)
     rhs = corestrict(fd, perp)
-    Qp = quotient(Ghat, perp)
+    Qp = quotient(G, perp)
     H_abs, incl = H.as_group()
     restr = hom_index_map(dual_hom(incl))
     return all(
         scalar_eq(lhs.values[restr[i]], rhs.values[Qp.projection[i]])
-        for i in range(Ghat.order)
+        for i in range(G.order)
     )
 
 

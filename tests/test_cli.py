@@ -232,6 +232,11 @@ ERROR_PATHS = {
         ["gaussian", "--check", "counterexample", "--half-width", "1e300"], None,
         "error: the series transform needs grids of more than 262144 points at "
         "half_width 1e+300", 2),
+    "counterexample terms past the grid limit": (
+        # decided from the largest frequency, before any per-term array
+        ["gaussian", "--check", "counterexample", "--terms", "1000000000"], None,
+        "error: the series transform needs grids of more than 262144 points at "
+        "half_width 8.0", 2),
     "counterexample grid truncates the integrand": (
         # exp(-pi u^2) is 0.456 at u = 0.5: rejected before any quadrature
         ["gaussian", "--check", "counterexample", "--half-width", "0.5"], None,
@@ -300,6 +305,21 @@ def test_error_paths_pin_stderr_and_exit(case, tmp_path, monkeypatch, capsys):
     assert out.out == ""
     assert out.err == err.format(**paths) + "\n"
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("op", ["restrict", "corestrict"])
+@pytest.mark.parametrize("v0, failed", [
+    (0, ["3.1.4"]), (-1, ["2.1.1", "2.1.2", "3.1.4"]),
+    (["0", "1"], ["2.1.1", "2.1.2", "3.1.4"])])
+def test_unnormalizable_input_fails_the_precondition(mode, op, v0, failed, tmp_path,
+                                                     capsys):
+    """An f(0) that is not a positive real is a failed precondition (exit 1)."""
+    path = write(tmp_path, "f.json", {"group": "Z2", "values": [v0, 0]})
+    assert main(["--mode", mode, op, path, "--generators", "[[1]]"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{op} needs a good input; failed conditions {failed}\n"
 
 
 def test_cone_rays_and_csv(tmp_path, capsys):

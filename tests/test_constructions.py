@@ -440,9 +440,7 @@ def test_duality_square():
             lhs = normalized_dual(restrict(f, H))  # on the dual of H_abs
             fd = normalized_dual(f)  # on the dual of G
             Ghat = fd.group
-            perp = subgroup_from_generators(
-                Ghat, [Ghat.element(i) for i in annihilator(G, H).elements]
-            )
+            perp = annihilator(G, H)
             rhs = corestrict(fd, perp)  # on Ghat / H_perp
             Qp = quotient(Ghat, perp)
             H_abs, incl = H.as_group()

@@ -252,6 +252,17 @@ def test_dual_haar_golden():
     assert abs(dual_haar(md).scale - 1 / (0.5 * 4)) < 1e-15
 
 
+def test_transforms_land_on_the_same_group():
+    for G in (Z4, make_group([3, 2])):
+        m = counting_haar(G)
+        for values in ([Fraction(k + 1) for k in range(G.order)],
+                       [float(k + 1) for k in range(G.order)]):
+            f = GroupFunction(G, values)
+            assert fourier_transform(f, m).group is f.group
+            assert inverse_transform(measure_from_function(f, m)).group is f.group
+        assert dual_haar(m).group is G
+
+
 def test_dual_haar_self_dual_scale():
     import math
 

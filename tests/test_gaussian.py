@@ -265,6 +265,36 @@ def test_counterexample_checks_its_grids_before_any_quadrature():
         _series_transform(SERIES_SPOTS, 7444, GridQuadrature())
 
 
+def test_series_grid_limit_is_decided_before_any_per_term_array(monkeypatch):
+    # the decision from the largest frequency alone equals the one over every
+    # term's frequency, and it comes before the decay check and the arrays
+    class LimitPassed(Exception):
+        pass
+
+    def limit_passed(*args):
+        raise LimitPassed
+
+    monkeypatch.setattr(gaussian, "_check_boundary_decay", limit_passed)
+    for half_width in (3.0, 7.5, 8.0, 12.25, 1e6):
+        q = GridQuadrature(half_width)
+        edge = int((MAX_GRID_POINTS / (4 * half_width) - 4) / 1.1)
+        for n in {*range(2, 12), *range(max(2, edge - 4), edge + 5)}:
+            squares = np.array([float(k**2) for k in range(1, n + 1)])
+            scale = np.array([math.sqrt(a) for a in [*squares, *(1.0 / squares)]])
+            nu = (np.repeat(SERIES_SPOTS, n, axis=1) / scale).ravel()
+            rejected = (4 * half_width * (np.abs(nu) + 4)).max() >= MAX_GRID_POINTS
+            with pytest.raises(ValueError if rejected else LimitPassed):
+                _series_transform(SERIES_SPOTS, n, q)
+    with pytest.raises(LimitPassed):  # the default grid takes 7443 terms, not 7444
+        _series_transform(SERIES_SPOTS, 7443, GridQuadrature())
+    # a term count whose square leaves the float range needs an infinite grid
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for n in (10**9, 10**200):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                counterexample_probe(n)
+
+
 def test_counterexample_rejects_a_truncating_half_width(monkeypatch):
     # exp(-pi u^2) is 0.456 at u = 0.5 and 3.5e-6 at u = 2: every quadrature
     # of the probe would be truncated, so none runs

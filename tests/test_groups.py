@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab import intlinalg
+from ppdlab import groups, intlinalg
 from ppdlab.cone import ppd_cone_hrep
 from ppdlab.fourier import exponent_table
 from ppdlab.groups import (
@@ -128,11 +128,23 @@ def test_index_tables_match_tuple_arithmetic():
                 assert exponents[i][j] == pairing_exponent(G, x, y)
 
 
-def test_cone_hrep_builds_no_add_table():
+def test_cone_hrep_builds_no_add_table(monkeypatch):
+    def no_add_table(moduli):
+        raise AssertionError(f"add table built for {moduli}")
+
+    monkeypatch.setattr(groups, "_add_table", no_add_table)
     G = make_group([4, 2])
-    ppd_cone_hrep.__wrapped__(G)  # the uncached body, on this instance
-    assert G._tables is None
+    ppd_cone_hrep.__wrapped__(G)  # the uncached body
     assert G.neg_table == tuple(G.index(G.neg(x)) for x in G.elements())
+
+
+def test_groups_are_plain_values():
+    for moduli in ([1], [4], [6, 2], [2, 2, 2]):
+        G, twin = make_group(moduli), make_group(moduli)
+        assert G.__slots__ == ("moduli", "order", "_weights")
+        assert dual_group(G) is G
+        assert twin.neg_table is G.neg_table
+        assert twin.index_tables[0] is G.index_tables[0]
 
 
 def test_hom_index_map_matches_hom_apply():
