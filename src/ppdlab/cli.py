@@ -1,5 +1,14 @@
 """Command-line front end: verdicts, sweeps, cone atlases, Gaussian probes.
 
+One table defines the command line: GLOBAL_OPTIONS, and COMMANDS with each
+command's handler, positionals, options and required options.  parse_args
+reads argv against the lookup tables build_parser makes from it, in one pass
+and with argparse's grammar (the global options before the command name or,
+as each command lists them, after it; --opt=value; unique prefixes of long
+options; "--"; negative numbers as values), and no argparse import.  -h
+prints the help and exits 0; a usage error prints a usage line and
+"ppdlab...: error: ..." to stderr and raises SystemExit(2).
+
 Exit codes: 0 = requested property holds / report written, 1 = property
 fails, 2 = bad input (parse errors, malformed matrices, bound violations,
 an unwritable --out or --csv path).  Reports are plain JSON with sorted keys
@@ -9,11 +18,13 @@ writes json.dumps(payload, indent=2, sort_keys=True) in one pass.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .cone import (
     HREP_ORDER_BOUND,
@@ -271,111 +282,277 @@ def cmd_gaussian(args) -> int:
     raise ValueError(f"unknown gaussian check {args.check!r}")
 
 
+# -- the command line -----------------------------------------------------------
+#
+# One table defines it.  An option is (dest, convert, default, help): convert
+# is int, float or str, the tuple of the strings it accepts, or None for a
+# flag that stores True.
+
+GLOBAL_OPTIONS = {
+    "--mode": ("mode", ("exact", "float"), "exact",
+               "arithmetic mode for parsing function files"),
+    "--tol": ("tol", float, 1e-9,
+              "pass/fail tolerance on the gaps of gaussian --check selfdual "
+              "and corestriction"),
+    "--out": ("out", str, None, "write the JSON report here"),
+    "--seed": ("seed", int, None,
+               "seed for sampled sweeps (mandatory where sampling occurs)"),
+    "--max-order": ("max_order", int, None,
+                    "group-order bound; also capped by PPDLAB_MAX_ORDER"),
+}
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    positionals: tuple
+    options: dict
+    required: tuple = ()  # options that must be given
+    exclusive: tuple = ()  # flags that exclude each other
+    late: tuple = ()  # global options besides --mode, --tol, --out taken after the name
+
+
+_SAMPLES = {"--samples": ("samples", int, 20, "samples per sweep")}
+_GENERATORS = {"--generators": ("generators", str, None,
+                                'subgroup generators as JSON, e.g. "[[2]]"')}
+
+COMMANDS = {
+    "check": Command(
+        cmd_check, "PPD/goodness verdict for a function file", ("function",),
+        {"--ppd": ("ppd", None, True, "exit 0 iff the function is PPD (the default)"),
+         "--good": ("good", None, False, "exit 0 iff the function is good")},
+        exclusive=("--ppd", "--good")),
+    "sweep": Command(cmd_sweep, "seeded bundle of consistency sweeps", (), _SAMPLES,
+                     late=("--max-order", "--seed")),
+    "verify-4-1": Command(cmd_verify_4_1, "corestriction two-route consistency sweep",
+                          (), _SAMPLES, late=("--max-order", "--seed")),
+    "cone": Command(
+        cmd_cone, "H-representation and extremal rays", ("group",),
+        {"--rays": ("rays", None, False,
+                    "extremal rays, self-duality and field certificates"),
+         "--csv": ("csv", str, None, "write the rays as CSV here (needs --rays)")},
+        late=("--max-order",)),
+    "cone-atlas": Command(
+        cmd_cone_atlas, "cone data for every group up to an order", (),
+        {"--no-rays": ("no_rays", None, False, "inequalities only")},
+        late=("--max-order",)),
+    "restrict": Command(cmd_restrict, "pull a good function back to a subgroup",
+                        ("function",), _GENERATORS, required=("--generators",)),
+    "corestrict": Command(cmd_restrict, "corestrict a good function to a quotient",
+                          ("function",), _GENERATORS, required=("--generators",)),
+    "product": Command(
+        cmd_product, "pointwise or external product", ("left", "right"),
+        {"--external": ("external", None, False, "external product on the direct sum")}),
+    "convolve": Command(cmd_convolve, "convolution of two measures", ("left", "right"), {}),
+    "gaussian": Command(
+        cmd_gaussian, "numeric Gaussian probes on R^n", (),
+        {"--form": ("form", str, "1", 'symmetric matrix, rows ";"-separated: "2,1;1,2"'),
+         "--check": ("check", ("selfdual", "corestriction", "counterexample", "goodness"),
+                     None, "the probe to run"),
+         "--k": ("k", int, 1, "coordinate split"),
+         "--terms": ("terms", int, 10, "partial-sum length for the counterexample probe"),
+         "--half-width": ("half_width", float, 8.0, "grid half-width"),
+         "--points": ("points", int, 512, "grid points")},
+        required=("--check",)),
+}
+
+_DESCRIPTION = ("Exact and numeric verification for positive positive-definite "
+                "functions on finite abelian groups and Gaussian probes on R^n.")
+_HELP = ("help", None, None, "show this help message and exit")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The ppdlab parser, built once: parse_args gives a fresh namespace per call."""
-    p = argparse.ArgumentParser(
-        prog="ppdlab",
-        description=(
-            "Exact and numeric verification for positive positive-definite "
-            "functions on finite abelian groups and Gaussian probes on R^n."
-        ),
-    )
-    p.add_argument("--mode", choices=["exact", "float"], default="exact",
-                   help="arithmetic mode for parsing function files")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="pass/fail tolerance for numeric checks")
-    p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for sampled sweeps (mandatory where sampling occurs)")
-    p.add_argument("--max-order", type=int, default=None,
-                   help="group-order bound; also capped by PPDLAB_MAX_ORDER")
-    sub = p.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The lookup tables of the command line, built once from the command
+    table: for the global level (key None) and for each command, its option
+    strings and the attribute values a parse starts from."""
+    tables = {None: ({"-h": _HELP, "--help": _HELP, **GLOBAL_OPTIONS},
+                     {opt[0]: opt[2] for opt in GLOBAL_OPTIONS.values()})}
+    for name, cmd in COMMANDS.items():
+        late = ("--mode", "--tol", "--out") + cmd.late
+        options = {"-h": _HELP, "--help": _HELP, **cmd.options,
+                   **{flag: GLOBAL_OPTIONS[flag] for flag in late}}
+        start = dict.fromkeys(cmd.positionals)
+        start.update((opt[0], opt[2]) for opt in cmd.options.values())
+        start.update(command=name, func=cmd.handler)
+        tables[name] = options, start
+    return tables
 
-    def local(parser, *names, **kwargs):
-        # same option accepted after the subcommand without clobbering a
-        # value that was given globally
-        kwargs["default"] = argparse.SUPPRESS
-        parser.add_argument(*names, **kwargs)
 
-    c = sub.add_parser("check", help="PPD/goodness verdict for a function file")
-    c.add_argument("function")
-    flag = c.add_mutually_exclusive_group()
-    flag.add_argument("--ppd", action="store_true", default=True)
-    flag.add_argument("--good", action="store_true", default=False)
-    c.set_defaults(func=cmd_check)
+def _spelled(flag: str, opt) -> str:
+    """An option as usage and help show it: --rays, --k K, --mode {exact,float}."""
+    dest, convert = opt[:2]
+    if convert is None:
+        return flag
+    if type(convert) is tuple:
+        return f"{flag} {{{','.join(convert)}}}"
+    return f"{flag} {dest.upper()}"
 
-    s = sub.add_parser("sweep", help="seeded bundle of consistency sweeps")
-    local(s, "--max-order", type=int)
-    s.add_argument("--samples", type=int, default=20)
-    local(s, "--seed", type=int)
-    s.set_defaults(func=cmd_sweep)
 
-    v = sub.add_parser("verify-4-1",
-                       help="corestriction two-route consistency sweep")
-    local(v, "--max-order", type=int)
-    v.add_argument("--samples", type=int, default=20)
-    local(v, "--seed", type=int)
-    v.set_defaults(func=cmd_verify_4_1)
+def _usage(name) -> str:
+    """The usage line of the global level (name None) or of one command."""
+    if name is None:
+        return "usage: ppdlab [options] {" + ",".join(COMMANDS) + "} ..."
+    cmd = COMMANDS[name]
+    required = [_spelled(flag, cmd.options[flag]) for flag in cmd.required]
+    return " ".join(["usage: ppdlab", name, "[options]", *required, *cmd.positionals])
 
-    k = sub.add_parser("cone", help="H-representation and extremal rays")
-    k.add_argument("group")
-    k.add_argument("--rays", action="store_true")
-    k.add_argument("--csv", default=None)
-    local(k, "--max-order", type=int)
-    k.set_defaults(func=cmd_cone)
 
-    a = sub.add_parser("cone-atlas", help="cone data for every group up to an order")
-    local(a, "--max-order", type=int)
-    a.add_argument("--no-rays", action="store_true")
-    a.set_defaults(func=cmd_cone_atlas)
+def _help(name) -> str:
+    """The usage line, what the level does, its commands and every option."""
+    cmd = COMMANDS.get(name)
+    lines = [_usage(name), "", _DESCRIPTION if cmd is None else cmd.help, ""]
+    if cmd is None:
+        lines += ["commands:", *(_entry(n, c.help) for n, c in COMMANDS.items()), ""]
+    lines.append("options:")
+    for flag, opt in build_parser()[name][0].items():
+        if flag != "--help":
+            lines.append(_entry("-h, --help" if flag == "-h" else _spelled(flag, opt), opt[3]))
+    return "\n".join(lines)
 
-    r = sub.add_parser("restrict", help="pull a good function back to a subgroup")
-    r.add_argument("function")
-    r.add_argument("--generators", required=True,
-                   help='subgroup generators as JSON, e.g. "[[2]]"')
-    r.set_defaults(func=cmd_restrict)
 
-    co = sub.add_parser("corestrict", help="corestrict a good function to a quotient")
-    co.add_argument("function")
-    co.add_argument("--generators", required=True)
-    co.set_defaults(func=cmd_restrict)
+def _entry(text: str, help: str) -> str:
+    return f"  {text:<22} {help}" if len(text) <= 22 else f"  {text}\n{'':25}{help}"
 
-    pr = sub.add_parser("product", help="pointwise or external product")
-    pr.add_argument("left")
-    pr.add_argument("right")
-    pr.add_argument("--external", action="store_true")
-    pr.set_defaults(func=cmd_product)
 
-    cv = sub.add_parser("convolve", help="convolution of two measures")
-    cv.add_argument("left")
-    cv.add_argument("right")
-    cv.set_defaults(func=cmd_convolve)
+def _fail(name, message: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = "ppdlab" if name is None else f"ppdlab {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    g = sub.add_parser("gaussian", help="numeric Gaussian probes on R^n")
-    g.add_argument("--form", default="1",
-                   help='symmetric matrix, rows ";"-separated: "2,1;1,2"')
-    g.add_argument("--check", required=True,
-                   choices=["selfdual", "corestriction", "counterexample",
-                            "goodness"])
-    g.add_argument("--k", type=int, default=1, help="coordinate split")
-    g.add_argument("--terms", type=int, default=10,
-                   help="partial-sum length for the counterexample probe")
-    g.add_argument("--half-width", type=float, default=8.0)
-    g.add_argument("--points", type=int, default=512)
-    g.set_defaults(func=cmd_gaussian)
 
-    # the remaining global flags are also accepted after the subcommand name
-    for cmd in (c, s, v, k, a, r, co, pr, cv, g):
-        local(cmd, "--mode", choices=["exact", "float"])
-        local(cmd, "--tol", type=float)
-        local(cmd, "--out")
-    return p
+def _read(token: str, options: dict, name):
+    """How argparse reads a token against one level's option strings: None
+    for a value, else (option string, its "=" value or None), the option
+    string None for an unknown option.  An ambiguous prefix is an error."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    flag, eq, explicit = token.partition("=")
+    if eq and flag in options:
+        return flag, explicit
+    if token[1] == "-":  # a prefix of a long option, split at "="
+        hits = [(o, explicit if eq else None) for o in options if o.startswith(flag)]
+    else:  # a short option with a tail run on: -hh
+        hits = [(o, token[2:] if o == token[:2] else None) for o in options
+                if o == token[:2] or o.startswith(token)]
+    if len(hits) > 1:
+        _fail(name, f"ambiguous option: {token} could match "
+                    + ", ".join(o for o, _ in hits))
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _convert(name, flag: str, convert, text: str):
+    """An option's value from its text, converted and checked as argparse does."""
+    if type(convert) is tuple:
+        if text not in convert:
+            _fail(name, f"argument {flag}: invalid choice: {text!r} "
+                        f"(choose from {', '.join(map(repr, convert))})")
+        return text
+    try:
+        return convert(text)
+    except ValueError:
+        _fail(name, f"argument {flag}: invalid {convert.__name__} value: {text!r}")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read argv against the command table in one pass, with argparse's
+    grammar: the global options before the command name or, as each command
+    lists them, after it, the last value winning; --opt=value; unique
+    prefixes of long options; "--" ending the options; a negative number
+    as a value.  -h prints the help and exits 0, a usage error exits 2."""
+    tables = build_parser()
+    top, values = tables[None]
+    values = dict(values)
+    name, cmd, options = None, None, top
+    positionals, seen, extras = [], set(), []
+    dash = last = -1  # index of the "--" and of the last positional value
+    joined = False  # whether that "--" went with a positional value
+
+    def read(token):
+        if cmd is not None:  # argparse reads each token against the global table too
+            _read(token, top, None)
+        return _read(token, options, name)
+
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if dash < 0:
+            if token == "--" and cmd is not None:
+                dash, joined = i - 1, last == i - 2
+                continue
+            hit = None if token == "--" else read(token)
+            if hit is not None:
+                flag, explicit = hit
+                if flag is None:
+                    extras.append(token)
+                    continue
+                dest, convert = options[flag][:2]
+                # -hh is -h twice
+                if dest == "help" and (explicit is None or flag == "-h" and explicit
+                                       and not explicit.strip("h")):
+                    print(_help(name))
+                    raise SystemExit(0)
+                if convert is None:
+                    if explicit is not None:
+                        _fail(name, f"argument {flag}: ignored explicit argument "
+                                    f"{explicit!r}")
+                    if flag in cmd.exclusive:
+                        for other in seen.intersection(cmd.exclusive) - {flag}:
+                            _fail(name, f"argument {flag}: not allowed with argument "
+                                        f"{other}")
+                    values[dest] = True
+                else:
+                    if explicit is None:
+                        if i == len(argv) or argv[i] == "--" or read(argv[i]) is not None:
+                            _fail(name, f"argument {flag}: expected one argument")
+                        explicit = argv[i]
+                        i += 1
+                    values[dest] = _convert(name, flag, convert, explicit)
+                seen.add(flag)
+                continue
+        if cmd is None:
+            if token not in COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} "
+                            f"(choose from {', '.join(map(repr, COMMANDS))})")
+            name, cmd = token, COMMANDS[token]
+            options, start = tables[name]
+            values.update(start)
+            positionals = list(cmd.positionals)
+        elif positionals:
+            # argparse hands "--" to the positional value just before it, else
+            # to the one just after, and drops one "--" from that positional's
+            # strings: a later "--" read as a positional becomes []
+            took = dash >= 0 and not joined and i - 1 == dash + 1
+            values[positionals.pop(0)] = [] if token == "--" and not took else token
+            joined = joined or took
+            last = i - 1
+        else:
+            extras.append(token)
+    if cmd is None:
+        _fail(None, "the following arguments are required: command")
+    if dash >= 0 and not joined:
+        extras.append("--")  # a "--" that no positional took
+    missing = positionals + [flag for flag in cmd.required if flag not in seen]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -71,6 +71,11 @@ from .intlinalg import rank
 HREP_ORDER_BOUND = 16
 
 
+def check_hrep_order(order: int) -> None:
+    if order > HREP_ORDER_BOUND:
+        raise ValueError(f"group order {order} exceeds H-rep bound {HREP_ORDER_BOUND}")
+
+
 class EvenBasis:
     """Orbit coordinates for the even subspace of functions on G."""
 
@@ -144,8 +149,7 @@ def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     """One inequality per element orbit and per dual orbit, point ones first,
     with each distinct coefficient built and expanded into ring coordinates
     once; built once per group, without the group's add table."""
-    if G.order > HREP_ORDER_BOUND:
-        raise ValueError(f"group order {G.order} exceeds H-rep bound {HREP_ORDER_BOUND}")
+    check_hrep_order(G.order)
     basis = EvenBasis(G)
     E = G.exponent()
     table = exponent_table(G.moduli)

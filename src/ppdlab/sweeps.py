@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone import (
+    HREP_ORDER_BOUND,
+    check_hrep_order,
     extremal_rays,
     field_of_definition_check,
     is_interior,
@@ -345,7 +347,11 @@ def cone_membership_sweep(max_order: int = 8, samples: int = 1000,
 
 
 def cone_atlas(max_order: int = 8, with_rays: bool = True) -> dict:
-    """Per-group cone data: inequalities, rays, self-duality, field report."""
+    """Per-group cone data: inequalities, rays, self-duality, field report.
+
+    An order past the H-rep bound fails before any cone is built, naming the
+    first order of the catalog past it."""
+    check_hrep_order(min(max_order, HREP_ORDER_BOUND + 1))
     entries = []
     for G in abelian_group_catalog(max_order):
         cone = ppd_cone_hrep(G)

@@ -1,15 +1,23 @@
+import argparse
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppdlab
+from ppdlab import cli, sweeps
 from ppdlab.cli import main
 from ppdlab.constructions import pointwise_product
 from ppdlab.fourier import GroupFunction, convolve
@@ -262,6 +270,8 @@ ERROR_PATHS = {
                                  "error: pointwise product needs functions on one group", 2),
     "convolution group mismatch": (["convolve", "{mu2}", "{mu3}"], None,
                                    "error: convolution needs measures on one group", 2),
+    "cone-atlas past the H-rep bound": (["cone-atlas", "--max-order", "17"], None,
+                                        "error: group order 17 exceeds H-rep bound 16", 2),
     "restrict precondition": (["restrict", "{indicator}", "--generators", "[[2]]"], None,
                               "restrict needs a good input; failed conditions ['3.1.4']", 1),
     "corestrict precondition": (
@@ -787,3 +797,256 @@ def test_internal_constructions_pass_the_mode_the_scan_decides(tmp_path, monkeyp
     modes = {passed.exact for passed, _ in made}
     assert modes == {True, False}
     assert all(passed is scanned for passed, scanned in made)
+
+
+def test_cone_atlas_checks_its_order_before_any_cone(monkeypatch):
+    """An atlas past the H-rep bound fails before it builds a single cone."""
+    def no_cone(G):
+        raise AssertionError(f"built the cone of {G.moduli}")
+
+    monkeypatch.setattr(sweeps, "ppd_cone_hrep", no_cone)
+    for max_order in (17, 40):
+        with pytest.raises(ValueError, match=r"^group order 17 exceeds H-rep bound 16$"):
+            sweeps.cone_atlas(max_order=max_order)
+
+
+# -- the command line against the argparse parser it replaced ------------------
+
+@functools.lru_cache(maxsize=None)
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse definition of the command line that the command table
+    replaced, kept as the reference for its grammar."""
+    p = argparse.ArgumentParser(prog="ppdlab")
+    p.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=None)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def local(parser, *names, **kwargs):
+        kwargs["default"] = argparse.SUPPRESS
+        parser.add_argument(*names, **kwargs)
+
+    c = sub.add_parser("check")
+    c.add_argument("function")
+    flag = c.add_mutually_exclusive_group()
+    flag.add_argument("--ppd", action="store_true", default=True)
+    flag.add_argument("--good", action="store_true", default=False)
+    c.set_defaults(func=cli.cmd_check)
+    s = sub.add_parser("sweep")
+    local(s, "--max-order", type=int)
+    s.add_argument("--samples", type=int, default=20)
+    local(s, "--seed", type=int)
+    s.set_defaults(func=cli.cmd_sweep)
+    v = sub.add_parser("verify-4-1")
+    local(v, "--max-order", type=int)
+    v.add_argument("--samples", type=int, default=20)
+    local(v, "--seed", type=int)
+    v.set_defaults(func=cli.cmd_verify_4_1)
+    k = sub.add_parser("cone")
+    k.add_argument("group")
+    k.add_argument("--rays", action="store_true")
+    k.add_argument("--csv", default=None)
+    local(k, "--max-order", type=int)
+    k.set_defaults(func=cli.cmd_cone)
+    a = sub.add_parser("cone-atlas")
+    local(a, "--max-order", type=int)
+    a.add_argument("--no-rays", action="store_true")
+    a.set_defaults(func=cli.cmd_cone_atlas)
+    r = sub.add_parser("restrict")
+    r.add_argument("function")
+    r.add_argument("--generators", required=True)
+    r.set_defaults(func=cli.cmd_restrict)
+    co = sub.add_parser("corestrict")
+    co.add_argument("function")
+    co.add_argument("--generators", required=True)
+    co.set_defaults(func=cli.cmd_restrict)
+    pr = sub.add_parser("product")
+    pr.add_argument("left")
+    pr.add_argument("right")
+    pr.add_argument("--external", action="store_true")
+    pr.set_defaults(func=cli.cmd_product)
+    cv = sub.add_parser("convolve")
+    cv.add_argument("left")
+    cv.add_argument("right")
+    cv.set_defaults(func=cli.cmd_convolve)
+    g = sub.add_parser("gaussian")
+    g.add_argument("--form", default="1")
+    g.add_argument("--check", required=True,
+                   choices=["selfdual", "corestriction", "counterexample", "goodness"])
+    g.add_argument("--k", type=int, default=1)
+    g.add_argument("--terms", type=int, default=10)
+    g.add_argument("--half-width", type=float, default=8.0)
+    g.add_argument("--points", type=int, default=512)
+    g.set_defaults(func=cli.cmd_gaussian)
+    for cmd in (c, s, v, k, a, r, co, pr, cv, g):
+        local(cmd, "--mode", choices=["exact", "float"])
+        local(cmd, "--tol", type=float)
+        local(cmd, "--out")
+    return p
+
+
+def _reference_level(command):
+    """The reference parser of the global level (None) or of one command."""
+    parser = argparse_reference()
+    if command is None:
+        return parser
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def _outcome(parse, argv):
+    """("exit", code) or ("ok", the namespace's attributes by repr)."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code
+    return "ok", {key: repr(value) for key, value in vars(namespace).items()}
+
+
+LONG_OPTIONS = sorted({flag for command in [None, *cli.COMMANDS]
+                       for flag in _reference_level(command)._option_string_actions
+                       if flag not in ("-h", "--help")})
+PREFIXES = sorted({flag[:n] for flag in LONG_OPTIONS for n in range(3, len(flag))})
+VALUES = ["0", "3", "17", "-3", "-0", "2.5", "-2.5", ".5", "-.5", "1e-3", "-1e5",
+          "inf", "-inf", "nan", "exact", "float", "selfdual", "corestriction",
+          "counterexample", "goodness", "f.json", "Z4", "[[2]]", "2,1;1,2", "",
+          "-", "-x", "-1x", "---", "-x y", "-3 4", "--=1", "x=1", " "]
+
+TYPED = {int: ["3", "-3", "0", "x"], float: ["2.5", "-.5", "1e-3", "inf", "nan", "-1e5"],
+         None: ["f.json", "-3", "x=1", "", "-x"]}
+
+
+def _is_help(token: str) -> bool:
+    """-h, -hh, --help and its prefixes, with or without an "=" value."""
+    flag = token.split("=", 1)[0]
+    return token.startswith("-h") or len(flag) >= 3 and "--help".startswith(flag)
+
+
+_tokens = st.one_of(
+    st.sampled_from(list(cli.COMMANDS)),
+    st.sampled_from(LONG_OPTIONS + PREFIXES),
+    st.builds("{}={}".format, st.sampled_from(LONG_OPTIONS + PREFIXES),
+              st.sampled_from(VALUES)),
+    st.sampled_from(VALUES),
+    st.integers(-50, 50).map(str),
+    st.just("--"),
+    st.text(alphabet="-=.ex1 ", max_size=4),
+)
+
+
+@st.composite
+def _command_line(draw):
+    """Global options, a command, its positionals and options in any order,
+    prefixes and "=" forms among them, values drawn for each: mostly accepted."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    level = _reference_level(name)
+    words = [[draw(st.sampled_from(["f.json", "Z4", "-3", "-.5", "-", "a b"]))]
+             for a in level._actions if not a.option_strings]
+    actions = level._option_string_actions
+    flags = [f for f in actions if f not in ("-h", "--help")]
+    required = [f for f in flags if actions[f].required]
+    for flag in required + draw(st.lists(st.sampled_from(flags), max_size=4)):
+        spelled = draw(st.sampled_from([flag, flag[:draw(st.integers(3, len(flag)))]]))
+        if actions[flag].nargs == 0:
+            words.append([spelled])
+            continue
+        value = draw(st.sampled_from(actions[flag].choices or TYPED[actions[flag].type]))
+        words.append(draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]])))
+    tail = [word for group in draw(st.permutations(words)) for word in group]
+    if draw(st.booleans()):
+        tail.insert(draw(st.integers(0, len(tail))), "--")
+    head = draw(st.lists(st.sampled_from([["--mode", "float"], ["--mo=exact"], ["--tol", "-2"],
+                                          ["--out", "o.json"], ["--seed", "3"], ["--max", "-1"]]),
+                         max_size=3))
+    return [word for pair in head for word in pair] + [name] + tail
+
+
+_argv = st.one_of(
+    _command_line(),
+    st.lists(_tokens, max_size=8),
+    st.builds(lambda head, name, tail: head + [name] + tail,
+              st.lists(_tokens, max_size=3), st.sampled_from(list(cli.COMMANDS)),
+              st.lists(_tokens, max_size=6)),
+).filter(lambda argv: not any(_is_help(t) for t in argv))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv)
+def test_parse_args_agrees_with_argparse(argv):
+    """Both parsers reject argv with exit 2, or both give equal attributes and
+    the same handler."""
+    want = _outcome(argparse_reference().parse_args, argv)
+    assert want[0] == "ok" or want == ("exit", 2)
+    assert _outcome(cli.parse_args, argv) == want
+
+
+# command lines that argparse accepts, each reading one rule of its grammar
+ACCEPTED = [
+    ["--mode", "float", "check", "f.json", "--good"],
+    ["check", "f.json", "--mode=float", "--mode", "exact"],  # the last value wins
+    ["--mode", "float", "check", "--mode", "exact", "f.json"],
+    ["--mo=float", "check", "--goo", "f.json", "--good"],
+    ["check", "--p", "f.json", "--ppd"],
+    ["--max", "5", "cone", "Z4", "--rays", "--max-order=7"],
+    ["sweep", "--samples", "-3", "--seed", "-1", "--sa=2", "--max-o", "4"],
+    ["gaussian", "--check", "selfdual", "--tol", "-.5", "--half-width", "-5"],
+    ["gaussian", "--ch=goodness", "--form", "-1", "--k", "-2", "--points=-0"],
+    ["check", "--", "--good"],  # "--" ends the options
+    ["check", "f.json", "--"],
+    ["product", "-", "--", "-x"],
+    ["product", "a", "--", "--"],  # argparse gives the second positional []
+    ["restrict", "--generators", "[[2]]", "f.json", "--out", " -x"],
+    ["cone", "-3 4", "--csv", "-2.5"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_accepted_command_lines_read_as_argparse_reads_them(argv):
+    want = _outcome(argparse_reference().parse_args, argv)
+    assert want[0] == "ok"
+    assert _outcome(cli.parse_args, argv) == want
+
+
+REJECTED = [
+    [], ["bogus"], ["check"], ["check", "a", "b"], ["check", "f.json", "--good", "--ppd"],
+    ["--mode", "fast", "check", "f.json"], ["gaussian"], ["restrict", "f.json"],
+    ["gaussian", "--check", "selfdual", "--k", "x"], ["cone", "Z4", "--csv"],
+    ["cone", "Z4", "--bogus"], ["--bogus", "cone", "Z4"], ["cone", "Z4", "--m", "3"],
+    ["check", "f.json", "--m", "float"],  # --m is ambiguous at the global level
+    ["check", "f.json", "--seed", "1"], ["cone", "Z4", "--rays=1"],
+    ["--tol", "-1e5", "gaussian", "--check", "selfdual"], ["--", "check", "f.json"],
+    ["cone", "Z4", "--rays", "--"], ["check", "--out", "--", "f.json"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_usage_errors_print_usage_and_exit_2(argv, capsys):
+    assert _outcome(argparse_reference().parse_args, argv) == ("exit", 2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    usage, error = out.err.splitlines()
+    assert out.out == ""
+    assert usage.startswith("usage: ppdlab")
+    assert re.match(r"ppdlab( [a-z0-9-]+)?: error: ", error)
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_option_and_exits_0(command, flag, capsys):
+    argv = [flag] if command is None else [command, "--mode", "float", flag, "--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ppdlab")
+    level = _reference_level(command)
+    names = [a.dest for a in level._actions if not a.option_strings and a.dest != "command"]
+    names += list(level._option_string_actions)
+    names += list(cli.COMMANDS) if command is None else []
+    for name in names:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), name

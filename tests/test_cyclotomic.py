@@ -283,7 +283,9 @@ def test_commands_leave_dataclasses_inspect_and_csv_unloaded(tmp_path):
     """The records are NamedTuples, so no command loads dataclasses (nor its
     inspect, ast and dis); csv loads with `cone --csv` alone.  numpy imports
     inspect itself, so inspect is asserted absent before the first float run.
-    hashlib loads with the seeded samplers alone: not for a cone or a check."""
+    hashlib loads with the seeded samplers alone: not for a cone or a check.
+    The command line is read from a table, so argparse and the gettext and
+    locale it pulls in stay unloaded too, asserted before numpy loads."""
     import os
     import subprocess
     import sys
@@ -295,14 +297,15 @@ def test_commands_leave_dataclasses_inspect_and_csv_unloaded(tmp_path):
     code = (
         "import contextlib, io, sys, ppdlab; from ppdlab import cli, sweeps\n"
         "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'csv')\n"
+        "parsers = ('argparse', 'gettext', 'locale')\n"
         "def run(*runs):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        return [cli.main(argv) for argv in runs]\n"
         "print(run(['cone', 'Z4', '--rays'], ['check', sys.argv[1], '--good']),\n"
-        "      [m for m in heavy + ('hashlib',) if m in sys.modules])\n"
+        "      [m for m in heavy + parsers + ('hashlib',) if m in sys.modules])\n"
         "print(run(['sweep', '--max-order', '4', '--samples', '1', '--seed', '1'],\n"
         "          ['cone-atlas', '--max-order', '6']),\n"
-        "      [m for m in heavy if m in sys.modules])\n"
+        "      [m for m in heavy + parsers if m in sys.modules])\n"
         "print(run(['--mode', 'float', 'check', sys.argv[1], '--good'],\n"
         "          ['gaussian', '--check', 'selfdual']),\n"
         "      [m for m in ('dataclasses', 'csv') if m in sys.modules])\n"
