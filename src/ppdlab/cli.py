@@ -74,6 +74,9 @@ def _effective_max_order(requested: int) -> int:
 
 
 def _load_json(path: str) -> dict:
+    # a second "--" on a positional parses to [], as argparse parsed it
+    if not isinstance(path, str):
+        raise ValueError(f"cannot read {path}: not a file path")
     # ValueError covers JSONDecodeError and UnicodeDecodeError
     try:
         with open(path, encoding="utf-8") as fh:
