@@ -167,7 +167,7 @@ def cmd_cone(args) -> int:
     if args.rays:
         cone = extremal_rays(cone)
         payload["self_duality"] = self_duality_check(cone).to_dict()
-        payload["field_report"] = field_of_definition_check(cone).to_dict()
+        payload["field_report"] = field_of_definition_check(cone)
     payload.update(report_rows(cone))
     if args.csv:
         _write_ray_csv(args.csv, payload["rays"], cone.basis.dim)

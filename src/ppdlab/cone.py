@@ -23,21 +23,19 @@ of every row with every ray that this check certifies are kept, and the
 self-duality pairing reads the transforms off them.  Canonical rays are
 primitive with the first nonzero coordinate a positive integer.  The H-rep is
 built once per group, with the integer rows of its coefficients.  A dual
-coefficient is the sum of zeta_E^-k over the pairing exponents k of an
-orbit, so each distinct exponent tuple is summed, expanded and given its
-conductor once per build, a few more than E of them at most; double
-description, the printed report and the membership of a rational vector (one
-integer row combination and one ring sign per inequality) read those rows and
-the ray coordinates.  Cyc ray values are built for the field report, each coordinate
-at the conductor that Cyc arithmetic along the same path gives it
-(cyclotomic.conductor_step), which fixes how it prints; double description
-traces the conductor of a product term by term only for the rays of a pair it
-keeps, once per inserted row.  The report expands and rebuilds each distinct
-stored value once.
+coefficient is the sum of zeta_E^-k over an orbit with pairing exponent k:
+2cos(2pi k/E), read off the ring's cos table, over {x, -x}, and half of it over
+x = -x.  Double description, the printed reports and the membership of a
+rational vector (one integer row combination and one ring sign per
+inequality) read those rows and the ray coordinates.  Cyc ray values are built
+for the field report, each at the conductor that Cyc arithmetic along the
+double-description path gives it (cyclotomic.conductor_step), which fixes how
+it prints: double description traces the conductor of a product term by term
+only for the rays of a pair it keeps, once per inserted row.
 
-The records (Inequality, PolyhedralCone, FieldEntry, FieldReport,
-SelfDualityReport) are typing.NamedTuples, so they are tuples: extremal_rays
-returns cone._replace(...) with the V-representation filled in, and the
+The records (Inequality, PolyhedralCone, SelfDualityReport) are
+typing.NamedTuples, so they are tuples: extremal_rays returns
+cone._replace(...) with the V-representation filled in, and the
 cached H-rep it was given keeps no rays.
 """
 
@@ -59,10 +57,9 @@ from .cyclotomic import (
     is_rational,
     over_common_denominator,
     real_sign,
-    scalar_eq,
+    root_conductor,
     scalar_inv,
     to_complex,
-    unit_root,
 )
 from .fourier import GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
@@ -147,37 +144,39 @@ class PolyhedralCone(NamedTuple):
 @lru_cache(maxsize=None)
 def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     """One inequality per element orbit and per dual orbit, point ones first,
-    with each distinct coefficient built and expanded into ring coordinates
-    once; built once per group, without the group's add table."""
+    each dual coefficient read off the ring's cos table; built once per group,
+    without the group's add table."""
     check_hrep_order(G.order)
     basis = EvenBasis(G)
     E = G.exponent()
+    ring = cos_ring(E)
     table = exponent_table(G.moduli)
-    built = {}  # exponent tuple -> (coefficient, its ring coordinates, its conductor)
+    built = {}  # (k, orbit size) -> (coefficient, its ring coordinates, its conductor)
 
-    def coefficient(exponents):
-        """The sum of zeta_E^-k over the exponents k, built once per tuple."""
-        if exponents not in built:
-            c = sum((unit_root(E, -k) for k in exponents), Fraction(0))
-            x = expand_in_cos_basis(c, E)
-            if x is None or any(q.denominator != 1 for q in x):
-                raise AssertionError(f"an inequality coefficient is not in Z[2cos(2pi/{E})]")
-            built[exponents] = c, tuple(int(q) for q in x), conductor(c)
-        return built[exponents]
+    def coefficient(k, size):
+        """The sum of zeta_E^-k over an orbit on which the pairing exponent is
+        k: 2cos(2pi k/E) over {x, -x}, and zeta_E^-k = +-1, half of it, over x = -x."""
+        if (k, size) not in built:
+            x = ring.cos[k] if size == 2 else tuple(c // 2 for c in ring.cos[k])
+            cond = root_conductor(E, k) if any(x[1:]) else 1
+            built[k, size] = ring.scalar(x, cond), x, cond
+        return built[k, size]
 
     ineqs, rows, conds = [], [], []
 
-    def inequality(kind, rep, exponent_tuples):
-        coeffs, xs, ks = zip(*map(coefficient, exponent_tuples))
+    def inequality(kind, rep, entries):
+        coeffs, xs, ks = zip(*entries)
         ineqs.append(Inequality(coeffs, kind, rep))
         rows.append(xs)
         conds.append(ks)
 
-    for j, rep in enumerate(basis.orbit_reps):  # 1 = zeta^0 and 0, the empty sum
-        inequality("point", rep, [(0,) if t == j else () for t in range(basis.dim)])
+    one, zero = (Fraction(1), ring.one, 1), (Fraction(0), ring.zero, 1)
+    for j, rep in enumerate(basis.orbit_reps):
+        inequality("point", rep, [one if t == j else zero for t in range(basis.dim)])
     for rep in basis.orbit_reps:  # dual orbits have the same representatives
         row = table[rep]
-        inequality("dual", rep, [tuple(row[x] for x in orbit) for orbit in basis.orbits])
+        inequality("dual", rep, [coefficient(row[orbit[0]], len(orbit))
+                                 for orbit in basis.orbits])
     return PolyhedralCone(basis, tuple(ineqs), tuple(rows), tuple(conds))
 
 
@@ -219,19 +218,16 @@ def is_member(f: GroupFunction, cone: PolyhedralCone) -> bool:
 # -- integer ring coordinates ------------------------------------------------------
 
 
-def _dot(ring: CosRing, row, vec, conds=None):
-    """<row, vec> summed term by term, and with conds (the conductors of the
-    entries of row and of vec) the conductor a Cyc sum in that order is stored
-    at (cyclotomic.conductor_step)."""
+def _dot_conductor(ring: CosRing, row, vec, conds) -> int:
+    """The conductor a Cyc sum of <row, vec> in term order is stored at, for
+    conds the conductors of the entries of row and of vec (conductor_step)."""
     total, cond = ring.zero, 1
-    for j, (c, v) in enumerate(zip(row, vec)):
+    for c, v, rc, vc in zip(row, vec, *conds):
         if any(c) and any(v):
             term = ring.mul(c, v)
             total = ring.add(total, term)
-            if conds:
-                tc = conductor_step(conds[0][j], conds[1][j], term)
-                cond = conductor_step(cond, tc, total)
-    return total, cond
+            cond = conductor_step(cond, conductor_step(rc, vc, term), total)
+    return cond
 
 
 def _row_matrix(ring: CosRing, row) -> tuple:
@@ -332,7 +328,8 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                     continue
                 for i in (ip, im):
                     if i not in val_conds:
-                        val_conds[i] = _dot(ring, rows[q], rays[i], (row_conds[q], conds[i]))[1]
+                        val_conds[i] = _dot_conductor(ring, rows[q], rays[i],
+                                                      (row_conds[q], conds[i]))
                 vp, vm, cp, cm = vals[ip], vals[im], val_conds[ip], val_conds[im]
                 new, new_conds = [], []
                 for a, ac, b, bc in zip(rays[ip], conds[ip], rays[im], conds[im]):
@@ -524,74 +521,28 @@ def report_rows(cone: PolyhedralCone) -> dict:
     return rows
 
 
-class FieldEntry(NamedTuple):
-    location: str
-    value_str: str
-    expansion: str
-    integral: bool
+def field_of_definition_check(cone: PolyhedralCone) -> dict:
+    """The field report: every coefficient and ray coordinate in Z[2cos(2pi/e)].
 
-
-class FieldReport(NamedTuple):
-    exponent: int
-    entries: tuple[FieldEntry, ...]
-
-    @property
-    def all_integral(self) -> bool:
-        return all(x.integral for x in self.entries)
-
-    def to_dict(self):
-        return {
-            "exponent": self.exponent,
-            "all_integral": self.all_integral,
-            "entries": [
-                {
-                    "location": x.location,
-                    "value": x.value_str,
-                    "expansion": x.expansion,
-                    "integral": x.integral,
-                }
-                for x in self.entries
-            ],
-        }
-
-
-def field_of_definition_check(cone: PolyhedralCone) -> FieldReport:
-    """Certify every coefficient and ray coordinate inside Z[2cos(2pi/e)].
-
-    Each entry gets an explicit integer expansion over the basis
-    {1, 2cos(2pi j/e)}, re-evaluated and compared against the original value.
-    Entries that store the same value (the same conductor, numerators and
-    denominator) share one expansion and one check.
+    Each entry prints its location, its stored value and its integer
+    coordinates over the basis {1, 2cos(2pi j/e)}: the H-rep row or ray_coords
+    entry the value was built from.  Those rows and rays are integer vectors
+    over an integral basis of Z[2cos(2pi/e)], so every entry is integral, and
+    CosRing.scalar checked each value's descent to its conductor.
     """
     if cone.rays is None:
         raise ValueError("V-representation not computed yet")
     e = cone.basis.group.exponent()
-    entries = []
-    certified: dict[tuple, tuple] = {}
-
-    def certify(location, value):
-        exp = expand_in_cos_basis(value, e)
-        if exp is None:
-            return repr(value), "<not in field>", False
-        rebuilt = cos_ring(e).scalar(exp, e)
-        if not scalar_eq(rebuilt, value + Fraction(0)):
-            raise AssertionError(f"expansion failed to reproduce {location}")
-        return str(value), cos_basis_string(exp, e), all(c.denominator == 1 for c in exp)
-
-    def record(location, value):
-        key = ((value.numerator, value.denominator) if is_rational(value)
-               else (value.field.E, value.num, value.den))
-        if key not in certified:
-            certified[key] = certify(location, value)
-        entries.append(FieldEntry(location, *certified[key]))
-
-    for i, ineq in enumerate(cone.inequalities):
-        for j, c in enumerate(ineq.coeffs):
-            record(f"inequality[{i}].coeff[{j}]", c)
-    for r, ray in enumerate(cone.rays):
-        for j, c in enumerate(ray):
-            record(f"ray[{r}].coord[{j}]", c)
-    return FieldReport(e, tuple(entries))
+    located = [(f"inequality[{i}].coeff[{j}]", c, x)
+               for i, (q, row) in enumerate(zip(cone.inequalities, cone.rows))
+               for j, (c, x) in enumerate(zip(q.coeffs, row))]
+    located += [(f"ray[{r}].coord[{j}]", c, x)
+                for r, (ray, coords) in enumerate(zip(cone.rays, cone.ray_coords))
+                for j, (c, x) in enumerate(zip(ray, coords))]
+    return {"exponent": e, "all_integral": True, "entries": [
+        {"location": location, "value": str(c), "expansion": cos_basis_string(x, e),
+         "integral": True}
+        for location, c, x in located]}
 
 
 class SelfDualityReport(NamedTuple):

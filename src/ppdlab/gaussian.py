@@ -160,13 +160,12 @@ def _check_decay(decay: float) -> None:
         )
 
 
-def numeric_fourier(f, q: GridQuadrature, xi_points=None,
-                    enforce_decay: bool = True):
+def numeric_fourier(f, q: GridQuadrature, xi_points=None):
     """Trapezoid-rule transform f_hat(xi) = integral f(x) exp(-2*pi*i x xi) dx
     on the real line, for f sampled at points of shape (N + 1, 1).
 
     Returns (xi_points, values).  Rejects grids whose boundary truncates the
-    integrand above the 1e-14 decay threshold unless enforce_decay is off.
+    integrand above the 1e-14 decay threshold.
     Explicit xi_points take the folded trapezoid sum (`_folded_sum`) on the
     exactly symmetric grid: the cosine sum of the even half of the weighted
     samples minus i times the sine sum of the odd half, over the grid points
@@ -176,8 +175,7 @@ def numeric_fourier(f, q: GridQuadrature, xi_points=None,
     folds into sample 0; rolling by N/2 puts x = 0 at index 0, and output k
     is read at index (k - N/2) mod N.
     """
-    if enforce_decay:
-        _check_boundary_decay(f, q)
+    _check_boundary_decay(f, q)
     N, axis = q.points, q.axis()
     vals = f(axis[:, None]) * q.weights()
     if xi_points is None:

@@ -68,6 +68,16 @@ FILES = {
     "not_ppd_z4": {"group": "Z4", "values": [1.0, 0.5, -0.1, 0.5]},
     "inf": '{"group": "Z2", "values": [Infinity, 1]}',
     "nan": '{"group": "Z2", "values": [NaN, 1]}',
+    "div0": {"group": "Z2", "values": [["1/0", 0], [1, 0]]},
+    "haar_div0": {"group": "Z2", "values": [[1, 0], [1, 0]], "haar_scale": "1/0"},
+    "array": [1, 2],
+    "values5": {"group": "Z2", "values": 5},
+    "group5": {"group": 5, "values": [[1, 0]]},
+    "haar_list": {"group": "Z2", "values": [[1, 0], [1, 0]], "haar_scale": [1]},
+    "true": {"group": "Z2", "values": [True, 1]},
+    "null": {"group": "Z2", "values": [[None, 0], [1, 0]]},
+    "huge": {"group": "Z2", "values": [10**400, 1]},
+    "haar_inf": '{"group": "Z2", "values": [[1, 0], [1, 0]], "haar_scale": Infinity}',
 }
 
 # every good function gets the same verdict bytes, in either mode
@@ -173,6 +183,8 @@ CASES = {
         "derived inverse overflow goodness": Case("gaussian --check goodness --form '1e308,0;0,1e308'", 2, "error: bad quadratic form '1e308,0;0,1e308': its inverse: leading principal minor 2 is not positive; not SPD"),
         "derived inverse subnormal corestriction": Case("gaussian --check corestriction --form '1e-320,0;0,1' --k 1", 2, "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a non-finite entry"),
         "derived inverse subnormal goodness": Case("gaussian --check goodness --form '1e-320,0;0,1'", 2, "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a non-finite entry"),
+        "derived inverse overflow corestriction no --k": Case("gaussian --check corestriction --form '1e308,0;0,1e308'", 2, "error: bad quadratic form '1e308,0;0,1e308': its inverse: leading principal minor 2 is not positive; not SPD"),
+        "derived inverse subnormal corestriction no --k": Case("gaussian --check corestriction --form '1e-320,0;0,1'", 2, "error: bad quadratic form '1e-320,0;0,1': its inverse: matrix has a non-finite entry"),
         # det(A) = 1e320 overflows, yet the amplitude 1e-160 is finite: the dual
         # route then fails on the grid, not on a NaN gap
         "corestriction with a determinant past the float range": Case("gaussian --check corestriction --form '1e160,0;0,1e160' --k 1", 2, "error: insufficient decay at the grid boundary: 1.000e+00 > 1e-14"),
@@ -205,6 +217,36 @@ CASES = {
         # a usage error: the usage line, then the parser's error line
         "unknown command": Case("bogus", 2, "usage: ppdlab [options] {check,sweep,verify-4-1,cone,cone-atlas,restrict,corestrict,product,convolve,gaussian} ...\nppdlab: error: argument command: invalid choice: 'bogus' (choose from 'check', 'sweep', 'verify-4-1', 'cone', 'cone-atlas', 'restrict', 'corestrict', 'product', 'convolve', 'gaussian')"),
         "check without a file": Case("check", 2, "usage: ppdlab check [options] function\nppdlab check: error: the following arguments are required: function"),
+    },
+    # malformed function and measure files, "<input>: <command>": exit 2 and
+    # the whole stderr.  `check` reads no haar_scale, so the haar_scale files
+    # go through `convolve` only; "float nan" above is `check` on the NaN file
+    "malformed inputs": {
+        "value 1/0 exact: check": Case("--mode exact check {div0}", 2, "error: zero denominator in '1/0'"),
+        "value 1/0 exact: convolve": Case("--mode exact convolve {div0} {div0}", 2, "error: zero denominator in '1/0'"),
+        "value 1/0 float: check": Case("--mode float check {div0}", 2, "error: zero denominator in '1/0'"),
+        "value 1/0 float: convolve": Case("--mode float convolve {div0} {div0}", 2, "error: zero denominator in '1/0'"),
+        "haar_scale 1/0 exact: convolve": Case("--mode exact convolve {haar_div0} {haar_div0}", 2, "error: zero denominator in '1/0'"),
+        "haar_scale 1/0 float: convolve": Case("--mode float convolve {haar_div0} {haar_div0}", 2, "error: zero denominator in '1/0'"),
+        "top-level array: check": Case("--mode exact check {array}", 2, "error: a function file holds a JSON object"),
+        "top-level array: convolve": Case("--mode exact convolve {array} {array}", 2, "error: a function file holds a JSON object"),
+        "values 5: check": Case("--mode exact check {values5}", 2, 'error: "group" must be a string and "values" a list'),
+        "values 5: convolve": Case("--mode exact convolve {values5} {values5}", 2, 'error: "group" must be a string and "values" a list'),
+        "group 5: check": Case("--mode exact check {group5}", 2, 'error: "group" must be a string and "values" a list'),
+        "group 5: convolve": Case("--mode exact convolve {group5} {group5}", 2, 'error: "group" must be a string and "values" a list'),
+        "float haar_scale [1]: convolve": Case("--mode float convolve {haar_list} {haar_list}", 2, "error: not a real value: [1]"),
+        "value Infinity exact: check": Case("--mode exact check {inf}", 2, "error: not a finite value: inf"),
+        "value Infinity exact: convolve": Case("--mode exact convolve {inf} {inf}", 2, "error: not a finite value: inf"),
+        "value Infinity float: check": Case("--mode float check {inf}", 2, "error: not a finite value: inf"),
+        "value Infinity float: convolve": Case("--mode float convolve {inf} {inf}", 2, "error: not a finite value: inf"),
+        "value NaN float: convolve": Case("--mode float convolve {nan} {nan}", 2, "error: not a finite value: nan"),
+        "value true float: check": Case("--mode float check {true}", 2, "error: not a real value: True"),
+        "value true float: convolve": Case("--mode float convolve {true} {true}", 2, "error: not a real value: True"),
+        "value null float: check": Case("--mode float check {null}", 2, "error: not a real value: None"),
+        "value null float: convolve": Case("--mode float convolve {null} {null}", 2, "error: not a real value: None"),
+        "value 10**400 float: check": Case("--mode float check {huge}", 2, f"error: not a finite value: {10**400}"),
+        "value 10**400 float: convolve": Case("--mode float convolve {huge} {huge}", 2, f"error: not a finite value: {10**400}"),
+        "haar_scale Infinity float: convolve": Case("--mode float convolve {haar_inf} {haar_inf}", 2, "error: not a finite value: inf"),
     },
     # float-mode stdout: each value a pair of floats, and a float haar_scale
     "float outputs": {

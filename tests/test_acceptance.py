@@ -122,15 +122,21 @@ def test_criterion_07_algebraicity_certificates():
         assert G.exponent() <= 12
         cone = extremal_rays(ppd_cone_hrep(G))
         report = field_of_definition_check(cone)
-        assert report.all_integral, f"non-integral entry in {G}"
-        entries += len(report.entries)
-        # independent spot re-check: expansions reproduce the values
+        assert report["all_integral"], f"non-integral entry in {G}"
+        entries += len(report["entries"])
+        # independent re-check: every inequality coefficient and ray value
+        # expands to its integer row or ray_coords entry
         e = G.exponent()
-        for ray in cone.rays:
-            for c in ray:
-                exp = expand_in_cos_basis(c, e)
-                assert exp is not None
-                assert all(q.denominator == 1 for q in exp)
+        stored = [(c, x) for q, row in zip(cone.inequalities, cone.rows)
+                  for c, x in zip(q.coeffs, row)]
+        stored += [(c, x) for ray, coords in zip(cone.rays, cone.ray_coords)
+                   for c, x in zip(ray, coords)]
+        assert len(stored) == len(report["entries"])
+        for c, x in stored:
+            exp = expand_in_cos_basis(c, e)
+            assert exp is not None
+            assert all(q.denominator == 1 for q in exp)
+            assert tuple(exp) == x, (G, c)
     _report(7, f"every coefficient and ray coordinate over all {entries} "
                f"atlas entries (orders 1..12, exponents <= 12) certified in "
                f"Z[2cos(2pi/e)]")

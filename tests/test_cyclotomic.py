@@ -250,9 +250,10 @@ def test_cold_import_leaves_mpmath_unloaded():
 
 
 def test_exact_commands_leave_numpy_unloaded(tmp_path):
-    """numpy loads with the float Bochner oracle and the Gaussian probes alone;
-    the gaussian names still resolve from the package, and so does every
-    name of __all__ under a star import."""
+    """numpy loads with the float Bochner oracle and the Gaussian probes alone,
+    and mpmath with a sign that escalates, which none of these runs has; the
+    gaussian names still resolve from the package, and so does every name of
+    __all__ under a star import."""
     import os
     import subprocess
     import sys
@@ -267,7 +268,7 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
         "        ['cone-atlas', '--max-order', '6']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in runs]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "print(codes, 'numpy' in sys.modules, 'mpmath' in sys.modules)\n"
         "print(ppdlab.QuadraticFormSPD.__name__)\n"
         "names = {}\n"
         "exec('from ppdlab import *', names)\n"
@@ -276,7 +277,7 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(good)], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=pkg_root))
-    assert out.stdout.splitlines() == ["[0, 0, 0, 0] False", "QuadraticFormSPD", "[]"]
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0] False False", "QuadraticFormSPD", "[]"]
 
 
 def test_commands_leave_dataclasses_inspect_and_csv_unloaded(tmp_path):
