@@ -9,6 +9,10 @@ norm), lifts and comparisons run on those integers through each field's
 integer power table; str() and repr() print every coordinate as
 ``Fraction(n, den)``.  Rational results contract back to ``Fraction``, so the
 two kinds mix freely and a reduced nonzero ``Cyc`` is never rational.
+Changes of basis are index arithmetic on the same tables:
+a value descends to a subfield Q(zeta_F) by a trace and a slice
+(_descend), and a real value's coordinates over the cos basis of
+Z[2cos(2*pi/e)] are read off its power coordinates (_read_cos).
 
 sign_if_real decides realness and sign once per value on integer numerators
 (a rational's from its numerator): conjugation on the numerators, then one
@@ -28,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Optional, Union
-
-from .intlinalg import left_inverse
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyc"]
@@ -354,19 +356,42 @@ def conductor_step(cond: int, term_cond: int, coords) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_descent(F: int, L: int):
-    """(N, den): N @ x / den are the coordinates in Q(zeta_F), F | L, of the
-    value with power-basis coordinates x in Q(zeta_L), when it lies in Q(zeta_F)."""
-    pv = field(L).pow_vec
-    return left_inverse([pv[k * (L // F)] for k in range(field(F).degree)])
+def _descent_plan(F: int, L: int):
+    """(t1, F1, t2, u, sums) for F | L: L/F = t1 * t2 with every prime of t1
+    dividing F and gcd(t2, F) = 1, F1 = F * t1, 1 = u * t2 + v * F1, and
+    sums[j] = c_t2(v * j) for j in range(t2), c_t2 the Ramanujan sum (the
+    trace of zeta_t2^j, coordinate 0 of the sum over the units mod t2)."""
+    t1, t2 = 1, L // F
+    while (g := math.gcd(t2, F)) > 1:
+        t1, t2 = t1 * g, t2 // g
+    F1 = F * t1
+    u = pow(t2, -1, F1)
+    v = (1 - u * t2) // F1
+    units = [a for a in range(t2) if math.gcd(a, t2) == 1]
+    sums = tuple(power_coords(((a * v * j, 1) for a in units), t2, t2)[0] for j in range(t2))
+    return t1, F1, t2, u, sums
+
+
+def _descend(x, F: int, L: int) -> tuple[list[int], int]:
+    """(y, d): y / d are the coordinates in Q(zeta_F), F | L, of the value with
+    integer power-basis coordinates x in Q(zeta_L), when it lies in Q(zeta_F).
+    The trace to Q(zeta_F1) sends zeta_L^i = zeta_F1^(u i) zeta_t2^(v i) to
+    zeta_F1^(u i) c_t2(v i) and a value of Q(zeta_F1) to phi(t2) = c_t2(0)
+    times itself; then Phi_F1(X) = Phi_F(X^t1) puts the value's Q(zeta_F)
+    coordinates at every t1-th exponent."""
+    t1, F1, t2, u, sums = _descent_plan(F, L)
+    d = 1
+    if t2 > 1:
+        x = power_coords(((u * i, n * sums[i % t2]) for i, n in enumerate(x)), F1, F1)
+        d = sums[0]
+    return x[::t1], d
 
 
 def from_int_coords(x, F: int, L: int, den: int) -> Scalar:
     """x / den, for integer power-basis coordinates x in Q(zeta_L), stored at
     conductor F (F | L, the value in Q(zeta_F)); a rational value as Fraction."""
     if F != L and any(x[1:]):
-        mat, d = _power_descent(F, L)
-        x = _mat_vec(mat, x)
+        x, d = _descend(x, F, L)
         den *= d
     return Cyc.reduced(field(F), x, den)
 
@@ -494,18 +519,19 @@ def _mat_vec(mat, vec) -> list[int]:
     return [sum(a * x for a, x in zip(row, vec) if a) for row in mat]
 
 
-@lru_cache(maxsize=None)
-def _cos_frame(L: int, e: int):
-    """The cos basis of Z[2cos(2pi/e)], e | L, as the integer matrix B of its
-    power-basis coordinates in Q(zeta_L); and (N, den) with N @ B = den * I."""
-    pv = field(L).pow_vec
-    s = L // e
-    cols = [pv[0]] + [
-        tuple(a + b for a, b in zip(pv[j * s], pv[(e - j) * s]))
-        for j in range(1, cos_basis_size(e))
-    ]
-    inv, den = left_inverse(cols)
-    return [list(row) for row in zip(*cols)], inv, den
+def _read_cos(x, e: int) -> list[int]:
+    """Cos-basis coordinates of the real value with integer power-basis
+    coordinates x in Q(zeta_e).  Times zeta^(m-1), m = cos_basis_size(e),
+    a_0 + sum a_j (zeta^j + zeta^-j) puts a_0 at exponent m-1 and a_j at
+    m-1+j and m-1-j, all below phi(e) and so reduced: read m-1 ... 2m-2."""
+    m = cos_basis_size(e)
+    return power_coords(((j + m - 1, n) for j, n in enumerate(x)), e, e)[m - 1:2 * m - 1]
+
+
+def _cos_to_power(a, e: int, L: int) -> list[int]:
+    """Integer coordinates in Q(zeta_L), e | L, of sum a_j b_j over the cos basis."""
+    return power_coords([(0, a[0])] + [(s * j, a[j]) for j in range(1, len(a)) for s in (1, -1)],
+                        e, L)
 
 
 def expand_in_cos_basis(x: Scalar, e: int):
@@ -517,12 +543,12 @@ def expand_in_cos_basis(x: Scalar, e: int):
     if isinstance(x, (int, Fraction)):
         return [_as_fraction(x)] + [Fraction(0)] * (m - 1)
     L = math.lcm(x.field.E, e)
-    rows, inv, den = _cos_frame(L, e)
-    target, t_den = (list(x.num) if x.field.E == L else x.lift_num(L)), x.den
-    coeffs = _mat_vec(inv, target)
-    if _mat_vec(rows, coeffs) != [den * t for t in target]:
+    target = list(x.num) if x.field.E == L else x.lift_num(L)
+    y, den = _descend(target, e, L)
+    coeffs = _read_cos(y, e)
+    if _cos_to_power(coeffs, e, L) != [den * t for t in target]:
         return None
-    return [Fraction(c, den * t_den) for c in coeffs]
+    return [Fraction(c, den * x.den) for c in coeffs]
 
 
 class CosRing:
@@ -540,12 +566,8 @@ class CosRing:
         self.e = e
         self.zero = (0,) * m
         self.one = (1,) + self.zero[1:]
-        _, inv, den = _cos_frame(e, e)
-        pv = field(e).pow_vec
-        cos = [_mat_vec(inv, [a + b for a, b in zip(pv[t], pv[-t % e])]) for t in range(e)]
-        if any(c % den for exp in cos for c in exp):
-            raise ArithmeticError(f"2cos(2pi*t/{e}) expanded off the lattice")
-        self.cos = cos = tuple(tuple(c // den for c in exp) for exp in cos)
+        self.cos = cos = tuple(tuple(_read_cos(power_coords(((t, 1), (-t, 1)), e, e), e))
+                               for t in range(e))
         basis = (self.one,) + cos[1:m]
         # b_i b_j as sparse (k, coefficient) pairs
         self._prod = tuple(tuple(
@@ -599,10 +621,11 @@ class CosRing:
         if not any(a[1:]):
             return Fraction(a[0])
         nums, den = over_common_denominator(a)
-        x = _mat_vec(_cos_frame(self.e, self.e)[0], nums)
+        x = _cos_to_power(nums, self.e, self.e)
         value = from_int_coords(x, F, self.e, den)
-        if F != self.e and any(n * den != c * value.den
-                               for n, c in zip(value.lift_num(self.e), x)):
+        # a irrational, so a rational descent is a failed one too
+        if F != self.e and (is_rational(value) or any(
+                n * den != c * value.den for n, c in zip(value.lift_num(self.e), x))):
             raise ArithmeticError(f"value does not descend to conductor {F}")
         return value
 

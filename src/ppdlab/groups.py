@@ -487,26 +487,24 @@ def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
          for i in range(k)]
     kb = intlinalg.kernel_basis(A)
     K = [[v[j] for v in kb] for j in range(m)]  # m x r generating matrix of K
-    Up, Dp, _ = intlinalg.smith_normal_form(K)
+    _, Dp, Vp = intlinalg.smith_normal_form(K)
     diag = [Dp[i][i] if i < min(len(Dp), len(Dp[0]) if Dp else 0) else 0
             for i in range(m)]
     if any(d == 0 for d in diag):
         raise AssertionError("subgroup kernel lattice not of full rank")
-    # columns of Up^{-1} give the new generators
-    Uinv = intlinalg.int_inverse(Up)
+    # the columns of Up^-1 give the new generators: Up K Vp = Dp, so column i
+    # of K Vp is d_i times column i of Up^-1
+    keep = [i for i in range(m) if diag[i] > 1]
     new_gens = []
-    for i in range(m):
+    for i in keep:
         coords = [0] * k
         for j in range(m):
-            c = Uinv[j][i]
+            c = sum(a * row[i] for a, row in zip(K[j], Vp)) // diag[i]
             for t in range(k):
                 coords[t] += c * gens[j][t]
         new_gens.append(G.reduce(tuple(coords)))
-    keep = [i for i in range(m) if diag[i] > 1]
     H_abs = FiniteAbelianGroup([diag[i] for i in keep])
-    incl_matrix = tuple(
-        tuple(new_gens[i][t] for i in keep) for t in range(k)
-    )
+    incl_matrix = tuple(tuple(g[t] for g in new_gens) for t in range(k))
     incl = Homomorphism(H_abs, G, incl_matrix)
     hom_validate(incl)
     # sanity: the embedding must be injective onto the stored element set

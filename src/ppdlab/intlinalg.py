@@ -1,12 +1,11 @@
 """Small exact integer matrix utilities: the Smith normal form, and the
-ranks, kernels and left inverses read off it.
+ranks and kernels read off it.
 
 The routines work on lists of lists of Python ints and are sized for the tiny
 matrices that arise when presenting subgroups and quotients of small groups
-and when changing bases between cyclotomic fields.  The Smith form is the one
-exact elimination here; every exact rank goes through rank and every exact
-linear solve through kernel_basis or left_inverse, so no rational arithmetic
-is needed.
+and when certifying cone rays.  The Smith form is the one exact elimination
+here; every exact rank goes through rank and every exact linear solve through
+kernel_basis or the Smith form itself, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -14,14 +13,6 @@ from __future__ import annotations
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def smith_normal_form(A):
@@ -124,22 +115,3 @@ def kernel_basis(A):
             out.append([V[i][j] for i in range(m)])
     return out
 
-
-def left_inverse(cols) -> tuple[list[list[int]], int]:
-    """(N, den) with N @ B = den * I, for the integer matrix B of full column
-    rank given by its n columns: N = V @ diag(den / d_i) @ U[:n] from the Smith
-    form U @ B @ V = D, den = d_n the last invariant factor."""
-    n = len(cols)
-    U, D, V = smith_normal_form([list(row) for row in zip(*cols)])
-    if len(D) < n or not all(D[i][i] for i in range(n)):
-        raise ValueError("columns are linearly dependent")
-    den = D[n - 1][n - 1]
-    return mat_mul(V, [[den // D[i][i] * u for u in U[i]] for i in range(n)]), den
-
-
-def int_inverse(U) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix."""
-    inv, den = left_inverse([list(col) for col in zip(*U)])
-    if den != 1:
-        raise AssertionError("matrix was not unimodular")
-    return inv

@@ -78,6 +78,9 @@ FILES = {
     "null": {"group": "Z2", "values": [[None, 0], [1, 0]]},
     "huge": {"group": "Z2", "values": [10**400, 1]},
     "haar_inf": '{"group": "Z2", "values": [[1, 0], [1, 0]], "haar_scale": Infinity}',
+    # 1 on {0, 1, -1} and on {0, 1}: every transform value descends from Q(zeta_1024)
+    "z1024_even": {"group": "Z1024", "values": [int(k in (0, 1, 1023)) for k in range(1024)]},
+    "z1024_odd": {"group": "Z1024", "values": [int(k in (0, 1)) for k in range(1024)]},
 }
 
 # every good function gets the same verdict bytes, in either mode
@@ -282,6 +285,8 @@ CASES = {
         "sweep seed 1": Case("sweep --max-order 8 --samples 4 --seed 1", out=Sha256("0f014607bdfc6e2cb9a7490c45c23df4b22861c7a3cf2e1a942ce022039bd7da")),
         "check good": Case("check {good_z4} --good", out=GOOD_VERDICT),
         "check not ppd": Case("check {not_ppd} --good", 1, out=Sha256("80e2387333568e40a40d6facf9e48358d92c694671099fdf41119dcd858a6dce")),
+        "check Z1024 even": Case("check {z1024_even}", 1, out=Sha256("12eb9dd281f16982d4502914bd504ced9b08cb33ed31a93c99a9a16d8d8aa748")),
+        "check Z1024 not even": Case("check {z1024_odd}", 1, out=Sha256("63d9624a1937011e8cf06e803ac7a1c2fd1d410bbc7ff75e96b6eefbe56f3219")),
         "restrict": Case("restrict {good_z4} --generators [[2]]", out=Sha256("fa49e49114491d8cec683efa8484dce1f8f7475c79cb2639882a5040d42fafc8")),
         "gaussian selfdual": Case("gaussian --check selfdual", out=lambda report: report["max_gap"] < 1e-12),
         # the default-grid transform is one FFT, so a 65536-point grid runs

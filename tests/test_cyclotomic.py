@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ppdlab import cyclotomic, intlinalg
+from ppdlab import cyclotomic
 from ppdlab.cyclotomic import (
     Cyc,
     cos_basis_string,
@@ -195,25 +195,59 @@ def test_cos_ring_cos_table_and_descent():
     assert str(ring.scalar((-1, 1), 10)) == "z10^2 + -1*z10^3"
     assert str(ring.scalar((-1, 1), 5)) == "-1 + -1*z5^2 + -1*z5^3"
     assert str(cos_ring(16).scalar((0, 0, 1, 0), 8)) == "z8^1 + -1*z8^3"
+    # a value outside Q(zeta_F) is refused, also when its descent is rational
+    for e, a, F in ((10, (0, 1), 1), (12, (0, 1, 0), 4), (12, (0, 1, 0), 3)):
+        with pytest.raises(ArithmeticError, match="does not descend"):
+            cos_ring(e).scalar(a, F)
 
 
-def test_cached_frames_are_left_inverses():
-    """Every cos frame _cos_frame(L, e) and power descent _power_descent(F, L),
-    e and F dividing L <= 48: N @ B == den * I with den > 0, B the frame's
-    columns in the power basis of Q(zeta_L)."""
+def test_base_changes_read_basis_vectors_back():
+    """For e and F dividing L <= 48: _descend returns each power-basis vector
+    zeta_F^k of Q(zeta_F), lifted to Q(zeta_L), as itself (over its d > 0),
+    and each cos-basis vector of Z[2cos(2pi/e)], lifted to Q(zeta_L) and
+    descended to Q(zeta_e), reads back as itself."""
     for L in range(1, 49):
-        pv = field(L).pow_vec
         for d in cyclotomic.divisors(L):
-            rows, inv, den = cyclotomic._cos_frame(L, d)
+            n = field(d).degree
+            for k in range(n):
+                y, den = cyclotomic._descend(cyclotomic.power_coords([(k, 1)], d, L), d, L)
+                assert den > 0 and y == [den * (i == k) for i in range(n)]
             m = cyclotomic.cos_basis_size(d)
-            assert den > 0 and intlinalg.mat_mul(inv, rows) == _scaled_identity(m, den)
-            N, den = cyclotomic._power_descent(d, L)
-            B = [list(r) for r in zip(*(pv[k * (L // d)] for k in range(field(d).degree)))]
-            assert den > 0 and intlinalg.mat_mul(N, B) == _scaled_identity(field(d).degree, den)
+            for j in range(m):
+                unit = [int(i == j) for i in range(m)]
+                y, den = cyclotomic._descend(cyclotomic._cos_to_power(unit, d, L), d, L)
+                assert cyclotomic._read_cos(y, d) == [den * u for u in unit]
 
 
-def _scaled_identity(n: int, den: int) -> list[list[int]]:
-    return [[den * (i == j) for j in range(n)] for i in range(n)]
+def _fractions(n: int):
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(L=st.integers(1, 120), data=st.data())
+def test_descents_and_cos_expansions_match_cyc_arithmetic(L, data):
+    """from_int_coords(x, F, L, den) rebuilds a value of Q(zeta_F) from its
+    coordinates in Q(zeta_L); expand_in_cos_basis(x, e) reads back the cos
+    coordinates x was built from, at whatever conductor x is stored, and
+    gives None for a value off the real subfield of Q(zeta_e)."""
+    F = data.draw(st.sampled_from(cyclotomic.divisors(L)))
+    vec = data.draw(_fractions(field(F).degree))
+    nums, den = cyclotomic.over_common_denominator(vec)
+    lifted = cyclotomic.power_coords(enumerate(nums), F, L)
+    assert repr(cyclotomic.from_int_coords(lifted, F, L, den)) == repr(Cyc.make(field(F), vec))
+    a = data.draw(_fractions(cyclotomic.cos_basis_size(F)))
+    real = a[0] + sum((c * (unit_root(F, j) + unit_root(F, -j)) for j, c in enumerate(a) if j), Fraction(0))
+    assert expand_in_cos_basis(real, F) == a
+    if is_rational(real):
+        return
+    # the same value stored at conductor L, and two values off the subfield
+    assert expand_in_cos_basis(Cyc.reduced(field(L), real.lift_num(L), real.den), F) == a
+    q = data.draw(st.integers(1, 3))
+    assert expand_in_cos_basis(real + q * unit_root(L, 1), F) is None
+    wider = cyclotomic.cos_basis_size(L) > cyclotomic.cos_basis_size(F)
+    off = expand_in_cos_basis(real + q * (unit_root(L, 1) + unit_root(L, -1)), F)
+    assert (off is None) == wider
 
 
 # psi^n is about 10^(-0.209 n) against coordinates near 10^(0.209 n): at

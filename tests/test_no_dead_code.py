@@ -3,14 +3,15 @@
 `ppdlab.__all__` is the public API. Every other function, method and class
 defined in the package must be referenced, as a name, an attribute or an
 import, by a module of the package other than `__init__.py`: a test or an
-import alias in `__init__.py` is not a caller. Every import of a source
-module must be used where it is made: a module-level one in that module, one
-inside a function body in that function.
+import alias in `__init__.py` is not a caller. A reference counts only when
+it is made by module-level code or inside a definition that is itself used,
+so a definition called only by itself or by other unused code is unused too.
+Every import of a source module must be used where it is made: a
+module-level one in that module, one inside a function body in that function.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,16 +23,26 @@ def _count(name: str, text: str) -> int:
     return len(re.findall(rf"\b{re.escape(name)}\b", text))
 
 
-def _references(tree) -> Counter:
-    """Names a module refers to: Name ids, Attribute attrs and imported names."""
-    refs = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            refs[node.name.split(".")[-1]] += 1
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references_by_owner(tree) -> dict:
+    """Names a module refers to (Name ids, Attribute attrs and imported names),
+    keyed by the innermost definition that makes the reference, None for
+    module-level code; a definition's decorators and defaults count as its own."""
+    refs = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                refs.setdefault(owner, set()).add(child.id)
+            elif isinstance(child, ast.Attribute):
+                refs.setdefault(owner, set()).add(child.attr)
+            elif isinstance(child, ast.alias):
+                refs.setdefault(owner, set()).add(child.name.split(".")[-1])
+            visit(child, child.name if isinstance(child, DEFINITIONS) else owner)
+
+    visit(tree, None)
     return refs
 
 
@@ -46,22 +57,26 @@ def _public_names() -> set[str]:
 
 
 def test_every_definition_has_a_caller():
-    refs = Counter()
+    refs, defined = {}, {}
     for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
         if path != INIT:
-            refs += _references(ast.parse(path.read_text()))
-    public = _public_names()
-    unused = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if name not in public and not refs[name]:
-                unused.append(f"{path.name}:{node.lineno} {name}")
-    assert unused == []
+            for owner, names in _references_by_owner(tree).items():
+                refs.setdefault(owner, set()).update(names)
+    # used: the public names, dunder methods and module-level code, then
+    # whatever a used definition refers to
+    used = _public_names() | {name for name in defined
+                              if name.startswith("__") and name.endswith("__")}
+    stack = [None, *used]
+    while stack:
+        for name in refs.get(stack.pop(), ()):
+            if name in defined and name not in used:
+                used.add(name)
+                stack.append(name)
+    assert sorted(defined[name] for name in defined.keys() - used) == []
 
 
 def _scope_imports(nodes):
