@@ -27,14 +27,17 @@ coefficient is the sum of zeta_E^-k over an orbit with pairing exponent k:
 2cos(2pi k/E), read off the ring's cos table, over {x, -x}, and half of it over
 x = -x.  Double description, the printed reports and the membership of a
 rational vector (one integer row combination and one ring sign per
-inequality) read those rows and the ray coordinates.  Cyc ray values are built
-for the field report, each at the conductor that Cyc arithmetic along the
-double-description path gives it (cyclotomic.conductor_step), which fixes how
-it prints: double description traces the conductor of a product term by term
-only for the rays of a pair it keeps, once per inserted row.
+inequality) read those rows and the ray coordinates.  A cone stores each
+number once, as its integer coordinates and the conductor it prints at: a
+coefficient at the conductor of its root of unity, a ray coordinate at the
+one Cyc arithmetic along the double-description path gives it
+(cyclotomic.conductor_step), which double description traces term by term
+only for the rays of a pair it keeps, once per inserted row.  Exact values
+are built from those pairs (_scalars) only where one is read: the field
+report, the membership of a vector that is not rational, and brute force.
 
-The records (Inequality, PolyhedralCone, SelfDualityReport) are
-typing.NamedTuples, so they are tuples: extremal_rays returns
+The records (PolyhedralCone, SelfDualityReport) are typing.NamedTuples of
+ints, tuples and frozensets, so they are tuples: extremal_rays returns
 cone._replace(...) with the V-representation filled in, and the
 cached H-rep it was given keeps no rays.
 """
@@ -49,7 +52,6 @@ from typing import NamedTuple, Optional
 
 from .cyclotomic import (
     CosRing,
-    conductor,
     conductor_step,
     cos_basis_string,
     cos_ring,
@@ -113,31 +115,18 @@ class EvenBasis:
         return GroupFunction(self.group, vals)
 
 
-class Inequality(NamedTuple):
-    coeffs: tuple
-    kind: str  # "point" or "dual"
-    orbit_rep: int
-
-    def evaluate(self, vec):
-        total = Fraction(0)
-        for c, v in zip(self.coeffs, vec):
-            if not (is_rational(c) and c == 0):
-                total = total + c * v
-        return total
-
-
 class PolyhedralCone(NamedTuple):
     """A cone over basis.dim = d orbit coordinates.  ppd_cone_hrep lays out its
     2d inequalities as rows 0..d-1, the point inequality of orbit coordinate j
-    in row j, then rows d..2d-1, the dual inequalities in basis.orbit_reps order."""
+    in row j, then rows d..2d-1, the dual inequalities in basis.orbit_reps
+    order: row i is a point row when i < d, and belongs to orbit_reps[i % d]."""
 
     basis: EvenBasis
-    inequalities: tuple[Inequality, ...]
     rows: tuple[tuple, ...]  # per inequality, its coefficients in ring coordinates
-    row_conds: tuple[tuple[int, ...], ...]  # and the conductors of those coefficients
-    rays: Optional[tuple[tuple, ...]] = None
+    row_conds: tuple[tuple[int, ...], ...]  # and the conductors they print at
     ray_tight: Optional[tuple[frozenset, ...]] = None
     ray_coords: Optional[tuple[tuple, ...]] = None  # canonical ring coordinates
+    ray_conds: Optional[tuple[tuple[int, ...], ...]] = None  # and the conductors they print at
     ray_products: Optional[tuple[tuple, ...]] = None  # per ray, <row, ray> for every row
 
 
@@ -151,33 +140,33 @@ def ppd_cone_hrep(G: FiniteAbelianGroup) -> PolyhedralCone:
     E = G.exponent()
     ring = cos_ring(E)
     table = exponent_table(G.moduli)
-    built = {}  # (k, orbit size) -> (coefficient, its ring coordinates, its conductor)
 
     def coefficient(k, size):
         """The sum of zeta_E^-k over an orbit on which the pairing exponent is
-        k: 2cos(2pi k/E) over {x, -x}, and zeta_E^-k = +-1, half of it, over x = -x."""
-        if (k, size) not in built:
-            x = ring.cos[k] if size == 2 else tuple(c // 2 for c in ring.cos[k])
-            cond = root_conductor(E, k) if any(x[1:]) else 1
-            built[k, size] = ring.scalar(x, cond), x, cond
-        return built[k, size]
+        k: 2cos(2pi k/E) over {x, -x}, and zeta_E^-k = +-1, half of it, over x = -x;
+        its ring coordinates and its conductor."""
+        x = ring.cos[k] if size == 2 else tuple(c // 2 for c in ring.cos[k])
+        return x, root_conductor(E, k) if any(x[1:]) else 1
 
-    ineqs, rows, conds = [], [], []
+    one, zero = (ring.one, 1), (ring.zero, 1)
+    entries = [[one if t == j else zero for t in range(basis.dim)] for j in range(basis.dim)]
+    entries += [[coefficient(table[rep][orbit[0]], len(orbit)) for orbit in basis.orbits]
+                for rep in basis.orbit_reps]  # dual orbits have the same representatives
+    rows, conds = zip(*[tuple(zip(*row)) for row in entries])  # split each (x, cond) pair
+    return PolyhedralCone(basis, rows, conds)
 
-    def inequality(kind, rep, entries):
-        coeffs, xs, ks = zip(*entries)
-        ineqs.append(Inequality(coeffs, kind, rep))
-        rows.append(xs)
-        conds.append(ks)
 
-    one, zero = (Fraction(1), ring.one, 1), (Fraction(0), ring.zero, 1)
-    for j, rep in enumerate(basis.orbit_reps):
-        inequality("point", rep, [one if t == j else zero for t in range(basis.dim)])
-    for rep in basis.orbit_reps:  # dual orbits have the same representatives
-        row = table[rep]
-        inequality("dual", rep, [coefficient(row[orbit[0]], len(orbit))
-                                 for orbit in basis.orbits])
-    return PolyhedralCone(basis, tuple(ineqs), tuple(rows), tuple(conds))
+def _scalars(ring: CosRing, vecs, conds) -> list[tuple]:
+    """The exact values of integer ring vectors, coordinate j of vecs[i] at
+    conductor conds[i][j]: ring.scalar, built once per distinct pair."""
+    value = lru_cache(maxsize=None)(ring.scalar)
+    return [tuple(map(value, vec, cs)) for vec, cs in zip(vecs, conds)]
+
+
+def _evaluate(coeffs, vec):
+    """sum_j coeffs[j] * vec[j] over exact scalars, in order, from Fraction(0)."""
+    return sum((c * v for c, v in zip(coeffs, vec) if not (is_rational(c) and c == 0)),
+               Fraction(0))
 
 
 # -- membership ---------------------------------------------------------------------
@@ -189,8 +178,8 @@ def _inequality_signs(f: GroupFunction, cone: PolyhedralCone):
     in ring coordinates; any other vector is evaluated coefficient by coefficient."""
     vec = cone.basis.vector_from_function(f)
     mode = f.mode
+    ring = cos_ring(cone.basis.group.exponent())
     if mode.exact and all(is_rational(v) for v in vec):
-        ring = cos_ring(cone.basis.group.exponent())
         nums = [(j, n) for j, n in enumerate(over_common_denominator(vec)[0]) if n]
         for row in cone.rows:
             total = [0] * ring.m
@@ -200,9 +189,9 @@ def _inequality_signs(f: GroupFunction, cone: PolyhedralCone):
             yield ring.sign(total)
     else:
         base = mode.scale(vec)
-        for ineq in cone.inequalities:
-            yield mode.sign(ineq.evaluate(vec) if mode.exact else sum(
-                to_complex(c) * to_complex(v) for c, v in zip(ineq.coeffs, vec)), base)
+        for coeffs in _scalars(ring, cone.rows, cone.row_conds):
+            yield mode.sign(_evaluate(coeffs, vec) if mode.exact else sum(
+                to_complex(c) * to_complex(v) for c, v in zip(coeffs, vec)), base)
 
 
 def is_interior(f: GroupFunction, cone: PolyhedralCone) -> bool:
@@ -263,27 +252,22 @@ def _primitive_form(ring: CosRing, vec) -> tuple:
     return tuple(tuple(c // g for c in v) for v in vec)
 
 
-def _ray_values(ring: CosRing, coords, conds) -> tuple:
-    """Exact scalars of a canonical ray, coordinate j stored at the conductor
-    the division by the leading coordinate leaves it at."""
+def _ray_conds(coords, conds) -> tuple:
+    """The conductors of a canonical ray's coordinates: conds, those of the
+    ray it was scaled from, stepped by the division by its leading coordinate."""
     lead = conds[next(i for i, v in enumerate(coords) if any(v))]
-    return tuple(ring.scalar(v, conductor_step(c, lead, v)) for v, c in zip(coords, conds))
+    return tuple(conductor_step(c, lead, v) for v, c in zip(coords, conds))
 
 
-def canonical_ray(vec, e: int):
-    """Primitive integral form over the real-subfield basis, leading coord positive.
-
-    Returns the ray scaled to that form and its integer coordinates: one
-    tuple over {1, 2cos(2pi j/e)} per ray coordinate.
-    """
+def canonical_ray(vec, e: int) -> tuple:
+    """Primitive integral form over the real-subfield basis, leading coord positive:
+    one tuple of integer coordinates over {1, 2cos(2pi j/e)} per ray coordinate."""
     exps = [expand_in_cos_basis(v, e) for v in vec]
     if None in exps:
         raise AssertionError(f"ray coordinate {vec[exps.index(None)]!r} left the "
                              f"real subfield of conductor {e}")
-    ring = cos_ring(e)
     den = lcm(*[c.denominator for exp in exps for c in exp])
-    coords = _primitive_form(ring, [tuple(int(c * den) for c in exp) for exp in exps])
-    return _ray_values(ring, coords, [conductor(v) for v in vec]), coords
+    return _primitive_form(cos_ring(e), [tuple(int(c * den) for c in exp) for exp in exps])
 
 
 # -- double description --------------------------------------------------------------
@@ -297,7 +281,7 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
     inequalities (rows d..2d-1) in order, keeping only adjacent pairs when
     generating new rays.
     Rays are primitive integer vectors in ring coordinates, each coordinate
-    carrying the conductor its Cyc value is reported at; tight sets are
+    carrying the conductor its exact value prints at; tight sets are
     bitmasks over the inequality list.
     """
     basis = cone.basis
@@ -352,11 +336,11 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                      for k in coords)
     n = len(rows)
     return cone._replace(
-        rays=tuple(_ray_values(ring, k, canon[k][0]) for k in coords),
         ray_tight=tuple(
             frozenset(i for i in range(n) if canon[k][1] >> i & 1) for k in coords
         ),
         ray_coords=coords,
+        ray_conds=tuple(_ray_conds(k, canon[k][0]) for k in coords),
         ray_products=products,
     )
 
@@ -459,12 +443,13 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
     Subsets are enumerated depth first on an incremental echelon form.  A
     prefix whose rows are dependent is pruned: every subset through it has a
     nullspace of dimension >= 2 and cuts out no line.  Exponential; intended
-    for the completeness cross-check on tiny groups.
+    for the completeness cross-check on tiny groups.  Returns the rays'
+    canonical_ray coordinates, sorted as extremal_rays sorts ray_coords.
     """
     d = cone.basis.dim
     e = cone.basis.group.exponent()
-    ineqs = cone.inequalities
-    found: dict[tuple, tuple] = {}
+    ineqs = _scalars(cos_ring(e), cone.rows, cone.row_conds)
+    found = set()
 
     def keep(echelon, subset):
         # back-substitute in reverse order: row k is 0 at earlier rows' pivots
@@ -475,12 +460,11 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
         side = 0  # the first nonzero sign; the line is a ray only if no other shows
         for i, q in enumerate(ineqs):
             if i not in subset:
-                s = real_sign(q.evaluate(vec))
+                s = real_sign(_evaluate(q, vec))
                 if side and s == -side:
                     return
                 side = side or s
-        cvec, icoords = canonical_ray(tuple(-v for v in vec) if side < 0 else tuple(vec), e)
-        found[icoords] = cvec
+        found.add(canonical_ray(tuple(-v for v in vec) if side < 0 else tuple(vec), e))
 
     def extend(rows, echelon, subset):
         """rows: (index, row reduced by echelon) for the inequalities after subset."""
@@ -498,8 +482,8 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
                 for j, r in rows[t + 1:]]
             extend(rest, echelon + [(p, prow)], subset + [i])
 
-    extend([(i, list(q.coeffs)) for i, q in enumerate(ineqs)], [], [])
-    return tuple(found[k] for k in sorted(found))
+    extend([(i, list(q)) for i, q in enumerate(ineqs)], [], [])
+    return tuple(sorted(found))
 
 
 # -- reports --------------------------------------------------------------------------
@@ -508,12 +492,13 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
 def report_rows(cone: PolyhedralCone) -> dict:
     """The printed inequalities and, once computed, the rays with their tight sets."""
     e = cone.basis.group.exponent()
+    d, reps = cone.basis.dim, cone.basis.orbit_reps
     rows = {"inequalities": [
-        {"kind": q.kind, "orbit_rep": q.orbit_rep,
+        {"kind": "point" if i < d else "dual", "orbit_rep": reps[i % d],
          "coeffs": [cos_basis_string(c, e) for c in row]}
-        for q, row in zip(cone.inequalities, cone.rows)
+        for i, row in enumerate(cone.rows)
     ]}
-    if cone.rays is not None:
+    if cone.ray_coords is not None:
         rows["rays"] = [
             {"coords": [cos_basis_string(c, e) for c in ray], "tight": sorted(t)}
             for ray, t in zip(cone.ray_coords, cone.ray_tight)
@@ -524,25 +509,24 @@ def report_rows(cone: PolyhedralCone) -> dict:
 def field_of_definition_check(cone: PolyhedralCone) -> dict:
     """The field report: every coefficient and ray coordinate in Z[2cos(2pi/e)].
 
-    Each entry prints its location, its stored value and its integer
-    coordinates over the basis {1, 2cos(2pi j/e)}: the H-rep row or ray_coords
-    entry the value was built from.  Those rows and rays are integer vectors
-    over an integral basis of Z[2cos(2pi/e)], so every entry is integral, and
-    CosRing.scalar checked each value's descent to its conductor.
+    Each entry prints its location, its value and its integer coordinates
+    over the basis {1, 2cos(2pi j/e)}: the H-rep row or ray_coords entry, whose
+    row_conds or ray_conds entry is the conductor the value is built at
+    (_scalars).  Those rows and rays are integer vectors over an integral
+    basis of Z[2cos(2pi/e)], so every entry is integral, and CosRing.scalar
+    checks each value's descent to its conductor.
     """
-    if cone.rays is None:
+    if cone.ray_coords is None:
         raise ValueError("V-representation not computed yet")
     e = cone.basis.group.exponent()
-    located = [(f"inequality[{i}].coeff[{j}]", c, x)
-               for i, (q, row) in enumerate(zip(cone.inequalities, cone.rows))
-               for j, (c, x) in enumerate(zip(q.coeffs, row))]
-    located += [(f"ray[{r}].coord[{j}]", c, x)
-                for r, (ray, coords) in enumerate(zip(cone.rays, cone.ray_coords))
-                for j, (c, x) in enumerate(zip(ray, coords))]
+    n = len(cone.rows)
+    vecs = cone.rows + cone.ray_coords
+    values = _scalars(cos_ring(e), vecs, cone.row_conds + cone.ray_conds)
     return {"exponent": e, "all_integral": True, "entries": [
-        {"location": location, "value": str(c), "expansion": cos_basis_string(x, e),
-         "integral": True}
-        for location, c, x in located]}
+        {"location": f"inequality[{i}].coeff[{j}]" if i < n else f"ray[{i - n}].coord[{j}]",
+         "value": str(c), "expansion": cos_basis_string(x, e), "integral": True}
+        for i, (vec, cs) in enumerate(zip(vecs, values))
+        for j, (c, x) in enumerate(zip(cs, vec))]}
 
 
 class SelfDualityReport(NamedTuple):

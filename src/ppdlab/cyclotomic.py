@@ -6,9 +6,10 @@ an element of Q(zeta_E) stored in the power basis ``1, zeta, ..., zeta^(d-1)``
 integer numerators ``num`` over one positive ``den`` in lowest terms.
 Arithmetic, conjugation, inverses (the other Galois conjugates over the
 norm), lifts and comparisons run on those integers through each field's
-integer power table; str() and repr() print every coordinate as
-``Fraction(n, den)``.  Rational results contract back to ``Fraction``, so the
-two kinds mix freely and a reduced nonzero ``Cyc`` is never rational.
+integer power table; str() and repr() print every coordinate n / den as
+``str(Fraction(n, den))`` does, from one gcd.  Rational results contract back
+to ``Fraction``, so the two kinds mix freely and a reduced nonzero ``Cyc`` is
+never rational.
 Changes of basis are index arithmetic on the same tables:
 a value descends to a subfield Q(zeta_F) by a trace and a slice
 (_descend), and a real value's coordinates over the cos basis of
@@ -99,26 +100,25 @@ def cyclotomic_polynomial(E: int) -> tuple[int, ...]:
 class CycField:
     """Cached arithmetic tables for Q(zeta_E) in the power basis."""
 
-    __slots__ = ("E", "degree", "pow_vec", "powers", "roots_complex")
+    __slots__ = ("E", "degree", "powers", "roots_complex")
 
     def __init__(self, E: int):
         self.E = E
         phi = cyclotomic_polynomial(E)
         d = len(phi) - 1
         self.degree = d
-        # x^d = -(phi - x^d); iterate to get the integer coordinates of x^k mod phi
+        # x^d = -(phi - x^d); iterate to get the integer coordinates of x^k mod
+        # phi, kept for zeta^m, m in range(E), as sparse pairs (i, c), c != 0
         tail = tuple(-c for c in phi[:d])
-        pows: list[tuple[int, ...]] = []
+        pows: list[tuple[tuple[int, int], ...]] = []
         cur = [1] + [0] * (d - 1)
         for _ in range(E):
-            pows.append(tuple(cur))
+            pows.append(tuple((i, c) for i, c in enumerate(cur) if c))
             lead = cur[d - 1]
             cur = [0] + cur[: d - 1]
             if lead:
                 cur = [a + lead * t for a, t in zip(cur, tail)]
-        self.pow_vec = pows
-        # zeta^m for m in range(E) as sparse pairs (i, c), c != 0
-        self.powers = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in pows)
+        self.powers = tuple(pows)
         self.roots_complex = tuple(
             cmath.exp(2j * cmath.pi * j / E) for j in range(d)
         )
@@ -163,11 +163,6 @@ class Cyc:
     def make(fld: CycField, vec) -> Scalar:
         """The value with rational power-basis coordinates vec."""
         return Cyc.reduced(fld, *over_common_denominator(vec))
-
-    @property
-    def vec(self) -> tuple[Fraction, ...]:
-        """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.num)
 
     def lift_num(self, E2: int) -> list[int]:
         """Numerators over den of this value inside Q(zeta_E2); requires E | E2."""
@@ -232,7 +227,7 @@ class Cyc:
         E = fld.E
         conj = (power_coords(((k * j, n) for j, n in enumerate(self.num)), E, E)
                 for k in range(2, E) if math.gcd(k, E) == 1)
-        cof = reduce(lambda a, b: _int_product(fld, a, b), conj, fld.pow_vec[0])
+        cof = reduce(lambda a, b: _int_product(fld, a, b), conj, [1] + [0] * (fld.degree - 1))
         norm = _int_product(fld, self.num, cof)[0]
         if not norm:
             raise ZeroDivisionError("cyclotomic inverse of zero")
@@ -274,19 +269,20 @@ class Cyc:
         )
 
     def __repr__(self):
-        return f"Cyc({self.field.E}, {[str(c) for c in self.vec]})"
+        return f"Cyc({self.field.E}, {[_ratio_str(n, self.den) for n in self.num]})"
 
     def __str__(self):
-        terms = []
-        for j, c in enumerate(self.vec):
-            if c:
-                if j == 0:
-                    terms.append(str(c))
-                elif c == 1:
-                    terms.append(f"z{self.field.E}^{j}")
-                else:
-                    terms.append(f"{c}*z{self.field.E}^{j}")
-        return " + ".join(terms) if terms else "0"
+        E, den = self.field.E, self.den
+        return " + ".join(
+            _ratio_str(n, den) if j == 0 else f"z{E}^{j}" if n == den
+            else f"{_ratio_str(n, den)}*z{E}^{j}"
+            for j, n in enumerate(self.num) if n) or "0"
+
+
+def _ratio_str(n: int, den: int) -> str:
+    """n / den, den > 0, printed as str(Fraction(n, den)) prints it."""
+    g = math.gcd(n, den)
+    return f"{n // g}" if g == den else f"{n // g}/{den // g}"
 
 
 def _int_product(fld: CycField, a, b) -> list[int]:
@@ -330,19 +326,13 @@ def unit_root(E: int, k: int) -> Scalar:
         return Fraction(1)
     if Er == 2:
         return Fraction(-1)
-    fld = field(Er)
-    return Cyc.make(fld, fld.pow_vec[kr])
+    return Cyc.make(field(Er), power_coords(((kr, 1),), Er, Er))
 
 
 def root_conductor(E: int, k: int) -> int:
     """The conductor unit_root(E, k) is stored at: E / gcd(k, E), 1 when that is <= 2."""
     c = E // math.gcd(k, E)
     return c if c > 2 else 1
-
-
-def conductor(x: Scalar) -> int:
-    """The conductor x is stored at: 1 for a rational, else its field's E."""
-    return 1 if is_rational(x) else x.field.E
 
 
 def conductor_step(cond: int, term_cond: int, coords) -> int:

@@ -14,7 +14,7 @@ tests convert, measure and sign-test a vector in one pass.
 Both transforms, and the spectral screen in ppd, are one character-sum
 kernel, _character_sums: an O(|G|^2) sum over a cached exponent table.  In
 float mode it sums root * value in index order, at C speed over a root list
-signed once per call.
+signed once per call; a sum past the float range is a ValueError, not a value.
 
 In exact mode it runs on Python ints.  Every input is put over one common
 denominator and worked in Q(zeta_L), L = lcm(E, the conductors of the Cyc
@@ -28,6 +28,7 @@ which str() prints.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -324,7 +325,10 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode,
         roots = roots[:1] + roots[:0:-1]
     scale = float(scale)
     vals = mode.values(values)
-    return [scale * sum(map(mul, map(roots.__getitem__, row), vals)) for row in table]
+    out = [scale * sum(map(mul, map(roots.__getitem__, row), vals)) for row in table]
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError("a computed float value is not finite")
+    return out
 
 
 def _exact_character_sums(E: int, table, values, sign: int, scale):

@@ -3,8 +3,9 @@
 Functions serialize as {"group": "Z4xZ2", "values": [[re, im], ...]} and
 measures add {"haar_scale": "1/4"}.  In exact mode, numeric entries must be
 integers or rational strings like "3/4"; float mode accepts any finite real
-number or rational string.  Booleans, NaN and infinities are rejected.  An
-exact output writes both parts as rational strings, so it reads back as input.
+number or rational string.  Booleans, NaN and infinities are rejected, and
+so is a float output that is not finite.  An exact output writes both parts
+as rational strings, so it reads back as input.
 
 Reports are written by report_text, whose output equals
 json.dumps(payload, indent=2, sort_keys=True) byte for byte.  With an indent,
@@ -15,6 +16,7 @@ escaper, and joins the parts once.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -83,6 +85,8 @@ def _format_value(v, exact: bool):
         w = v.conjugate()
         return [str((v + w) / 2), str((v - w) * unit_root(4, -1) / 2)]
     c = to_complex(v)
+    if not cmath.isfinite(c):
+        raise ValueError("a computed float value is not finite")
     return [c.real, c.imag]
 
 

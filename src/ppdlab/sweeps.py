@@ -358,16 +358,16 @@ def cone_atlas(max_order: int = 8, with_rays: bool = True) -> dict:
             "group": format_group(G),
             "dimension": cone.basis.dim,
             "exponent": G.exponent(),
-            "num_inequalities": len(cone.inequalities),
+            "num_inequalities": len(cone.rows),
         }
         if with_rays:
             cone = extremal_rays(cone)
             d = cone.basis.dim
-            entry["num_rays"] = len(cone.rays)
+            entry["num_rays"] = len(cone.ray_coords)
             entry["self_duality"] = self_duality_check(cone).to_dict()
             # field_of_definition_check's counts: d entries per row and per ray
             entry["field_report"] = {"exponent": G.exponent(), "all_integral": True,
-                                     "entries": (2 * d + len(cone.rays)) * d}
+                                     "entries": (2 * d + len(cone.ray_coords)) * d}
         entry.update(report_rows(cone))
         entries.append(entry)
     return {

@@ -77,6 +77,7 @@ FILES = {
     "true": {"group": "Z2", "values": [True, 1]},
     "null": {"group": "Z2", "values": [[None, 0], [1, 0]]},
     "huge": {"group": "Z2", "values": [10**400, 1]},
+    "near_max": {"group": "Z2", "values": [1e308, 1e308]},  # PPD, but f_hat(0) overflows
     "haar_inf": '{"group": "Z2", "values": [[1, 0], [1, 0]], "haar_scale": Infinity}',
     # 1 on {0, 1, -1} and on {0, 1}: every transform value descends from Q(zeta_1024)
     "z1024_even": {"group": "Z1024", "values": [int(k in (0, 1, 1023)) for k in range(1024)]},
@@ -148,6 +149,10 @@ CASES = {
         "file not utf-8": Case("check {nonutf8}", 2, "error: cannot read {nonutf8}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         "exact infinity": Case("check {inf}", 2, "error: not a finite value: inf"),
         "float nan": Case("--mode float check {nan}", 2, "error: not a finite value: nan"),
+        # finite inputs whose float transform, product or convolution overflows
+        "float check overflow": Case("--mode float check {near_max}", 2, "error: a computed float value is not finite"),
+        "float product overflow": Case("--mode float product {near_max} {near_max}", 2, "error: a computed float value is not finite"),
+        "float convolve overflow": Case("--mode float convolve {near_max} {near_max}", 2, "error: a computed float value is not finite"),
         # a second "--" is a positional that parses to [], as argparse parsed it
         "product second path --": Case("product {z2} -- --", 2, "error: cannot read []: not a file path"),
         "convolve second path --": Case("convolve {mu2} -- --", 2, "error: cannot read []: not a file path"),

@@ -9,13 +9,14 @@ import time
 import pytest
 
 from ppdlab.cone import (
+    _scalars,
     brute_force_rays,
     canonical_ray,
     extremal_rays,
     field_of_definition_check,
     ppd_cone_hrep,
 )
-from ppdlab.cyclotomic import expand_in_cos_basis
+from ppdlab.cyclotomic import cos_ring, expand_in_cos_basis
 from ppdlab.gaussian import (
     GridQuadrature,
     QuadraticFormSPD,
@@ -90,25 +91,29 @@ def test_criterion_05_mixed_product_and_discrepancy():
                "condition 4 flagged")
 
 
+def ray_values(cone):
+    """The exact ray coordinates, built as the field report builds them."""
+    ring = cos_ring(cone.basis.group.exponent())
+    return _scalars(ring, cone.ray_coords, cone.ray_conds)
+
+
 def test_criterion_06_cone_atlas_and_membership():
     counts = {}
     for n in (2, 3, 4):
         cone = extremal_rays(ppd_cone_hrep(make_group([n])))
         brute = brute_force_rays(cone)
         e = n
-        dd_keys = {canonical_ray(r, e)[1] for r in cone.rays}
-        bf_keys = {canonical_ray(r, e)[1] for r in brute}
+        dd_keys = {canonical_ray(r, e) for r in ray_values(cone)}
+        bf_keys = set(brute)
         assert dd_keys == bf_keys
-        counts[n] = len(cone.rays)
+        counts[n] = len(cone.ray_coords)
     assert counts == {2: 2, 3: 2, 4: 4}
     for n in (5, 6):
         G = make_group([n])
         cone = extremal_rays(ppd_cone_hrep(G))
         brute = brute_force_rays(cone)
         e = G.exponent()
-        assert {canonical_ray(r, e)[1] for r in cone.rays} == {
-            canonical_ray(r, e)[1] for r in brute
-        }
+        assert {canonical_ray(r, e) for r in ray_values(cone)} == set(brute)
     membership = cone_membership_sweep(max_order=8, samples=1000, seed=SEED)
     assert membership["disagreements"] == [], membership["disagreements"][:3]
     _report(6, f"ray counts (Z2,Z3,Z4) = (2,2,4) vs brute force; DD = brute "
@@ -127,10 +132,9 @@ def test_criterion_07_algebraicity_certificates():
         # independent re-check: every inequality coefficient and ray value
         # expands to its integer row or ray_coords entry
         e = G.exponent()
-        stored = [(c, x) for q, row in zip(cone.inequalities, cone.rows)
-                  for c, x in zip(q.coeffs, row)]
-        stored += [(c, x) for ray, coords in zip(cone.rays, cone.ray_coords)
-                   for c, x in zip(ray, coords)]
+        vecs = cone.rows + cone.ray_coords
+        values = _scalars(cos_ring(e), vecs, cone.row_conds + cone.ray_conds)
+        stored = [(c, x) for vals, vec in zip(values, vecs) for c, x in zip(vals, vec)]
         assert len(stored) == len(report["entries"])
         for c, x in stored:
             exp = expand_in_cos_basis(c, e)

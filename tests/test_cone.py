@@ -17,6 +17,7 @@ from ppdlab.cone import (
     _mod_rows,
     _primitive_form,
     _row_matrix,
+    _scalars,
     _transform_coords,
     _verify_extremal,
     brute_force_rays,
@@ -26,14 +27,16 @@ from ppdlab.cone import (
     is_interior,
     is_member,
     ppd_cone_hrep,
+    report_rows,
     self_duality_check,
 )
 from ppdlab.cyclotomic import (
+    CosRing,
     Cyc,
-    conductor,
     cos_basis_string,
     cos_ring,
     expand_in_cos_basis,
+    is_rational,
     real_sign,
     scalar_eq,
     to_complex,
@@ -49,18 +52,48 @@ from ppdlab.groups import (
     pairing_exponent,
 )
 from ppdlab.ppd import evaluate_function, sample_good, spectral_min_sign
+from ppdlab.sweeps import cone_atlas
 
 Z2 = make_group([2])
 Z3 = make_group([3])
 Z4 = make_group([4])
 
 
-def coeff_floats(ineq):
-    return [to_complex(c).real for c in ineq.coeffs]
+def coefficients(cone):
+    """Per inequality, its exact coefficients, built as the field report builds them."""
+    return _scalars(cos_ring(cone.basis.group.exponent()), cone.rows, cone.row_conds)
+
+
+def ray_values(cone):
+    """Per ray, its exact coordinates, built as the field report builds them."""
+    return _scalars(cos_ring(cone.basis.group.exponent()), cone.ray_coords, cone.ray_conds)
+
+
+def evaluate(coeffs, vec):
+    """The reference inequality value: a Cyc sum over the nonzero coefficients,
+    in order, from Fraction(0)."""
+    total = Fraction(0)
+    for c, v in zip(coeffs, vec):
+        if not (is_rational(c) and c == 0):
+            total = total + c * v
+    return total
+
+
+def conductor(x) -> int:
+    """The conductor an exact scalar is stored at: 1 for a rational."""
+    return 1 if is_rational(x) else x.field.E
+
+
+def inequality_floats(cone, digits=None):
+    """(kind, float coefficients) per printed inequality."""
+    kinds = [q["kind"] for q in report_rows(cone)["inequalities"]]
+    return {(kind, tuple(to_complex(c).real if digits is None else
+                         round(to_complex(c).real, digits) for c in coeffs))
+            for kind, coeffs in zip(kinds, coefficients(cone))}
 
 
 def ray_key_set(rays, e):
-    return {canonical_ray(r, e)[1] for r in rays}
+    return {canonical_ray(r, e) for r in rays}
 
 
 def test_even_basis_z4():
@@ -77,26 +110,21 @@ def test_even_basis_z4():
 
 
 def test_hrep_golden_z2_z3_z4():
-    c2 = ppd_cone_hrep(Z2)
-    got = {(q.kind, tuple(coeff_floats(q))) for q in c2.inequalities}
+    got = inequality_floats(ppd_cone_hrep(Z2))
     assert got == {
         ("point", (1.0, 0.0)),
         ("point", (0.0, 1.0)),
         ("dual", (1.0, 1.0)),
         ("dual", (1.0, -1.0)),
     }
-    c3 = ppd_cone_hrep(Z3)
-    got3 = {(q.kind, tuple(round(x, 9) for x in coeff_floats(q)))
-            for q in c3.inequalities}
+    got3 = inequality_floats(ppd_cone_hrep(Z3), 9)
     assert got3 == {
         ("point", (1.0, 0.0)),
         ("point", (0.0, 1.0)),
         ("dual", (1.0, 2.0)),
         ("dual", (1.0, -1.0)),
     }
-    c4 = ppd_cone_hrep(Z4)
-    got4 = {(q.kind, tuple(round(x, 9) for x in coeff_floats(q)))
-            for q in c4.inequalities}
+    got4 = inequality_floats(ppd_cone_hrep(Z4), 9)
     assert got4 == {
         ("point", (1.0, 0.0, 0.0)),
         ("point", (0.0, 1.0, 0.0)),
@@ -113,16 +141,16 @@ def test_hrep_bound():
 
 
 def test_hrep_rows_are_the_coefficients_and_built_once():
-    """The stored integer rows re-evaluate to the Cyc coefficients, and each
-    group's H-rep is built once."""
+    """The stored integer rows re-evaluate, at the exponent, to the Cyc
+    coefficients at their conductors, and each group's H-rep is built once."""
     for G in abelian_group_catalog(16):
         cone = ppd_cone_hrep(G)
         ring = cos_ring(G.exponent())
-        assert len(cone.rows) == len(cone.row_conds) == len(cone.inequalities)
-        for q, row in zip(cone.inequalities, cone.rows):
-            assert len(row) == len(q.coeffs) == cone.basis.dim
-            for c, x in zip(q.coeffs, row):
-                assert ring.scalar(x, G.exponent()) == c, (G, q)
+        assert len(cone.rows) == len(cone.row_conds) == 2 * cone.basis.dim
+        for coeffs, row, conds in zip(coefficients(cone), cone.rows, cone.row_conds):
+            assert len(row) == len(coeffs) == len(conds) == cone.basis.dim
+            for c, x in zip(coeffs, row):
+                assert ring.scalar(x, G.exponent()) == c, (G, row)
         assert ppd_cone_hrep(G) is ppd_cone_hrep(make_group(G.moduli))
 
 
@@ -139,21 +167,22 @@ def test_hrep_equals_a_coefficient_by_coefficient_build():
                       for x in orbit), Fraction(0)) for orbit in basis.orbits]
                 for a in basis.orbit_reps]
         coeffs = point + dual
-        assert [q.coeffs for q in cone.inequalities] == [tuple(r) for r in coeffs]
-        for q, want in zip(cone.inequalities, coeffs):
-            assert [repr(c) for c in q.coeffs] == [repr(c) for c in want], G
-            assert [str(c) for c in q.coeffs] == [str(c) for c in want], G
+        got = coefficients(cone)
+        assert got == [tuple(r) for r in coeffs]
+        for have, want in zip(got, coeffs):
+            assert [repr(c) for c in have] == [repr(c) for c in want], G
+            assert [str(c) for c in have] == [str(c) for c in want], G
         assert cone.rows == tuple(
             tuple(tuple(int(k) for k in expand_in_cos_basis(c, E)) for c in r) for r in coeffs)
         assert cone.row_conds == tuple(tuple(conductor(c) for c in r) for r in coeffs)
 
 
 def test_extremal_rays_golden_counts_and_vectors():
-    r2 = extremal_rays(ppd_cone_hrep(Z2)).rays
+    r2 = ray_values(extremal_rays(ppd_cone_hrep(Z2)))
     assert set(r2) == {(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))}
-    r3 = extremal_rays(ppd_cone_hrep(Z3)).rays
+    r3 = ray_values(extremal_rays(ppd_cone_hrep(Z3)))
     assert set(r3) == {(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))}
-    r4 = extremal_rays(ppd_cone_hrep(Z4)).rays
+    r4 = ray_values(extremal_rays(ppd_cone_hrep(Z4)))
     assert set(r4) == {
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(1)),
@@ -169,10 +198,52 @@ def test_extremal_rays_leaves_the_cached_hrep_alone():
     hrep = ppd_cone_hrep(Z4)
     cone = extremal_rays(hrep)
     assert cone is not hrep and type(cone) is type(hrep)
-    assert hrep.rays is hrep.ray_tight is hrep.ray_coords is hrep.ray_products is None
-    for name in ("basis", "inequalities", "rows", "row_conds"):
+    assert hrep.ray_conds is hrep.ray_tight is hrep.ray_coords is hrep.ray_products is None
+    for name in ("basis", "rows", "row_conds"):
         assert getattr(cone, name) is getattr(hrep, name)
-    assert len(cone.rays) == len(cone.ray_tight) == len(cone.ray_coords) == 4
+    assert len(cone.ray_conds) == len(cone.ray_tight) == len(cone.ray_coords) == 4
+
+
+def _leaves(x):
+    """The values a record holds, through its tuples and frozensets."""
+    if isinstance(x, (tuple, frozenset)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def test_cone_records_hold_only_integers():
+    """A cone stores each number once, as integers: every leaf of an
+    extremal_rays result is an int, or the EvenBasis, through its tuples and
+    frozensets; no exact value is reachable from it."""
+    for G in abelian_group_catalog(12):
+        cone = extremal_rays(ppd_cone_hrep(G))
+        assert isinstance(cone.basis, EvenBasis)
+        for name, field in zip(cone._fields[1:], cone[1:]):
+            assert type(field) is tuple, (G.moduli, name)
+            for leaf in _leaves(field):
+                assert type(leaf) is int, (G.moduli, name, leaf)
+        assert all(type(t) is frozenset for t in cone.ray_tight)
+
+
+def test_cone_reports_build_no_exact_value(monkeypatch):
+    """The H-rep, double description, the self-duality pairing, the atlas and
+    the membership of rational vectors run on integer coordinates alone:
+    with CosRing.scalar refusing every call, they still finish."""
+    def refuse(self, a, F):
+        raise AssertionError("CosRing.scalar called")
+
+    monkeypatch.setattr(CosRing, "scalar", refuse)
+    ppd_cone_hrep.cache_clear()  # every H-rep below is built under the patch
+    atlas = cone_atlas(max_order=12)
+    assert len(atlas["groups"]) == 21
+    for G in abelian_group_catalog(16)[21:]:
+        cone = ppd_cone_hrep(G)
+        f = cone.basis.function_from_vector([Fraction(1)] * cone.basis.dim)
+        assert is_member(f, cone) and not is_interior(f, cone), G.moduli
+    with pytest.raises(AssertionError, match="^CosRing.scalar called$"):
+        field_of_definition_check(extremal_rays(ppd_cone_hrep(make_group([5]))))
 
 
 def test_extremal_rays_tightness_rank():
@@ -237,10 +308,10 @@ def test_rank_fallback_gives_the_same_rays(monkeypatch):
     for n, cone in want.items():
         before = len(calls)
         got = extremal_rays(ppd_cone_hrep(make_group(n)))
-        assert len(calls) - before == len(cone.rays), n
+        assert len(calls) - before == len(cone.ray_coords), n
         assert got.ray_coords == cone.ray_coords, n
         assert got.ray_tight == cone.ray_tight, n
-        assert got.rays == cone.rays, n
+        assert got.ray_conds == cone.ray_conds, n
         assert got.ray_products == cone.ray_products, n
 
 
@@ -316,7 +387,7 @@ def test_double_description_matches_bruteforce_z2_to_z6():
         cone = extremal_rays(ppd_cone_hrep(G))
         brute = brute_force_rays(cone)
         e = G.exponent()
-        assert ray_key_set(cone.rays, e) == ray_key_set(brute, e), n
+        assert ray_key_set(ray_values(cone), e) == set(brute), n
 
 
 def test_double_description_matches_bruteforce_products():
@@ -325,7 +396,7 @@ def test_double_description_matches_bruteforce_products():
         cone = extremal_rays(ppd_cone_hrep(G))
         brute = brute_force_rays(cone)
         e = G.exponent()
-        assert ray_key_set(cone.rays, e) == ray_key_set(brute, e), moduli
+        assert ray_key_set(ray_values(cone), e) == set(brute), moduli
 
 
 def test_double_description_matches_bruteforce_larger():
@@ -335,8 +406,9 @@ def test_double_description_matches_bruteforce_larger():
         cone = extremal_rays(ppd_cone_hrep(G))
         brute = brute_force_rays(cone)
         e = G.exponent()
-        assert ray_key_set(cone.rays, e) == ray_key_set(brute, e), moduli
-        assert set(cone.ray_coords) == ray_key_set(cone.rays, e), moduli
+        assert ray_key_set(ray_values(cone), e) == set(brute), moduli
+        assert set(cone.ray_coords) == ray_key_set(ray_values(cone), e), moduli
+        assert cone.ray_coords == brute, moduli
 
 
 def test_dual_rows_are_the_transform_at_orbit_reps():
@@ -345,7 +417,7 @@ def test_dual_rows_are_the_transform_at_orbit_reps():
     for G in abelian_group_catalog(8):
         cone = extremal_rays(ppd_cone_hrep(G))
         e = G.exponent()
-        for ray, values in zip(cone.rays, _transform_coords(cone)):
+        for ray, values in zip(ray_values(cone), _transform_coords(cone)):
             f = cone.basis.function_from_vector(ray)
             fhat = fourier_transform(f, counting_haar(G))
             got = [expand_in_cos_basis(fhat.values[r], e) for r in cone.basis.orbit_reps]
@@ -362,7 +434,8 @@ def test_ring_evaluation_carries_the_cyc_conductor():
         ring = cos_ring(e)
         cone = ppd_cone_hrep(G)
         rows, conds = cone.rows, cone.row_conds
-        coeffs = [c for q in cone.inequalities for c in q.coeffs]
+        rowvals = coefficients(cone)
+        coeffs = [c for q in rowvals for c in q]
         for _ in range(40):
             vec = tuple(
                 sum((rng.randint(-2, 2) * rng.choice(coeffs) for _ in range(2)), Fraction(0))
@@ -372,7 +445,7 @@ def test_ring_evaluation_carries_the_cyc_conductor():
             vconds = tuple(conductor(v) for v in vec)
             q = rng.randrange(len(rows))
             cond = _dot_conductor(ring, rows[q], vrow, (conds[q], vconds))
-            want = cone.inequalities[q].evaluate(vec)
+            want = evaluate(rowvals[q], vec)
             assert ring.scalar(_ring_dot(ring, rows[q], vrow), e) == want, (moduli, vec)
             assert cond == (1 if isinstance(want, Fraction) else want.field.E)
 
@@ -406,8 +479,8 @@ def test_ray_set_closed_under_automorphisms():
             assert sorted(hom_index_map(phi)) == list(range(G.order)), matrix
             images = {
                 canonical_ray(basis.vector_from_function(
-                    pullback(phi, basis.function_from_vector(r))), G.exponent())[1]
-                for r in cone.rays
+                    pullback(phi, basis.function_from_vector(r))), G.exponent())
+                for r in ray_values(cone)
             }
             assert images == keys, (moduli, matrix)
 
@@ -420,7 +493,7 @@ def test_ray_set_not_closed_under_galois():
         ring = cos_ring(n)
         for k in range(ring.m - 1):
             conjugated = {
-                canonical_ray(tuple(ring.scalar(ring.conjugates(c)[k], n) for c in ray), n)[1]
+                canonical_ray(tuple(ring.scalar(ring.conjugates(c)[k], n) for c in ray), n)
                 for ray in cone.ray_coords
             }
             assert conjugated != set(cone.ray_coords), (n, k)
@@ -431,12 +504,13 @@ def test_rays_removal_shrinks_cone():
     tight at it is strictly positive on every other ray."""
     for n in (2, 3, 4, 5, 6):
         cone = extremal_rays(ppd_cone_hrep(make_group([n])))
-        for i, (ray, tight) in enumerate(zip(cone.rays, cone.ray_tight)):
-            for j, other in enumerate(cone.rays):
+        rays, rowvals = ray_values(cone), coefficients(cone)
+        for i, (ray, tight) in enumerate(zip(rays, cone.ray_tight)):
+            for j, other in enumerate(rays):
                 if i == j:
                     continue
                 assert any(
-                    real_sign(cone.inequalities[q].evaluate(other)) > 0
+                    real_sign(evaluate(rowvals[q], other)) > 0
                     for q in tight
                 )
 
@@ -446,10 +520,11 @@ def test_conic_combinations_are_interior():
     for n in (2, 3, 4, 5):
         G = make_group([n])
         cone = extremal_rays(ppd_cone_hrep(G))
+        rays = ray_values(cone)
         for _ in range(10):
-            coeffs = [Fraction(rng.randint(1, 5)) for _ in cone.rays]
+            coeffs = [Fraction(rng.randint(1, 5)) for _ in rays]
             vec = tuple(
-                sum((c * r[j] for c, r in zip(coeffs, cone.rays)), Fraction(0))
+                sum((c * r[j] for c, r in zip(coeffs, rays)), Fraction(0))
                 for j in range(cone.basis.dim)
             )
             f = cone.basis.function_from_vector(vec)
@@ -509,19 +584,19 @@ def _boundary_and_random_vectors(cone, rng):
     for H in all_subgroups(G):
         vecs.append(tuple(Fraction(int(r in H.elements)) for r in cone.basis.orbit_reps))
     if d <= 6 and G.exponent() in (1, 2, 3, 4, 6):
-        rays = [tuple(Fraction(v) for v in r) for r in extremal_rays(cone).rays]
+        rays = [tuple(Fraction(v) for v in r) for r in ray_values(extremal_rays(cone))]
         vecs += rays
         vecs += [tuple(a + b for a, b in zip(r, s)) for r, s in zip(rays, rays[1:])]
     return vecs
 
 
 def _reference_signs(cone, vec):
-    return [real_sign(q.evaluate(vec)) for q in cone.inequalities]
+    return [real_sign(evaluate(q, vec)) for q in coefficients(cone)]
 
 
 def test_membership_on_integer_rows_matches_evaluate_reference():
-    """is_interior/is_member on integer ring rows against Inequality.evaluate
-    and real_sign, on every presentation through order 16."""
+    """is_interior/is_member on integer ring rows against the Cyc-sum
+    reference evaluate and real_sign, on every presentation through order 16."""
     rng = random.Random(16)
     groups = abelian_group_catalog(16)
     assert len(groups) == 31
@@ -557,15 +632,14 @@ def test_interior_good_agreement_sampled():
 
 def test_canonical_ray_scaling():
     vec = (Fraction(2, 3), Fraction(4, 3), Fraction(0))
-    canon, icoords = canonical_ray(vec, 4)
-    assert canon == (Fraction(1), Fraction(2), Fraction(0))
+    icoords = canonical_ray(vec, 4)
+    assert icoords == ((1,), (2,), (0,))
     neg = tuple(-v for v in vec)
-    canon2, _ = canonical_ray(neg, 4)
-    assert canon2 == canon
+    assert canonical_ray(neg, 4) == icoords
     # irrational coordinates stay integral over the cos basis
     g = unit_root(5, 1) + unit_root(5, 4)
-    canon3, icoords3 = canonical_ray((Fraction(1), g), 5)
-    assert canon3 == (Fraction(1), g)
+    icoords3 = canonical_ray((Fraction(1), g), 5)
+    assert _scalars(cos_ring(5), [icoords3], [(1, 5)]) == [(Fraction(1), g)]
     assert icoords3 == ((1, 0), (0, 1))
 
 
@@ -592,9 +666,9 @@ def _field_report_reference(cone):
     e = cone.basis.group.exponent()
     entries = []
     values = [(f"inequality[{i}].coeff[{j}]", c)
-              for i, q in enumerate(cone.inequalities) for j, c in enumerate(q.coeffs)]
+              for i, q in enumerate(coefficients(cone)) for j, c in enumerate(q)]
     values += [(f"ray[{r}].coord[{j}]", c)
-               for r, ray in enumerate(cone.rays) for j, c in enumerate(ray)]
+               for r, ray in enumerate(ray_values(cone)) for j, c in enumerate(ray)]
     for location, value in values:
         exp = expand_in_cos_basis(value, e)
         assert scalar_eq(cos_ring(e).scalar(exp, e), value + Fraction(0)), location
@@ -614,8 +688,8 @@ def test_field_report_certifies_each_stored_value_once():
         e = G.exponent()
         if G.moduli in ((14,), (16,)):
             conductors = {}
-            for v in [c for q in cone.inequalities for c in q.coeffs] + [
-                    c for ray in cone.rays for c in ray]:
+            for v in [c for q in coefficients(cone) for c in q] + [
+                    c for ray in ray_values(cone) for c in ray]:
                 if isinstance(v, Cyc):
                     key = tuple(expand_in_cos_basis(v, e))
                     conductors.setdefault(key, set()).add(v.field.E)
@@ -634,7 +708,7 @@ def test_self_duality_z4():
     cone = extremal_rays(ppd_cone_hrep(Z4))
     report = self_duality_check(cone)
     assert report.is_involution
-    rays = list(cone.rays)
+    rays = ray_values(cone)
     i_delta = rays.index((Fraction(1), Fraction(0), Fraction(0)))
     i_const = rays.index((Fraction(1), Fraction(1), Fraction(1)))
     i_half = rays.index((Fraction(1), Fraction(0), Fraction(1)))
@@ -654,7 +728,7 @@ def test_self_duality_involution_sweep():
 def test_rays_are_ppd_boundary_functions():
     for n in (2, 3, 4, 5, 6):
         cone = extremal_rays(ppd_cone_hrep(make_group([n])))
-        for ray in cone.rays:
+        for ray in ray_values(cone):
             f = cone.basis.function_from_vector(ray)
             v = evaluate_function(f)
             assert v.is_ppd

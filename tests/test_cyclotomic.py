@@ -372,13 +372,18 @@ def _ref_power(k: int, E: int) -> list[Fraction]:
     return poly[:d]
 
 
+def _ref_vec(x: Cyc) -> list[Fraction]:
+    """The power-basis coordinates of x as Fractions."""
+    return [Fraction(n, x.den) for n in x.num]
+
+
 def _ref_coords(x, E2: int) -> list[Fraction]:
     """Coordinates of an exact scalar in Q(zeta_E2), the conductor of x dividing E2."""
     out = [Fraction(0)] * (len(cyclotomic_polynomial(E2)) - 1)
     if is_rational(x):
         out[0] = Fraction(x)
         return out
-    for j, c in enumerate(x.vec):
+    for j, c in enumerate(_ref_vec(x)):
         for i, b in enumerate(_ref_power(j * (E2 // x.field.E), E2)):
             out[i] += c * b
     return out
@@ -387,14 +392,14 @@ def _ref_coords(x, E2: int) -> list[Fraction]:
 def _ref_conj(x: Cyc) -> list[Fraction]:
     E = x.field.E
     out = [Fraction(0)] * x.field.degree
-    for j, c in enumerate(x.vec):
+    for j, c in enumerate(_ref_vec(x)):
         for i, b in enumerate(_ref_power(-j % E, E)):
             out[i] += c * b
     return out
 
 
 def _ref_is_real(x) -> bool:
-    return is_rational(x) or _ref_conj(x) == list(x.vec)
+    return is_rational(x) or _ref_conj(x) == _ref_vec(x)
 
 
 def _ref_sign(x) -> int:
@@ -404,7 +409,7 @@ def _ref_sign(x) -> int:
     with mpmath.workdps(80):
         v = mpmath.fsum(
             mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * j / x.field.E)
-            for j, c in enumerate(x.vec)
+            for j, c in enumerate(_ref_vec(x))
         )
         assert abs(v) > mpmath.mpf(10) ** -60
         return 1 if v > 0 else -1
@@ -464,7 +469,7 @@ def test_scalar_eq_matches_fraction_reference(a, data):
         E2 = a.field.E * data.draw(st.sampled_from([2, 3]))
         b = Cyc.make(field(E2), _ref_coords(a, E2))
     elif kind == "as_fraction":
-        b = Fraction(a) if is_rational(a) else a.vec[0]
+        b = Fraction(a) if is_rational(a) else _ref_vec(a)[0]
     elif kind == "as_int" and is_rational(a):
         b = int(a) if Fraction(a).denominator == 1 else math.floor(a)
     else:
@@ -598,6 +603,16 @@ def _ref_str(x) -> str:
 
 def _conductor(x) -> int:
     return 1 if is_rational(x) else x.field.E
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_exact_scalars())
+def test_str_and_repr_match_fraction_reference(x):
+    """Each coordinate prints from its integer numerator and den as its
+    Fraction prints, on conductors 3 to 24."""
+    assert str(x) == _ref_str(x)
+    if not is_rational(x):
+        assert repr(x) == f"Cyc({x.field.E}, {[str(c) for c in _ref_vec(x)]})"
 
 
 def _assert_reduced(x, E: int):
