@@ -118,16 +118,13 @@ def cmd_check(args) -> int:
 
 
 def _required_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
+    if args.seed is None:
         raise ValueError("--seed is mandatory for sampled sweeps")
-    return seed
+    return args.seed
 
 
 def _order_or(args, default: int) -> int:
-    requested = getattr(args, "max_order", None)
-    if requested is None:
-        requested = default
+    requested = default if args.max_order is None else args.max_order
     return _effective_max_order(_non_negative(requested, "--max-order"))
 
 

@@ -19,25 +19,27 @@ extremal_rays builds, per row, the matrix of v -> <row, v>, m rows (m the rank
 of the ring) over the d*m flattened ring coordinates of a ray.  When the rank
 over F_p falls short, the Smith form of the tight rows' stacked matrices
 decides: their rank over Q is m times the rank of the rows.  The products
-of every row with every ray that this check certifies are kept, and the
-self-duality pairing reads the transforms off them.  Canonical rays are
+of the dual rows with every ray that this check certifies are kept: they are
+the ray's transform, which the self-duality pairing reads, and with the ray's
+own coordinates (its products with the point rows) their zeros are the tight
+set the report prints.  Canonical rays are
 primitive with the first nonzero coordinate a positive integer.  The H-rep is
 built once per group, with the integer rows of its coefficients.  A dual
 coefficient is the sum of zeta_E^-k over an orbit with pairing exponent k:
 2cos(2pi k/E), read off the ring's cos table, over {x, -x}, and half of it over
-x = -x.  Double description, the printed reports and the membership of a
-rational vector (one integer row combination and one ring sign per
-inequality) read those rows and the ray coordinates.  A cone stores each
+x = -x.  Double description, the printed reports and membership (one loop
+for every mode, _inequality_signs) read those rows and the ray coordinates.
+A cone stores each
 number once, as its integer coordinates and the conductor it prints at: a
 coefficient at the conductor of its root of unity, a ray coordinate at the
 one Cyc arithmetic along the double-description path gives it
 (cyclotomic.conductor_step), which double description traces term by term
 only for the rays of a pair it keeps, once per inserted row.  Exact values
 are built from those pairs (_scalars) only where one is read: the field
-report, the membership of a vector that is not rational, and brute force.
+report and brute force.
 
 The records (PolyhedralCone, SelfDualityReport) are typing.NamedTuples of
-ints, tuples and frozensets, so they are tuples: extremal_rays returns
+ints and tuples, so they are tuples: extremal_rays returns
 cone._replace(...) with the V-representation filled in, and the
 cached H-rep it was given keeps no rays.
 """
@@ -61,7 +63,6 @@ from .cyclotomic import (
     real_sign,
     root_conductor,
     scalar_inv,
-    to_complex,
 )
 from .fourier import GroupFunction, exponent_table
 from .groups import FiniteAbelianGroup
@@ -124,10 +125,12 @@ class PolyhedralCone(NamedTuple):
     basis: EvenBasis
     rows: tuple[tuple, ...]  # per inequality, its coefficients in ring coordinates
     row_conds: tuple[tuple[int, ...], ...]  # and the conductors they print at
-    ray_tight: Optional[tuple[frozenset, ...]] = None
     ray_coords: Optional[tuple[tuple, ...]] = None  # canonical ring coordinates
     ray_conds: Optional[tuple[tuple[int, ...], ...]] = None  # and the conductors they print at
-    ray_products: Optional[tuple[tuple, ...]] = None  # per ray, <row, ray> for every row
+    # per ray, <row, ray> for the dual rows d..2d-1, in ring coordinates: its
+    # transform at the orbit representatives; the ray's tight set is the zero
+    # pattern of ray_coords + ray_transforms (a point row's product is the coordinate)
+    ray_transforms: Optional[tuple[tuple, ...]] = None
 
 
 @lru_cache(maxsize=None)
@@ -163,35 +166,40 @@ def _scalars(ring: CosRing, vecs, conds) -> list[tuple]:
     return [tuple(map(value, vec, cs)) for vec, cs in zip(vecs, conds)]
 
 
-def _evaluate(coeffs, vec):
-    """sum_j coeffs[j] * vec[j] over exact scalars, in order, from Fraction(0)."""
-    return sum((c * v for c, v in zip(coeffs, vec) if not (is_rational(c) and c == 0)),
-               Fraction(0))
-
-
 # -- membership ---------------------------------------------------------------------
 
 
 def _inequality_signs(f: GroupFunction, cone: PolyhedralCone):
-    """The sign of each inequality at f, in listed order, one at a time.  Over
-    a rational vector's common denominator, inequality i is sum_j rows[i][j] * n_j
-    in ring coordinates; any other vector is evaluated coefficient by coefficient."""
+    """The sign of each inequality at f, in listed order, one at a time.
+
+    Inequality i sums rows[i][j] * v_j into ring coordinates t_k, of value
+    sum_k t_k * b_k: CosRing.sign reads the integers t_k of a rational
+    vector's numerators v_j over their common denominator; the t_k of any
+    other exact vector meet the b_k built at conductor e, and those of a
+    float vector's real parts meet CosRing.approx.  A vector that is not
+    real fails condition 2.1.1: its one sign is -1."""
     vec = cone.basis.vector_from_function(f)
     mode = f.mode
     ring = cos_ring(cone.basis.group.exponent())
-    if mode.exact and all(is_rational(v) for v in vec):
-        nums = [(j, n) for j, n in enumerate(over_common_denominator(vec)[0]) if n]
-        for row in cone.rows:
-            total = [0] * ring.m
-            for j, n in nums:
-                for k, c in enumerate(row[j]):
-                    total[k] += c * n
-            yield ring.sign(total)
+    if mode.exact and all(map(is_rational, vec)):
+        vec, sign = over_common_denominator(vec)[0], ring.sign
+    elif not all(map(mode.real, vec)):
+        yield -1
+        return
+    elif mode.exact:
+        basis = [1] + [ring.scalar(b, ring.e) for b in ring.cos[1:ring.m]]
+        sign = lambda total: real_sign(sum(map(mul, total, basis), Fraction(0)))
     else:
-        base = mode.scale(vec)
-        for coeffs in _scalars(ring, cone.rows, cone.row_conds):
-            yield mode.sign(_evaluate(coeffs, vec) if mode.exact else sum(
-                to_complex(c) * to_complex(v) for c, v in zip(coeffs, vec)), base)
+        scale, vec = mode.scale(vec), [v.real for v in mode.values(vec)]
+        sign = lambda total: mode.sign(sum(map(mul, total, ring.approx)), scale)
+    terms = [(j, v) for j, v in enumerate(vec) if v]
+    for row in cone.rows:
+        total = [0] * ring.m
+        for j, v in terms:
+            for k, c in enumerate(row[j]):
+                if c:
+                    total[k] += c * v
+        yield sign(total)
 
 
 def is_interior(f: GroupFunction, cone: PolyhedralCone) -> bool:
@@ -332,26 +340,21 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
         canon[_primitive_form(ring, r)] = (c, t)  # a later duplicate wins
     coords = tuple(sorted(canon))
     mod = _mod_rows(ring.e, rows)
-    products = tuple(_verify_extremal(ring, rows, mats, mod, k, canon[k][1], d)
-                     for k in coords)
-    n = len(rows)
     return cone._replace(
-        ray_tight=tuple(
-            frozenset(i for i in range(n) if canon[k][1] >> i & 1) for k in coords
-        ),
         ray_coords=coords,
         ray_conds=tuple(_ray_conds(k, canon[k][0]) for k in coords),
-        ray_products=products,
+        ray_transforms=tuple(_verify_extremal(ring, rows, mats, mod, k, canon[k][1], d)
+                             for k in coords),
     )
 
 
 def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) -> tuple:
-    """Certify a canonical ray; returns <row, vec> for every row: vec's own
-    coordinates for the point rows 0..d-1, which are the unit vectors, and
-    mats (the dual rows' _row_matrix) applied to vec for rows d..2d-1.
+    """Certify a canonical ray; returns its products <row, vec> with the dual
+    rows d..2d-1, mats (their _row_matrix) applied to vec.
 
-    Every product gets a certified sign: none is negative and the zero ones
-    are the tight set, so vec annihilates the tight rows and their rank is at
+    Every product, vec's own coordinates for the point rows 0..d-1 (the unit
+    vectors), gets a certified sign: none is negative and the zero ones are
+    the tight set, so vec annihilates the tight rows and their rank is at
     most d - 1.  A minor maps to the minor of the image, so the rank of their
     image over F_p (mod = _mod_rows(e, rows)) is at most their rank, and
     rank_p = d - 1 proves rank = d - 1.  Only when rank_p falls short does the
@@ -360,8 +363,8 @@ def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) ->
     rank over Q of that integer matrix is m times the rank of the rows.
     """
     flat = [c for z in vec for c in z]
-    products = vec + tuple(_apply(mat, flat) for mat in mats)
-    for i, v in enumerate(products):
+    transforms = tuple(_apply(mat, flat) for mat in mats)
+    for i, v in enumerate(vec + transforms):
         s = ring.sign(v)
         if s < 0:
             raise AssertionError("ray violates an inequality")
@@ -373,7 +376,7 @@ def _verify_extremal(ring: CosRing, rows, mats, mod, vec, tight: int, d: int) ->
             and rank([r for i in tight_idx for r in _row_matrix(ring, rows[i])])
             != ring.m * (d - 1)):
         raise AssertionError("ray fails the tightness-rank extremality test")
-    return products
+    return transforms
 
 
 def _is_prime(n: int) -> bool:
@@ -460,7 +463,7 @@ def brute_force_rays(cone: PolyhedralCone) -> tuple[tuple, ...]:
         side = 0  # the first nonzero sign; the line is a ray only if no other shows
         for i, q in enumerate(ineqs):
             if i not in subset:
-                s = real_sign(_evaluate(q, vec))
+                s = real_sign(sum((c * v for c, v in zip(q, vec) if c and v), Fraction(0)))
                 if side and s == -side:
                     return
                 side = side or s
@@ -500,8 +503,9 @@ def report_rows(cone: PolyhedralCone) -> dict:
     ]}
     if cone.ray_coords is not None:
         rows["rays"] = [
-            {"coords": [cos_basis_string(c, e) for c in ray], "tight": sorted(t)}
-            for ray, t in zip(cone.ray_coords, cone.ray_tight)
+            {"coords": [cos_basis_string(c, e) for c in ray],
+             "tight": [i for i, x in enumerate(ray + transform) if not any(x)]}
+            for ray, transform in zip(cone.ray_coords, cone.ray_transforms)
         ]
     return rows
 
@@ -540,23 +544,15 @@ class SelfDualityReport(NamedTuple):
         return {"pairing": list(self.pairing), "involution": self.is_involution}
 
 
-def _transform_coords(cone: PolyhedralCone) -> tuple[tuple, ...]:
-    """Per ray, its transform under counting measure at the orbit representatives,
-    in ring coordinates: the products with the dual rows d..2d-1 that
-    extremal_rays certified."""
-    if cone.ray_products is None:
-        raise ValueError("V-representation not computed yet")
-    d = cone.basis.dim
-    return tuple(products[d:] for products in cone.ray_products)
-
-
 def self_duality_check(cone: PolyhedralCone) -> SelfDualityReport:
-    """Match each ray's transform direction against the (self-dual) ray list."""
-    transforms = _transform_coords(cone)
+    """Match each ray's transform direction, its ray_transforms entry, against
+    the (self-dual) ray list."""
+    if cone.ray_transforms is None:
+        raise ValueError("V-representation not computed yet")
     ring = cos_ring(cone.basis.group.exponent())
     keys = {k: i for i, k in enumerate(cone.ray_coords)}
     pairing = []
-    for vec in transforms:
+    for vec in cone.ray_transforms:
         j = keys.get(_primitive_form(ring, vec))
         if j is None:
             raise AssertionError("transform of an extremal ray is not a listed ray")

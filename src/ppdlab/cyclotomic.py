@@ -100,7 +100,7 @@ def cyclotomic_polynomial(E: int) -> tuple[int, ...]:
 class CycField:
     """Cached arithmetic tables for Q(zeta_E) in the power basis."""
 
-    __slots__ = ("E", "degree", "powers", "roots_complex")
+    __slots__ = ("E", "degree", "powers")
 
     def __init__(self, E: int):
         self.E = E
@@ -119,9 +119,6 @@ class CycField:
             if lead:
                 cur = [a + lead * t for a, t in zip(cur, tail)]
         self.powers = tuple(pows)
-        self.roots_complex = tuple(
-            cmath.exp(2j * cmath.pi * j / E) for j in range(d)
-        )
 
     def __repr__(self):
         return f"CycField({self.E})"
@@ -265,7 +262,7 @@ class Cyc:
     def to_complex(self) -> complex:
         den = self.den
         return sum(
-            (n / den) * r for n, r in zip(self.num, self.field.roots_complex) if n
+            (n / den) * r for n, r in zip(self.num, complex_roots(self.field.E)) if n
         )
 
     def __repr__(self):
@@ -424,6 +421,12 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
 
 
 @lru_cache(maxsize=None)
+def complex_roots(E: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*k/E) for k in range(E): the powers of zeta_E as complex doubles."""
+    return tuple(cmath.exp(2j * cmath.pi * k / E) for k in range(E))
+
+
+@lru_cache(maxsize=None)
 def cos_approx(E: int) -> tuple[float, ...]:
     """cos(2*pi*k/E) for k in range(E): the real parts of the powers of zeta_E."""
     return tuple(math.cos(2 * math.pi * k / E) for k in range(E))
@@ -546,10 +549,11 @@ class CosRing:
 
     An element is a tuple of m = cos_basis_size(e) ints.  ``cos[t]`` expands
     2cos(2pi t/e) for every t; products follow b_i b_j = cos[i+j] + cos[i-j].
-    Build it once per e through :func:`cos_ring`.
+    ``approx`` holds the float values of the b_j.  Build it once per e
+    through :func:`cos_ring`.
     """
 
-    __slots__ = ("e", "m", "zero", "one", "cos", "_prod", "_galois", "_approx")
+    __slots__ = ("e", "m", "zero", "one", "cos", "_prod", "_galois", "approx")
 
     def __init__(self, e: int):
         m = self.m = cos_basis_size(e)
@@ -570,7 +574,7 @@ class CosRing:
             tuple(zip(self.one, *(cos[j * k % e] for j in range(1, m))))
             for k in range(2, e // 2 + 1) if math.gcd(k, e) == 1
         )
-        self._approx = (1.0,) + tuple(2 * c for c in cos_approx(e)[1:m])
+        self.approx = (1.0,) + tuple(2 * c for c in cos_approx(e)[1:m])
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -602,7 +606,7 @@ class CosRing:
         """Certified sign of a: the double screen, escalating on (a_0, 2a_1, ...)."""
         if not any(a[1:]):
             return (a[0] > 0) - (a[0] < 0)
-        s = screen_sign(a, self._approx)
+        s = screen_sign(a, self.approx)
         return _refined_sign((a[0], *(2 * c for c in a[1:])), self.e) if s is None else s
 
     def scalar(self, a, F: int) -> Scalar:

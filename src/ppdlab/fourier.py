@@ -37,6 +37,7 @@ from typing import Sequence
 
 from .cyclotomic import (
     Cyc,
+    complex_roots,
     conj_scalar,
     conductor_step,
     field,
@@ -78,13 +79,6 @@ def exponent_table(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         rows = tuple(tuple([(t + c * r * s) % E for s in range(n) for t in row])
                      for r in range(n) for row in rows)
     return rows
-
-
-@lru_cache(maxsize=None)
-def _complex_roots(E: int) -> tuple[complex, ...]:
-    import cmath
-
-    return tuple(cmath.exp(2j * cmath.pi * k / E) for k in range(E))
 
 
 class Mode:
@@ -320,7 +314,7 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode,
         table = [table[b] for b in rows]
     if mode.exact:
         return _exact_character_sums(E, table, values, sign, scale)
-    roots = _complex_roots(E)
+    roots = complex_roots(E)
     if sign < 0:  # root k becomes zeta_E^(-k) = roots[(E - k) % E]
         roots = roots[:1] + roots[:0:-1]
     scale = float(scale)

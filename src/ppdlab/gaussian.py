@@ -236,13 +236,9 @@ class CorestrictionProbeReport(NamedTuple):
     grid: dict
 
     def to_dict(self):
-        return {
-            "schur_matrix": self.schur_matrix,
-            "max_gap_routes": self.max_gap_routes,
-            "max_gap_marginal_vs_closed": self.max_gap_marginal_vs_closed,
-            "max_gap_dual_route_vs_closed": self.max_gap_dual_route_vs_closed,
-            "grid": dict(self.grid),
-        }
+        out = {**self._asdict(), "grid": dict(self.grid)}
+        del out["test_points"]
+        return out
 
 
 def schur_complement(A: np.ndarray, k: int) -> np.ndarray:
@@ -339,16 +335,7 @@ class SeriesProbeReport(NamedTuple):
     grid: dict
 
     def to_dict(self):
-        return {
-            "terms": self.terms,
-            "restricted_mass": self.restricted_mass,
-            "restricted_mass_closed": self.restricted_mass_closed,
-            "total_mass": self.total_mass,
-            "total_mass_closed": self.total_mass_closed,
-            "swap_symmetry_gap": self.swap_symmetry_gap,
-            "partial_sums_ppd": self.partial_sums_ppd,
-            "grid": dict(self.grid),
-        }
+        return {**self._asdict(), "grid": dict(self.grid)}
 
 
 def counterexample_probe(n_terms: int,

@@ -166,7 +166,7 @@ def parse_group(text: str) -> FiniteAbelianGroup:
     moduli = []
     for p in parts:
         p = p.strip()
-        if not p.startswith("Z") or not p[1:].isdigit():
+        if not p.startswith("Z") or not (p[1:].isascii() and p[1:].isdigit()):
             raise ValueError(f"bad group literal {text!r}")
         moduli.append(int(p[1:]))
     return make_group(moduli)
@@ -198,7 +198,8 @@ def pairing(G: FiniteAbelianGroup, a: Element, x: Element) -> complex:
 
 
 class Subgroup:
-    """Extensionally stored subgroup of a small finite abelian group."""
+    """Extensionally stored subgroup of a small finite abelian group; with no
+    generators given, its nonzero elements generate it."""
 
     __slots__ = ("parent", "elements", "generators")
 
@@ -206,7 +207,8 @@ class Subgroup:
                  generators: Sequence[Element]):
         self.parent = parent
         self.elements = tuple(sorted(elements))
-        self.generators = tuple(generators)
+        self.generators = tuple(generators) or tuple(
+            parent.element(i) for i in self.elements if i)
 
     @property
     def order(self) -> int:
@@ -227,8 +229,7 @@ class Subgroup:
 
     def as_group(self) -> tuple[FiniteAbelianGroup, "Homomorphism"]:
         """Realize this subgroup as an abstract group plus its embedding."""
-        return _subgroup_realization(self.parent.moduli, self.elements,
-                                     tuple(self.generators))
+        return _subgroup_realization(self.parent.moduli, self.elements, self.generators)
 
 
 def _adjoin(add, span, g: int) -> set[int]:
@@ -434,7 +435,7 @@ class QuotientGroup(NamedTuple):
 def quotient(G: FiniteAbelianGroup, H: Subgroup) -> QuotientGroup:
     if H.parent != G:
         raise ValueError("subgroup belongs to a different group")
-    return _quotient_realization(G.moduli, H.elements, tuple(H.generators))
+    return _quotient_realization(G.moduli, H.elements, H.generators)
 
 
 @lru_cache(maxsize=None)
@@ -472,13 +473,11 @@ def _quotient_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
 
 @lru_cache(maxsize=None)
 def _subgroup_realization(moduli: tuple[int, ...], h_elements: tuple[int, ...],
-                          h_gens: tuple[Element, ...]):
+                          gens: tuple[Element, ...]):
     G = FiniteAbelianGroup(moduli)
     if len(h_elements) == 1:
         H_abs = FiniteAbelianGroup([1])
         return H_abs, Homomorphism(H_abs, G, tuple((0,) for _ in range(G.rank)))
-    # fall back to the element list when no generating set was recorded
-    gens = list(h_gens) or [G.element(i) for i in h_elements if i]
     m = len(gens)
     k = G.rank
     # kernel of Z^m -> G, e_j -> gens[j]: project ker[M | diag(n)] to z-coords

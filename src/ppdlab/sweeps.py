@@ -20,11 +20,13 @@ from .cone import (
     self_duality_check,
 )
 from .constructions import (
+    corestrict,
     corestriction_consistency,
     diagonal_hom,
     external_product,
     pointwise_product,
     ppd_times_good,
+    restrict,
 )
 from .cyclotomic import real_sign, scalar_eq
 from .fourier import (
@@ -301,8 +303,6 @@ def involution_sweep(max_order: int = 12, samples: int = 20, seed: int = 0,
 
 
 def _duality_square_commutes(f, G, H) -> bool:
-    from .constructions import corestrict, restrict
-
     lhs = normalized_dual(restrict(f, H), require_good=False)
     fd = normalized_dual(f, require_good=False)
     perp = annihilator(G, H)

@@ -157,6 +157,9 @@ CASES = {
         "product second path --": Case("product {z2} -- --", 2, "error: cannot read []: not a file path"),
         "convolve second path --": Case("convolve {mu2} -- --", 2, "error: cannot read []: not a file path"),
         "cone bad group literal": Case("cone A5", 2, "error: bad group literal 'A5'"),
+        # a group literal takes ASCII digits only
+        "cone Arabic-Indic digit": Case("cone Z٣", 2, "error: bad group literal 'Z٣'"),
+        "cone superscript digit": Case("cone Z²", 2, "error: bad group literal 'Z²'"),
         "bad max order env": Case("cone Z4", 2, "error: bad PPDLAB_MAX_ORDER value 'x'", max_order="x"),
         "negative max order env": Case("cone-atlas", 2, "error: bad PPDLAB_MAX_ORDER value '-1'", max_order="-1"),
         "negative max order": Case("cone-atlas --max-order -1", 2, "error: --max-order must be non-negative, got -1"),

@@ -18,7 +18,6 @@ from ppdlab.cone import (
     _primitive_form,
     _row_matrix,
     _scalars,
-    _transform_coords,
     _verify_extremal,
     brute_force_rays,
     canonical_ray,
@@ -37,6 +36,7 @@ from ppdlab.cyclotomic import (
     cos_ring,
     expand_in_cos_basis,
     is_rational,
+    real_abs,
     real_sign,
     scalar_eq,
     to_complex,
@@ -67,6 +67,13 @@ def coefficients(cone):
 def ray_values(cone):
     """Per ray, its exact coordinates, built as the field report builds them."""
     return _scalars(cos_ring(cone.basis.group.exponent()), cone.ray_coords, cone.ray_conds)
+
+
+def tight_sets(cone):
+    """Per ray, the inequalities tight at it: the zeros among its products with
+    the point rows (its coordinates) and with the dual rows (its transform)."""
+    return tuple(frozenset(i for i, x in enumerate(ray + transform) if not any(x))
+                 for ray, transform in zip(cone.ray_coords, cone.ray_transforms))
 
 
 def evaluate(coeffs, vec):
@@ -198,10 +205,11 @@ def test_extremal_rays_leaves_the_cached_hrep_alone():
     hrep = ppd_cone_hrep(Z4)
     cone = extremal_rays(hrep)
     assert cone is not hrep and type(cone) is type(hrep)
-    assert hrep.ray_conds is hrep.ray_tight is hrep.ray_coords is hrep.ray_products is None
+    assert hrep.ray_conds is hrep.ray_coords is hrep.ray_transforms is None
     for name in ("basis", "rows", "row_conds"):
         assert getattr(cone, name) is getattr(hrep, name)
-    assert len(cone.ray_conds) == len(cone.ray_tight) == len(cone.ray_coords) == 4
+    assert len(cone.ray_conds) == len(cone.ray_transforms) == len(cone.ray_coords) == 4
+    assert len(cone._fields) == 6
 
 
 def _leaves(x):
@@ -215,8 +223,8 @@ def _leaves(x):
 
 def test_cone_records_hold_only_integers():
     """A cone stores each number once, as integers: every leaf of an
-    extremal_rays result is an int, or the EvenBasis, through its tuples and
-    frozensets; no exact value is reachable from it."""
+    extremal_rays result is an int, or the EvenBasis, through its tuples; no
+    exact value is reachable from it, and the tight sets are derived."""
     for G in abelian_group_catalog(12):
         cone = extremal_rays(ppd_cone_hrep(G))
         assert isinstance(cone.basis, EvenBasis)
@@ -224,7 +232,9 @@ def test_cone_records_hold_only_integers():
             assert type(field) is tuple, (G.moduli, name)
             for leaf in _leaves(field):
                 assert type(leaf) is int, (G.moduli, name, leaf)
-        assert all(type(t) is frozenset for t in cone.ray_tight)
+        d = cone.basis.dim
+        assert all(len(t) == d for t in cone.ray_transforms), G.moduli
+        assert all(type(t) is frozenset and len(t) >= d - 1 for t in tight_sets(cone))
 
 
 def test_cone_reports_build_no_exact_value(monkeypatch):
@@ -248,7 +258,7 @@ def test_cone_reports_build_no_exact_value(monkeypatch):
 
 def test_extremal_rays_tightness_rank():
     cone = extremal_rays(ppd_cone_hrep(Z4))
-    for tight in cone.ray_tight:
+    for tight in tight_sets(cone):
         assert len(tight) >= cone.basis.dim - 1
 
 
@@ -310,9 +320,9 @@ def test_rank_fallback_gives_the_same_rays(monkeypatch):
         got = extremal_rays(ppd_cone_hrep(make_group(n)))
         assert len(calls) - before == len(cone.ray_coords), n
         assert got.ray_coords == cone.ray_coords, n
-        assert got.ray_tight == cone.ray_tight, n
+        assert tight_sets(got) == tight_sets(cone), n
         assert got.ray_conds == cone.ray_conds, n
-        assert got.ray_products == cone.ray_products, n
+        assert got.ray_transforms == cone.ray_transforms, n
 
 
 def test_certificate_refuses_what_is_not_an_extremal_ray(monkeypatch):
@@ -325,13 +335,13 @@ def test_certificate_refuses_what_is_not_an_extremal_ray(monkeypatch):
     d, ring, rows = cone.basis.dim, cos_ring(G.exponent()), cone.rows
     mats = [_row_matrix(ring, row) for row in rows[d:]]
     mod = _mod_rows(ring.e, rows)
-    masks = [sum(1 << i for i in t) for t in cone.ray_tight]
+    masks = [sum(1 << i for i in t) for t in tight_sets(cone)]
 
     def verify(vec, tight):
         return _verify_extremal(ring, rows, mats, mod, vec, tight, d)
 
     ray, tight = cone.ray_coords[0], masks[0]
-    assert verify(ray, tight) == cone.ray_products[0]
+    assert verify(ray, tight) == cone.ray_transforms[0]
     with pytest.raises(AssertionError, match="^ray violates an inequality$"):
         verify(tuple(tuple(-c for c in z) for z in ray), tight)
     with pytest.raises(AssertionError, match="^tight set inconsistent with ray values$"):
@@ -353,11 +363,14 @@ def _ring_dot(ring, row, vec):
 
 
 def test_ray_products_are_every_row_on_every_ray():
+    """A ray's coordinates and its ray_transforms entry are its products with
+    the point rows and the dual rows."""
     # every presentation through order 12, and the rank-4 rings of Z15 and Z16
     for G in abelian_group_catalog(12) + [make_group([15]), make_group([16])]:
         cone = extremal_rays(ppd_cone_hrep(G))
         ring = cos_ring(G.exponent())
-        assert cone.ray_products == tuple(
+        assert tuple(coords + transform for coords, transform in zip(
+            cone.ray_coords, cone.ray_transforms)) == tuple(
             tuple(_ring_dot(ring, row, coords) for row in cone.rows)
             for coords in cone.ray_coords
         ), G.moduli
@@ -417,7 +430,7 @@ def test_dual_rows_are_the_transform_at_orbit_reps():
     for G in abelian_group_catalog(8):
         cone = extremal_rays(ppd_cone_hrep(G))
         e = G.exponent()
-        for ray, values in zip(ray_values(cone), _transform_coords(cone)):
+        for ray, values in zip(ray_values(cone), cone.ray_transforms):
             f = cone.basis.function_from_vector(ray)
             fhat = fourier_transform(f, counting_haar(G))
             got = [expand_in_cos_basis(fhat.values[r], e) for r in cone.basis.orbit_reps]
@@ -505,7 +518,7 @@ def test_rays_removal_shrinks_cone():
     for n in (2, 3, 4, 5, 6):
         cone = extremal_rays(ppd_cone_hrep(make_group([n])))
         rays, rowvals = ray_values(cone), coefficients(cone)
-        for i, (ray, tight) in enumerate(zip(rays, cone.ray_tight)):
+        for i, (ray, tight) in enumerate(zip(rays, tight_sets(cone))):
             for j, other in enumerate(rays):
                 if i == j:
                     continue
@@ -590,27 +603,54 @@ def _boundary_and_random_vectors(cone, rng):
     return vecs
 
 
+def _cyc_vectors(cone, rng):
+    """Exact vectors with Cyc entries: random ones over 2cos(2pi/5), sqrt 2
+    and 2cos(2pi/e), those with f(0) raised above the sum of |f| elsewhere
+    and, where the rays are cheap and irrational, rays and sums of two rays."""
+    G, d = cone.basis.group, cone.basis.dim
+    e = G.exponent()
+    pool = [unit_root(n, 1) + unit_root(n, -1) for n in {5, 8, max(e, 5)}]
+    vecs = []
+    for _ in range(3):
+        vec = [Fraction(rng.randint(-2, 9), rng.randint(1, 4))
+               + rng.randint(-1, 1) * rng.choice(pool) for _ in range(d)]
+        vecs.append(tuple(vec))
+        vec[0] = sum(real_abs(v) * len(o) for v, o in zip(vec[1:], cone.basis.orbits[1:])) + 1
+        vecs.append(tuple(vec))
+    if d <= 6 and e not in (1, 2, 3, 4, 6):
+        rays = ray_values(extremal_rays(cone))
+        vecs += rays
+        vecs += [tuple(a + b for a, b in zip(r, s)) for r, s in zip(rays, rays[1:])]
+    return vecs
+
+
 def _reference_signs(cone, vec):
     return [real_sign(evaluate(q, vec)) for q in coefficients(cone)]
 
 
 def test_membership_on_integer_rows_matches_evaluate_reference():
     """is_interior/is_member on integer ring rows against the Cyc-sum
-    reference evaluate and real_sign, on every presentation through order 16."""
+    reference evaluate and real_sign, on every presentation through order 16:
+    rational vectors, vectors with Cyc entries, and the float vectors of both,
+    whose exact zeros fall within the float tie tolerance."""
     rng = random.Random(16)
     groups = abelian_group_catalog(16)
     assert len(groups) == 31
-    boundary = 0
+    boundary = cyc_boundary = 0
     for G in groups:
         cone = ppd_cone_hrep(G)
-        for vec in _boundary_and_random_vectors(cone, rng):
+        rational = _boundary_and_random_vectors(cone, rng)
+        for vec in rational + _cyc_vectors(cone, rng):
             signs = _reference_signs(cone, vec)
             f = cone.basis.function_from_vector(vec)
-            assert is_interior(f, cone) == all(s > 0 for s in signs), (G, vec)
-            assert is_member(f, cone) == all(s >= 0 for s in signs), (G, vec)
+            floats = cone.basis.function_from_vector([to_complex(v).real for v in vec])
+            for g in (f, floats):
+                assert is_interior(g, cone) == all(s > 0 for s in signs), (G, vec, g.mode.exact)
+                assert is_member(g, cone) == all(s >= 0 for s in signs), (G, vec, g.mode.exact)
             boundary += min(signs) == 0
-    assert boundary > 100
-    # a Cyc-valued vector takes the coefficient-by-coefficient route
+            cyc_boundary += min(signs) == 0 and not all(map(is_rational, vec))
+    assert boundary > 100 and cyc_boundary > 10
+    # a Cyc-valued vector on Z5, whose coefficients are irrational too
     Z5 = make_group([5])
     cone = ppd_cone_hrep(Z5)
     c = unit_root(5, 1) + unit_root(5, -1)  # 2cos(2pi/5), about 0.618
@@ -619,6 +659,15 @@ def test_membership_on_integer_rows_matches_evaluate_reference():
         f = cone.basis.function_from_vector(vec)
         assert is_interior(f, cone) == all(s > 0 for s in signs), vec
         assert is_member(f, cone) == all(s >= 0 for s in signs), vec
+    # a value that is not real fails condition 2.1.1, in both modes; a float
+    # imaginary part within FLOAT_TOL counts as real, as evaluate_function reads it
+    cone, i = ppd_cone_hrep(Z4), unit_root(4, 1)
+    for values in ([4 + 3j, 1, 1, 1], [4 + 3 * i, 1, 1, 1], [4, 1j, 1, 1j], [4, i, 1, i],
+                   [4 + 1e-13j, 1, 1, 1]):
+        f = GroupFunction(Z4, values)
+        member = evaluate_function(f).is_ppd
+        assert member == (values[0] == 4 + 1e-13j), values
+        assert is_member(f, cone) == member and is_interior(f, cone) == member, values
 
 
 def test_interior_good_agreement_sampled():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab.cyclotomic import scalar_eq, sign_if_real, to_complex, unit_root
+from ppdlab.cyclotomic import complex_roots, scalar_eq, sign_if_real, to_complex, unit_root
 from ppdlab.fourier import (
     EXACT,
     FLOAT,
@@ -17,7 +17,6 @@ from ppdlab.fourier import (
     HaarScale,
     ScaledMeasure,
     _character_sums,
-    _complex_roots,
     convolve,
     counting_haar,
     dual_haar,
@@ -623,7 +622,7 @@ def test_mode_vector_methods_match_the_per_value_methods(exact_vs, float_vs, bas
 def test_float_character_sums_match_the_per_term_sum_bitwise(group):
     G = parse_group(group)
     E, table = G.exponent(), exponent_table(G.moduli)
-    roots = _complex_roots(E)
+    roots = complex_roots(E)
     rng = random.Random(group)
     values = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(G.order)]
     values[1:4] = [complex(-0.0, -0.0), complex(0.0, -0.0), 2.5]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ppdlab import groups, intlinalg
 from ppdlab.cone import ppd_cone_hrep
-from ppdlab.fourier import exponent_table
+from ppdlab.fourier import GroupFunction, exponent_table
 from ppdlab.groups import (
     Homomorphism,
+    Subgroup,
     abelian_group_catalog,
     all_subgroups,
     annihilator,
@@ -27,6 +28,7 @@ from ppdlab.groups import (
     quotient,
     subgroup_from_generators,
 )
+from ppdlab.ppd import _translation_invariant
 
 
 def brute_force_subgroups(G):
@@ -228,6 +230,25 @@ def test_annihilator_golden():
     assert annihilator(Z4, subgroup_from_generators(Z4, [])).order == 4
     full = subgroup_from_generators(Z4, [(1,)])
     assert annihilator(Z4, full).elements == (0,)
+
+
+def test_subgroup_without_generators_is_generated_by_its_elements():
+    """A Subgroup given no generators takes its nonzero elements as them, so
+    the annihilator, translation invariance and the realization all read
+    generators that generate it."""
+    Z4 = make_group([4])
+    H = Subgroup(Z4, [0, 2], ())
+    assert H.generators == ((2,),)
+    assert annihilator(Z4, H).elements == (0, 2)
+    assert not _translation_invariant(GroupFunction(Z4, [2, 1, 0, 1]), H, 1.0)
+    assert _translation_invariant(GroupFunction(Z4, [1, 0, 1, 0]), H, 1.0)
+    for G in abelian_group_catalog(8):
+        for K in all_subgroups(G):
+            bare = Subgroup(G, K.elements, ())
+            assert annihilator(G, bare) == annihilator(G, K), (G, K)
+            H_abs, incl = bare.as_group()
+            assert H_abs.order == K.order, (G, K)
+            assert {G.index(hom_apply(incl, x)) for x in H_abs.elements()} == set(K.elements)
 
 
 def test_lagrange_and_annihilator_order_sweep():
