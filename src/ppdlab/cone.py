@@ -34,7 +34,8 @@ number once, as its integer coordinates and the conductor it prints at: a
 coefficient at the conductor of its root of unity, a ray coordinate at the
 one Cyc arithmetic along the double-description path gives it
 (cyclotomic.conductor_step), which double description traces term by term
-only for the rays of a pair it keeps, once per inserted row.  Exact values
+only where a kept pair's new ray has an irrational coordinate, once per ray
+and inserted row; a rational coordinate is stored at 1.  Exact values
 are built from those pairs (_scalars) only where one is read: the field
 report and brute force.
 
@@ -305,7 +306,14 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
         bit = 1 << q
         vals = [_apply(mats[q - d], [c for z in r for c in z]) for r in rays]
         signs = [ring.sign(v) for v in vals]
-        val_conds: dict[int, int] = {}  # traced only for rays in a kept pair
+        val_conds: dict[int, int] = {}
+
+        def val_cond(i: int) -> int:
+            """Row q's product with ray i, traced only for a pair that needs it."""
+            if i not in val_conds:
+                val_conds[i] = _dot_conductor(ring, rows[q], rays[i], (row_conds[q], conds[i]))
+            return val_conds[i]
+
         keep = [(rays[i], conds[i], tights[i] | (0 if s else bit))
                 for i, s in enumerate(signs) if s >= 0]
         minus = [i for i, s in enumerate(signs) if s < 0]
@@ -318,18 +326,16 @@ def extremal_rays(cone: PolyhedralCone) -> PolyhedralCone:
                         k != ip and k != im and t & common == common
                         for k, t in enumerate(tights)):
                     continue
-                for i in (ip, im):
-                    if i not in val_conds:
-                        val_conds[i] = _dot_conductor(ring, rows[q], rays[i],
-                                                      (row_conds[q], conds[i]))
-                vp, vm, cp, cm = vals[ip], vals[im], val_conds[ip], val_conds[im]
+                vp, vm = vals[ip], vals[im]
                 new, new_conds = [], []
                 for a, ac, b, bc in zip(rays[ip], conds[ip], rays[im], conds[im]):
                     x, y = ring.mul(vp, b), ring.mul(vm, a)
                     z = ring.sub(x, y)
                     new.append(z)
+                    # conductor_step stores a rational z at 1 whatever the path
                     new_conds.append(conductor_step(
-                        conductor_step(cp, bc, x), conductor_step(cm, ac, y), z))
+                        conductor_step(val_cond(ip), bc, x),
+                        conductor_step(val_cond(im), ac, y), z) if any(z[1:]) else 1)
                 g = gcd(*[c for z in new for c in z])
                 new = tuple(tuple(c // g for c in z) for z in new)
                 keep.append((new, tuple(new_conds), common | bit))

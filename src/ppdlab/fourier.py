@@ -19,11 +19,13 @@ signed once per call; a sum past the float range is a ValueError, not a value.
 In exact mode it runs on Python ints.  Every input is put over one common
 denominator and worked in Q(zeta_L), L = lcm(E, the conductors of the Cyc
 inputs), in power-basis coordinates.  Each row sums the rational numerators
-into E buckets, adds the buckets in ascending k through a cached integer
-table of the powers of zeta_L, then adds each cyclotomic term
-zeta_E^k * value in index order.  A value is built only at the end, stored at
-the conductor a Cyc sum in that order would reach (cyclotomic.conductor_step),
-which str() prints.
+into E buckets, adds the buckets through a cached integer table of the powers
+of zeta_L, then adds each cyclotomic term zeta_E^k * value (one table of
+these per distinct Cyc object).  A rational row is a Fraction read off
+coordinate 0 and traces no conductor: conductor_step stores every rational
+value at 1.  Only an irrational row is summed again, the buckets in ascending
+k and then the cyclotomic terms in index order, to trace the conductor a Cyc
+sum in that order would reach (cyclotomic.conductor_step), which str() prints.
 """
 
 from __future__ import annotations
@@ -330,21 +332,35 @@ def _exact_character_sums(E: int, table, values, sign: int, scale):
     over one common denominator; see the module docstring."""
     L = math.lcm(E, *[v.field.E for v in values if isinstance(v, Cyc)])
     den = common_denominator(values)
-    rationals, cycs = [], []
+    rationals, cycs, term_tables = [], [], {}
     for x, v in enumerate(values):
         if isinstance(v, Cyc):
-            cycs.append((x, _term_table(v, den, E, L)))
+            # one table per object: Cyc is unhashable, and samples repeat objects
+            terms = term_tables.get(id(v))
+            if terms is None:
+                terms = term_tables[id(v)] = _term_table(v, den, E, L)
+            cycs.append((x, v.field.E, terms))
         elif v:
             rationals.append((x, v.numerator * (den // v.denominator)))
     snum, den = scale.numerator, den * scale.denominator
     out = []
     for row in table:
-        acc, cond = root_sum(enumerate(int_buckets(row, rationals, sign, E)), E, L)
-        for x, terms in cycs:
-            vec, tc = terms[(sign * row[x]) % E]
+        buckets = int_buckets(row, rationals, sign, E)
+        acc = power_coords(enumerate(buckets), E, L)
+        for x, _, terms in cycs:
+            for i, c in enumerate(terms[(sign * row[x]) % E]):
+                acc[i] += c
+        if not any(acc[1:]):
+            out.append(Fraction(acc[0] * snum, den))
+            continue
+        # irrational: sum again in the order Cyc arithmetic would, for the conductor
+        acc, cond = root_sum(enumerate(buckets), E, L)
+        for x, F, terms in cycs:
+            k = (sign * row[x]) % E
+            vec = terms[k]
             for i, c in enumerate(vec):
                 acc[i] += c
-            cond = conductor_step(cond, tc, acc)
+            cond = conductor_step(cond, conductor_step(root_conductor(E, k), F, vec), acc)
         out.append(from_int_coords([a * snum for a in acc], cond, L, den))
     return out
 
@@ -379,17 +395,12 @@ def root_sum(terms, E: int, L: int):
     return acc, cond
 
 
-def _term_table(v: Cyc, den: int, E: int, L: int):
-    """(coordinates in Q(zeta_L) of zeta_E^m * v * den, conductor of that term)
-    for every m in range(E)."""
+def _term_table(v: Cyc, den: int, E: int, L: int) -> list[list[int]]:
+    """The coordinates in Q(zeta_L) of zeta_E^m * v * den for every m in range(E)."""
     lift = L // v.field.E
     scale = den // v.den
     num = [(j * lift, c * scale) for j, c in enumerate(v.num) if c]
-    out = []
-    for m in range(E):
-        vec = power_coords(((m * (L // E) + e, n) for e, n in num), L, L)
-        out.append((vec, conductor_step(root_conductor(E, m), v.field.E, vec)))
-    return out
+    return [power_coords(((m * (L // E) + e, n) for e, n in num), L, L) for m in range(E)]
 
 
 def dual_haar(m: HaarScale) -> HaarScale:

@@ -386,9 +386,17 @@ def hom_apply(phi: Homomorphism, x: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def hom_index_map(phi: Homomorphism) -> tuple[int, ...]:
-    """map[i] is the index of phi(element(i)) in the target, for every source index."""
-    A, B = phi.source, phi.target
-    return tuple(B.index(hom_apply(phi, A.element(i))) for i in range(A.order))
+    """map[i] is the index of phi(element(i)) in the target, for every source
+    index: each target coordinate's residues are built one source factor at a
+    time, as _neg_table builds its indices, then weighted as index() weights
+    them."""
+    out = [0] * phi.source.order
+    for row, m, w in zip(phi.matrix, phi.target.moduli, phi.target._weights):
+        res = [0]
+        for n, c in zip(phi.source.moduli, row):
+            res = [(t + r * c) % m for r in range(n) for t in res]
+        out = [i + w * r for i, r in zip(out, res)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -33,10 +33,10 @@ from typing import Mapping, NamedTuple
 from .cyclotomic import (
     Cyc,
     cos_approx,
+    field,
     from_int_coords,
     is_rational,
     over_common_denominator,
-    power_coords,
     real_sign,
     scalar_inv,
     screen_sign,
@@ -424,7 +424,10 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
 
     Values are built on integers, once per exponent tuple (<a_i, x>) over the
     drawn characters: |u|^2(x) and u's conductor depend on x only through it.
-    The shifts join coordinate 0 over one common denominator.
+    |u|^2 sums the k^2 pair terms w_a w_a' zeta_E^(m_a - m_a') in power-basis
+    coordinates, and the shifts join coordinate 0 over one common denominator.
+    A rational value is a Fraction straight from coordinate 0; only an
+    irrational one traces u's conductor (fourier.root_sum).
     """
     rng = derived_rng(seed, strictness, G.moduli)
     if (
@@ -455,18 +458,21 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     D = math.lcm(den * den, a.denominator, b.denominator)
     sa, sb = (q.numerator * (D // q.denominator) for q in (a, b))
     scale, shift = D // (den * den), (sa + sb, sa)
+    pairs = [(i, j, w * w2 * scale) for i, w in enumerate(ints) for j, w2 in enumerate(ints)]
+    fld = field(E)
     values, memo = [], {}
     for x, exps in enumerate(zip(*[table[c] for c in chars])):
         key = exps if x else None  # f(0) alone carries b
         if key not in memo:
-            buckets = [0] * E
-            for m, w in zip(exps, ints):
-                for m2, w2 in zip(exps, ints):
-                    buckets[(m - m2) % E] += w * w2 * scale
-            buckets[0] += shift[x > 0]
-            # |u|^2 takes the conductor of u = sum_a w_a zeta^exps[a] in draw order
-            memo[key] = from_int_coords(power_coords(enumerate(buckets), E, E),
-                                        root_sum(zip(exps, ints), E, E)[1], E, D)
+            acc = [0] * fld.degree
+            for i, j, w in pairs:
+                for t, c in fld.powers[(exps[i] - exps[j]) % E]:
+                    acc[t] += w * c
+            acc[0] += shift[x > 0]
+            # an irrational |u|^2 takes the conductor of u = sum_a w_a zeta^exps[a]
+            # in draw order
+            memo[key] = (from_int_coords(acc, root_sum(zip(exps, ints), E, E)[1], E, D)
+                         if any(acc[1:]) else Fraction(acc[0], D))
         values.append(memo[key])
     return GroupFunction._with_mode(G, values, EXACT)
 

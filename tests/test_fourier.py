@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdlab.cyclotomic import complex_roots, scalar_eq, sign_if_real, to_complex, unit_root
+from ppdlab.cyclotomic import Cyc, complex_roots, scalar_eq, sign_if_real, to_complex, unit_root
 from ppdlab.fourier import (
     EXACT,
     FLOAT,
@@ -194,9 +194,29 @@ def test_character_sums_match_cyc_reference(moduli, n, data):
     assert repr(got) == repr(_reference_character_sums(G, values, sign, scale))
 
 
-def test_character_sums_match_cyc_reference_where_terms_collapse():
+@pytest.fixture
+def conductor_calls(monkeypatch):
+    """The argument tuples of every conductor_step call the kernel makes:
+    fourier's name for it is wrapped to record them (the sampler reads it
+    through fourier.root_sum)."""
+    import ppdlab.fourier as fourier_module
+
+    calls = []
+    step = fourier_module.conductor_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(fourier_module, "conductor_step", counted)
+    return calls
+
+
+def test_character_sums_match_cyc_reference_where_terms_collapse(conductor_calls):
     """Rows where a partial sum of cyclotomic terms turns rational and terms of
-    a smaller conductor follow, so the conductor must restart at 1."""
+    a smaller conductor follow, so the conductor must restart at 1; rows whose
+    total is rational after an irrational prefix; one Cyc object at several
+    indices.  A row traces its conductor exactly when its total is irrational."""
     i, z3, z83 = unit_root(4, 1), unit_root(3, 1), unit_root(8, 3)
     z5, z52, z53 = (unit_root(5, k) for k in (1, 2, 3))
     cases = [
@@ -204,12 +224,35 @@ def test_character_sums_match_cyc_reference_where_terms_collapse():
         ((8,), [0, -1, 0, -1 - z3, 0, -z3, z3, 0], -1),
         ((6,), [-i, -i, -i, -i, 0, 0], -1),
         ((4, 2), [1, z5, 0, z5, z52, 0, -1 - z5 - z52 - z53, 0], 1),
+        ((5,), [z5] * 5, 1),
+        ((6,), [z3, z3, 0, z3, 2, z3], -1),
+        ((4,), [i, -i, 0, 1], 1),
+        ((3,), [0, z3, z3 * z3], -1),
+        ((8,), [z83, 1, -z83, 0, z83, 0, -z83, 3], 1),
     ]
     for moduli, ints, sign in cases:
         G = make_group(list(moduli))
         values = [Fraction(v) if isinstance(v, int) else v for v in ints]
+        conductor_calls.clear()
         got = _character_sums(G, values, sign, Fraction(1), EXACT)
         assert repr(got) == repr(_reference_character_sums(G, values, sign, Fraction(1))), moduli
+        assert bool(conductor_calls) == any(isinstance(v, Cyc) for v in got), moduli
+
+
+def test_rational_outputs_trace_no_conductor(conductor_calls):
+    """The forward transform of a good sample is rational at every character,
+    its inputs irrational for some seeds: no output steps a conductor."""
+    cyc_inputs = 0
+    for text in ("Z8", "Z4xZ2", "Z12"):
+        G = parse_group(text)
+        for s in range(5):
+            f = sample_good(G, s)
+            cyc_inputs += sum(not isinstance(v, Fraction) for v in f.values)
+            conductor_calls.clear()
+            fhat = fourier_transform(f, counting_haar(G)).values
+            assert all(isinstance(v, Fraction) for v in fhat), (text, s)
+            assert conductor_calls == [], (text, s)
+    assert cyc_inputs
 
 
 def test_transform_delta_is_constant():

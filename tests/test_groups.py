@@ -150,17 +150,18 @@ def test_groups_are_plain_values():
 
 
 def test_hom_index_map_matches_hom_apply():
-    for moduli in ([4, 2], [2, 2, 2]):
-        G = make_group(moduli)
-        homs = []
+    """Every quotient projection and subgroup inclusion through order 16, their
+    duals, and a matrix with negative entries."""
+    homs = [Homomorphism(make_group([4, 2]), make_group([4]), ((-1, 2),))]
+    for G in abelian_group_catalog(16):
         for H in all_subgroups(G):
-            homs.append(quotient(G, H).projection_hom)
-            homs.append(H.as_group()[1])
-        for phi in homs:
-            A, B = phi.source, phi.target
-            assert hom_index_map(phi) == tuple(
-                B.index(hom_apply(phi, A.element(i))) for i in range(A.order)
-            )
+            for phi in (quotient(G, H).projection_hom, H.as_group()[1]):
+                homs += [phi, dual_hom(phi)]
+    for phi in homs:
+        A, B = phi.source, phi.target
+        assert hom_index_map(phi) == tuple(
+            B.index(hom_apply(phi, A.element(i))) for i in range(A.order)
+        ), phi
 
 
 def test_all_subgroups_matches_bruteforce():

@@ -419,6 +419,33 @@ def test_sampler_outputs_golden():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == SAMPLER_GOLDEN
 
 
+# sha256 of repr of (moduli, seed, then for sample_ppd, sample_good and the
+# good sample translated by the last element the forward transform under
+# counting measure and the inverse transform at Haar scale 1/3, then
+# normalized_dual of the normalized good sample) for every presentation through
+# order 16 and seeds 0-2.  The samples' transforms are rational; the translate's
+# are not.  The repr shows the conductor each Cyc value is stored at, so a
+# kernel that sums in another order or stores a value at another conductor
+# changes the digest.
+SAMPLED_TRANSFORM_GOLDEN = "207e995de1c0a7c0bd1e35f77f6169958d9d27ca638930506086f4f995a5cd5e"
+
+
+def test_sampled_transform_outputs_golden():
+    out = []
+    for G in abelian_group_catalog(16):
+        m, third = counting_haar(G), HaarScale(G, Fraction(1, 3))
+        for s in range(3):
+            row = [G.moduli, s]
+            good = sample_good(G, s)
+            shifted = GroupFunction(G, [good.values[r[-1]] for r in G.index_tables[0]])
+            for f in (sample_ppd(G, s), good, shifted):
+                row.append(fourier_transform(f, m).values)
+                row.append(inverse_transform(measure_from_function(f, third)).values)
+            row.append(normalized_dual(sample_normalized_good(G, s)).values)
+            out.append(row)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SAMPLED_TRANSFORM_GOLDEN
+
+
 def test_sampled_ppd_max_at_identity_and_even():
     for G in abelian_group_catalog(10):
         for s in range(8):
