@@ -41,33 +41,25 @@ Scalar = Union[int, Fraction, "Cyc"]
 _FLOAT_SCREEN = 1e-12
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n, ascending."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return primes + [n] if n > 1 else primes
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def euler_phi(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # den is monic; division is exact for cyclotomic factors of x^E - 1
     num = list(num)
     dd = len(den) - 1
@@ -83,18 +75,25 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _at_power(poly: list[int], s: int) -> list[int]:
+    """The coefficients of poly(X^s)."""
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(E: int) -> tuple[int, ...]:
-    """Coefficients of the E-th cyclotomic polynomial, low degree first."""
+    """Coefficients of the E-th cyclotomic polynomial, low degree first, built
+    prime by prime (Arnold and Monagan, Math. Comp. 80, 2011): Phi_mp(X) =
+    Phi_m(X^p) / Phi_m(X) from Phi_1 = X - 1 for the primes p of E in turn,
+    then Phi_E(X) = Phi_r(X^(E/r)), r their product."""
     if E < 1:
         raise ValueError(f"conductor must be positive, got {E}")
-    if E == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (E - 1) + [1]
-    for d in divisors(E):
-        if d < E:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    poly, r = [-1, 1], 1
+    for p in _prime_factors(E):
+        poly, r = _poly_div_exact(_at_power(poly, p), poly), r * p
+    return tuple(_at_power(poly, E // r))
 
 
 class CycField:

@@ -19,13 +19,14 @@ signed once per call; a sum past the float range is a ValueError, not a value.
 In exact mode it runs on Python ints.  Every input is put over one common
 denominator and worked in Q(zeta_L), L = lcm(E, the conductors of the Cyc
 inputs), in power-basis coordinates.  Each row sums the rational numerators
-into E buckets, adds the buckets through a cached integer table of the powers
-of zeta_L, then adds each cyclotomic term zeta_E^k * value (one table of
-these per distinct Cyc object).  A rational row is a Fraction read off
-coordinate 0 and traces no conductor: conductor_step stores every rational
-value at 1.  Only an irrational row is summed again, the buckets in ascending
-k and then the cyclotomic terms in index order, to trace the conductor a Cyc
-sum in that order would reach (cyclotomic.conductor_step), which str() prints.
+into E buckets and adds them, and each Cyc input's sparse (exponent at L,
+numerator) pairs, through the cached integer table of the powers of zeta_L:
+no table is built per input.  The row finish row_value, shared with the
+spectral screen in ppd, reads a rational row off coordinate 0 as a Fraction
+and traces no conductor: conductor_step stores every rational value at 1.
+Only an irrational row is summed again, the buckets in ascending k and then
+the cyclotomic terms in index order, to trace the conductor a Cyc sum in that
+order would reach (cyclotomic.conductor_step), which str() prints.
 """
 
 from __future__ import annotations
@@ -329,46 +330,32 @@ def _character_sums(G: FiniteAbelianGroup, values, sign: int, scale, mode: Mode,
 
 def _exact_character_sums(E: int, table, values, sign: int, scale):
     """The exact kernel on integer coordinates at L = lcm(E, input conductors)
-    over one common denominator; see the module docstring."""
+    over one common denominator (a Cyc's being its den), the scale's numerator
+    folded into every input numerator; see the module docstring."""
     L = math.lcm(E, *[v.field.E for v in values if isinstance(v, Cyc)])
-    den = common_denominator(values)
-    rationals, cycs, term_tables = [], [], {}
+    # a list, not a generator, as in cyclotomic.over_common_denominator
+    den = math.lcm(*[v.den if isinstance(v, Cyc) else v.denominator for v in values])
+    snum = scale.numerator
+    rationals, cycs = [], []
     for x, v in enumerate(values):
         if isinstance(v, Cyc):
-            # one table per object: Cyc is unhashable, and samples repeat objects
-            terms = term_tables.get(id(v))
-            if terms is None:
-                terms = term_tables[id(v)] = _term_table(v, den, E, L)
-            cycs.append((x, v.field.E, terms))
+            lift, s = L // v.field.E, den // v.den * snum
+            cycs.append((x, v.field.E, [(j * lift, c * s) for j, c in enumerate(v.num) if c]))
         elif v:
-            rationals.append((x, v.numerator * (den // v.denominator)))
-    snum, den = scale.numerator, den * scale.denominator
+            rationals.append((x, v.numerator * (den // v.denominator) * snum))
+    den *= scale.denominator
+    powers, step = field(L).powers, L // E
     out = []
     for row in table:
         buckets = int_buckets(row, rationals, sign, E)
         acc = power_coords(enumerate(buckets), E, L)
-        for x, _, terms in cycs:
-            for i, c in enumerate(terms[(sign * row[x]) % E]):
-                acc[i] += c
-        if not any(acc[1:]):
-            out.append(Fraction(acc[0] * snum, den))
-            continue
-        # irrational: sum again in the order Cyc arithmetic would, for the conductor
-        acc, cond = root_sum(enumerate(buckets), E, L)
-        for x, F, terms in cycs:
-            k = (sign * row[x]) % E
-            vec = terms[k]
-            for i, c in enumerate(vec):
-                acc[i] += c
-            cond = conductor_step(cond, conductor_step(root_conductor(E, k), F, vec), acc)
-        out.append(from_int_coords([a * snum for a in acc], cond, L, den))
+        for x, _, pairs in cycs:
+            m = (sign * row[x]) % E * step
+            for e, n in pairs:
+                for i, c in powers[(m + e) % L]:
+                    acc[i] += n * c
+        out.append(row_value(acc, buckets, cycs, row, sign, E, L, den))
     return out
-
-
-def common_denominator(values) -> int:
-    """The lcm of the denominators of exact values, a Cyc's being its den."""
-    # a list, not a generator, as in cyclotomic.over_common_denominator
-    return math.lcm(*[v.den if isinstance(v, Cyc) else v.denominator for v in values])
 
 
 def int_buckets(row, numerators, sign: int, E: int) -> list[int]:
@@ -395,12 +382,22 @@ def root_sum(terms, E: int, L: int):
     return acc, cond
 
 
-def _term_table(v: Cyc, den: int, E: int, L: int) -> list[list[int]]:
-    """The coordinates in Q(zeta_L) of zeta_E^m * v * den for every m in range(E)."""
-    lift = L // v.field.E
-    scale = den // v.den
-    num = [(j * lift, c * scale) for j, c in enumerate(v.num) if c]
-    return [power_coords(((m * (L // E) + e, n) for e, n in num), L, L) for m in range(E)]
+def row_value(acc, buckets, cycs, row, sign: int, E: int, L: int, den: int):
+    """acc / den for the integer coordinates acc in Q(zeta_L) of a row, finished
+    as the module docstring says.  An irrational row sums its buckets and then
+    each cyclotomic input (x, F, pairs) of cycs again: zeta_E^(sign * row[x])
+    times a value stored at conductor F, with numerator n at zeta_L^e for each
+    pair (e, n)."""
+    if not any(acc[1:]):
+        return Fraction(acc[0], den)
+    acc, cond = root_sum(enumerate(buckets), E, L)
+    for x, F, pairs in cycs:
+        k = (sign * row[x]) % E
+        vec = power_coords(((k * (L // E) + e, n) for e, n in pairs), L, L)
+        for i, c in enumerate(vec):
+            acc[i] += c
+        cond = conductor_step(cond, conductor_step(root_conductor(E, k), F, vec), acc)
+    return from_int_coords(acc, cond, L, den)
 
 
 def dual_haar(m: HaarScale) -> HaarScale:

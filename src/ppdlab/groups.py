@@ -18,6 +18,7 @@ source index to the index of its image.  Index 0 is always the identity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -189,8 +190,6 @@ def pairing(G: FiniteAbelianGroup, a: Element, x: Element) -> complex:
     if not G.contains(x):
         raise ValueError(f"{x} is not an element of {G}")
     E = G.exponent()
-    import cmath
-
     return cmath.exp(2j * cmath.pi * pairing_exponent(G, a, x) / E)
 
 

@@ -37,6 +37,7 @@ from .cyclotomic import (
     from_int_coords,
     is_rational,
     over_common_denominator,
+    power_coords,
     real_sign,
     scalar_inv,
     screen_sign,
@@ -55,13 +56,16 @@ from .fourier import (
     measure_from_function,
     pullback,
     root_sum,
+    row_value,
 )
 from .groups import (
+    SUBGROUP_ORDER_BOUND,
     FiniteAbelianGroup,
     Subgroup,
     all_subgroups,
     quotient,
     subgroup_from_elements,
+    subgroup_from_generators,
 )
 
 PSD_EIG_TOL = 1e-9
@@ -225,16 +229,16 @@ def _even_rational(f: GroupFunction):
 def _spectral_signs(G: FiniteAbelianGroup, nums, den: int, witness: bool):
     """(certified sign, exact value or None) of f_hat under counting measure at
     each character, for the even rational f = nums / den: the double screen over
-    each row's E buckets.  A value is built once, by the kernel's own call (so it
-    prints as fourier_transform's), when the screen cannot call it (every zero)
-    or, with witness, when it is negative."""
+    each row's E buckets.  A value is built once, when the screen cannot call it
+    (every zero) or, with witness, when it is negative, from those buckets by
+    the kernel's row finish (fourier.row_value), so it prints as the kernel's."""
     E = G.exponent()
     nums = [(x, n) for x, n in enumerate(nums) if n]
     for row in exponent_table(G.moduli):
         buckets = int_buckets(row, nums, -1, E)
         sgn = screen_sign(buckets, cos_approx(E))
-        value = (from_int_coords(*root_sum(enumerate(buckets), E, E), E, den)
-                 if sgn is None or (witness and sgn < 0) else None)
+        value = (row_value(power_coords(enumerate(buckets), E, E), buckets, (), row, -1, E, E,
+                           den) if sgn is None or (witness and sgn < 0) else None)
         yield (real_sign(value) if sgn is None else sgn), value
 
 
@@ -420,7 +424,8 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
     positive multiples of the constant and of the delta at 0, which keep both
     the function and its transform strictly positive.  PPD samples are pulled
     back from a proper quotient part of the time so nontrivial stabilizers
-    show up downstream.
+    show up downstream: the quotient by a drawn subgroup of order > 1, past
+    SUBGROUP_ORDER_BOUND the one generated by a drawn nonzero element.
 
     Values are built on integers, once per exponent tuple (<a_i, x>) over the
     drawn characters: |u|^2(x) and u's conductor depend on x only through it.
@@ -436,12 +441,14 @@ def _sample(G: FiniteAbelianGroup, seed: int, strictness: str,
         and G.order > 1
         and rng.random() < 0.35
     ):
-        subs = [H for H in all_subgroups(G) if 1 < H.order]
-        if subs:
+        if G.order > SUBGROUP_ORDER_BOUND:  # past all_subgroups' bound: a cyclic H
+            H = subgroup_from_generators(G, [G.element(rng.randrange(1, G.order))])
+        else:
+            subs = [H for H in all_subgroups(G) if 1 < H.order]
             H = subs[rng.randrange(len(subs))]
-            Q = quotient(G, H)
-            g = _sample(Q.group, rng.randrange(2**32), "ppd", _depth + 1)
-            return pullback(Q.projection_hom, g)
+        Q = quotient(G, H)
+        g = _sample(Q.group, rng.randrange(2**32), "ppd", _depth + 1)
+        return pullback(Q.projection_hom, g)
 
     E = G.exponent()
     table = exponent_table(G.moduli)

@@ -17,6 +17,7 @@ escaper, and joins the parts once.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -125,8 +126,6 @@ def measure_to_dict(mu: ScaledMeasure) -> dict:
 
 def parse_generators(text, G: FiniteAbelianGroup):
     """Generator lists like [[2],[1,0]]; accepts a JSON string or parsed list."""
-    import json
-
     gens = json.loads(text) if isinstance(text, str) else text
     if not isinstance(gens, list):
         raise ValueError("generators must be a list of residue tuples")

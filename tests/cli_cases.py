@@ -82,6 +82,8 @@ FILES = {
     # 1 on {0, 1, -1} and on {0, 1}: every transform value descends from Q(zeta_1024)
     "z1024_even": {"group": "Z1024", "values": [int(k in (0, 1, 1023)) for k in range(1024)]},
     "z1024_odd": {"group": "Z1024", "values": [int(k in (0, 1)) for k in range(1024)]},
+    # Gaussian values on a group of odd exponent: the sums live at L = lcm(105, 4) = 420
+    "z105_gaussian": {"group": "Z105", "values": [3, [0, 1], *[0] * 102, [0, -1]]},
 }
 
 # every good function gets the same verdict bytes, in either mode
@@ -295,6 +297,7 @@ CASES = {
         "check not ppd": Case("check {not_ppd} --good", 1, out=Sha256("80e2387333568e40a40d6facf9e48358d92c694671099fdf41119dcd858a6dce")),
         "check Z1024 even": Case("check {z1024_even}", 1, out=Sha256("12eb9dd281f16982d4502914bd504ced9b08cb33ed31a93c99a9a16d8d8aa748")),
         "check Z1024 not even": Case("check {z1024_odd}", 1, out=Sha256("63d9624a1937011e8cf06e803ac7a1c2fd1d410bbc7ff75e96b6eefbe56f3219")),
+        "check Z105 gaussian": Case("check {z105_gaussian}", 1, out=Sha256("85132fd0ec3174b62303962907a693bf0db9689dff6ff03c930b175f55ce8985")),
         "restrict": Case("restrict {good_z4} --generators [[2]]", out=Sha256("fa49e49114491d8cec683efa8484dce1f8f7475c79cb2639882a5040d42fafc8")),
         "gaussian selfdual": Case("gaussian --check selfdual", out=lambda report: report["max_gap"] < 1e-12),
         # the default-grid transform is one FFT, so a 65536-point grid runs

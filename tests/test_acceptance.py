@@ -177,8 +177,7 @@ def test_criterion_09_counterexample_masses():
 
 
 def test_criterion_10_duality_involutions():
-    report = involution_sweep(max_order=12, samples=20, seed=SEED,
-                              square_max_order=8)
+    report = involution_sweep(max_order=12, samples=20, seed=SEED)
     assert report["failures"] == [], report["failures"][:3]
     _report(10, f"double normalized dual = identity, duality square commutes, "
                 f"dual Haar is an involution; {report['cases']} cases, "

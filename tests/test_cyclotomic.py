@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -33,6 +34,41 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+_REF_PHI = {}
+
+
+def _ref_cyclotomic_polynomial(E: int) -> list[int]:
+    """Reference Phi_E: X^E - 1 divided by Phi_d for every proper divisor d of E."""
+    if E not in _REF_PHI:
+        poly = [-1] + [0] * (E - 1) + [1]
+        for d in divisors(E)[:-1]:
+            poly = cyclotomic._poly_div_exact(poly, _ref_cyclotomic_polynomial(d))
+        _REF_PHI[E] = poly
+    return _REF_PHI[E]
+
+
+def test_cyclotomic_polynomials_match_the_divisor_recursion():
+    for E in [*range(1, 601), 1024, 4095, 5460]:
+        assert list(cyclotomic_polynomial(E)) == _ref_cyclotomic_polynomial(E), E
+
+
+# sha256 over E < 400 of repr((degree, powers)) of CycField(E), pinned when
+# Phi_E was still built by the divisor recursion
+FIELD_TABLES_GOLDEN = "c5f8dcb143f3e7dfefe58e6fc21fdba6f15bdc6b9a3c49f92a69212d9a1c84b6"
+
+
+def test_field_power_tables_golden():
+    h = hashlib.sha256()
+    for E in range(1, 400):
+        fld = cyclotomic.CycField(E)
+        h.update(repr((fld.degree, fld.powers)).encode())
+    assert h.hexdigest() == FIELD_TABLES_GOLDEN
 
 
 def test_unit_root_contracts_to_rational():
@@ -208,7 +244,7 @@ def test_base_changes_read_basis_vectors_back():
     and each cos-basis vector of Z[2cos(2pi/e)], lifted to Q(zeta_L) and
     descended to Q(zeta_e), reads back as itself."""
     for L in range(1, 49):
-        for d in cyclotomic.divisors(L):
+        for d in divisors(L):
             n = field(d).degree
             for k in range(n):
                 y, den = cyclotomic._descend(cyclotomic.power_coords([(k, 1)], d, L), d, L)
@@ -232,7 +268,7 @@ def test_descents_and_cos_expansions_match_cyc_arithmetic(L, data):
     coordinates in Q(zeta_L); expand_in_cos_basis(x, e) reads back the cos
     coordinates x was built from, at whatever conductor x is stored, and
     gives None for a value off the real subfield of Q(zeta_e)."""
-    F = data.draw(st.sampled_from(cyclotomic.divisors(L)))
+    F = data.draw(st.sampled_from(divisors(L)))
     vec = data.draw(_fractions(field(F).degree))
     nums, den = cyclotomic.over_common_denominator(vec)
     lifted = cyclotomic.power_coords(enumerate(nums), F, L)

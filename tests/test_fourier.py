@@ -38,7 +38,7 @@ from ppdlab.groups import (
     parse_group,
     subgroup_from_generators,
 )
-from ppdlab.ppd import sample_good
+from ppdlab.ppd import sample_good, spectral_min_sign
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -216,9 +216,17 @@ def test_character_sums_match_cyc_reference_where_terms_collapse(conductor_calls
     """Rows where a partial sum of cyclotomic terms turns rational and terms of
     a smaller conductor follow, so the conductor must restart at 1; rows whose
     total is rational after an irrational prefix; one Cyc object at several
-    indices.  A row traces its conductor exactly when its total is irrational."""
+    indices; Gaussian values i and -i on groups whose exponent 4 does not
+    divide, so the sums live at L = lcm(E, 4).  A row traces its conductor
+    exactly when its total is irrational."""
     i, z3, z83 = unit_root(4, 1), unit_root(3, 1), unit_root(8, 3)
     z5, z52, z53 = (unit_root(5, k) for k in (1, 2, 3))
+    mi = -i
+
+    def gaussian(n, at):
+        """3 at 0, i at each index of at, -i at its negatives, on Z_n."""
+        return [3] + [i if x in at else mi if n - x in at else 0 for x in range(1, n)]
+
     cases = [
         ((12,), [0, 0, z83, -1, -1, z83, -1, 0, -i, 0, 1, -1], 1),
         ((8,), [0, -1, 0, -1 - z3, 0, -z3, z3, 0], -1),
@@ -229,6 +237,13 @@ def test_character_sums_match_cyc_reference_where_terms_collapse(conductor_calls
         ((4,), [i, -i, 0, 1], 1),
         ((3,), [0, z3, z3 * z3], -1),
         ((8,), [z83, 1, -z83, 0, z83, 0, -z83, 3], 1),
+        ((15,), gaussian(15, {1}), 1),
+        ((15,), gaussian(15, {1}), -1),
+        ((21,), gaussian(21, {1}), 1),
+        ((21,), gaussian(21, {1}), -1),
+        ((15,), gaussian(15, {1, 4, 7}), -1),
+        ((21,), gaussian(21, {2, 3, 9}), 1),
+        ((21,), [z3 if x % 3 else i for x in range(21)], -1),
     ]
     for moduli, ints, sign in cases:
         G = make_group(list(moduli))
@@ -237,6 +252,16 @@ def test_character_sums_match_cyc_reference_where_terms_collapse(conductor_calls
         got = _character_sums(G, values, sign, Fraction(1), EXACT)
         assert repr(got) == repr(_reference_character_sums(G, values, sign, Fraction(1))), moduli
         assert bool(conductor_calls) == any(isinstance(v, Cyc) for v in got), moduli
+
+
+def test_spectral_screen_traces_no_conductor_for_rational_values(conductor_calls):
+    """The transforms of the indicators of Z12's subgroups are rational, and
+    the rows the double screen cannot sign (the zeros) step no conductor."""
+    G = parse_group("Z12")
+    for H in all_subgroups(G):
+        f = GroupFunction(G, [Fraction(int(x in H.elements)) for x in range(G.order)])
+        assert spectral_min_sign(f) >= 0
+    assert conductor_calls == []
 
 
 def test_rational_outputs_trace_no_conductor(conductor_calls):

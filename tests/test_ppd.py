@@ -405,6 +405,14 @@ def test_sampler_determinism_and_membership():
             assert evaluate_function(g).is_good
 
 
+def test_sample_ppd_past_the_subgroup_bound():
+    """Past SUBGROUP_ORDER_BOUND the quotient branch takes a cyclic subgroup
+    instead of asking all_subgroups, which refuses the group."""
+    G = make_group([128])
+    for s in range(20):
+        assert evaluate_function(sample_ppd(G, seed=s)).is_ppd, s
+
+
 # sha256 of repr of (moduli, seed, sample_ppd values, sample_good values) for
 # every presentation through order 16 and seeds 0-4.  The repr shows the
 # conductor each Cyc value is stored at.
